@@ -62,7 +62,6 @@ from .connect import (
     replay_certificate,
     step_cap,
     walk_general,
-    walk_kperm,
     walk_multiset,
 )
 from .verify import (

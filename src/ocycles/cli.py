@@ -138,9 +138,10 @@ def parse_text(text: str) -> ParsedInput:
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
     if fmt == "string":
-        symbols: tuple[int, ...] = ()
+        collected: list[int] = []
         for line in body:
-            symbols += _parse_symbol_line(line)
+            collected.extend(_parse_symbol_line(line))
+        symbols = tuple(collected)
         _check_declared(headers, len(symbols), params)
         return ParsedInput("string", params, symbols, None)
     words = tuple(_parse_symbol_line(line) for line in body)
@@ -156,16 +157,21 @@ def _check_declared(
     params: InstanceParams | None,
     n_words: int | None = None,
 ) -> None:
-    if "length" in headers and int(headers["length"]) != symbol_count:
+    try:
+        declared = {key: int(headers[key]) for key in ("length", "objects") if key in headers}
+    except ValueError as exc:
+        raise DocumentError(f"bad document header: {exc}") from exc
+    if declared.get("length", symbol_count) != symbol_count:
         raise DocumentError(
-            f"header declares length {headers['length']}, body has {symbol_count} symbols"
+            f"header declares length {declared['length']}, body has {symbol_count} symbols"
         )
-    if "objects" in headers and params is not None:
-        declared = int(headers["objects"])
+    if "objects" in declared and params is not None:
         stride = params.k - params.s
         actual = n_words if n_words is not None else symbol_count // stride
-        if declared != actual:
-            raise DocumentError(f"header declares {declared} objects, body has {actual}")
+        if declared["objects"] != actual:
+            raise DocumentError(
+                f"header declares {declared['objects']} objects, body has {actual}"
+            )
 
 
 def _parse_multiset(text: str) -> tuple[int, ...]:

@@ -12,16 +12,15 @@ Three mechanisms cover the parameter space:
   forward/backward pair either transposes the needed symbol into place within
   the window or swaps it in from the unseen remainder, fixing one more
   position of the minimum vertex per round.
-* ``walk_kperm`` - for k-permutations with k < n, when 2s < k or
-  gcd(s, k) = 1 with s < k-1.  Out-of-range letters are exchanged for missing
-  small ones a window-load at a time, with in-place reorderings of the current
-  letter set spliced in between.
-* ``walk_general`` - for any k-permutation instance with k < n.  When
-  gcd(s, k) = 1 and s < k-1 it defers to ``walk_kperm``; otherwise it drives
-  the rotation machinery: following a forward edge shifts the length-s window
-  by k-s (mod k), so the reachable window offsets are the multiples of
-  g = gcd(s, k), and a letter can be edited once its position is rotated into
-  the first block of g positions.
+* ``walk_general`` - for every k-permutation instance with k < n, at any
+  overlap.  Following a forward edge shifts the length-s window by k-s
+  (mod k) along one underlying word, so the reachable window offsets are the
+  multiples of g = gcd(s, k), and a letter can be edited once its position
+  is rotated into the first block of g positions.  A letter absent from the
+  word always exists, so every position can be rewritten.
+* ``bfs_path`` - for full and multiset permutations with 2s >= k, where no
+  constructive walker is known: a breadth-first search of the transition
+  graph.
 
 The walkers are diagnostics and proof witnesses; generation itself never
 depends on them.
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .core import (
     InstanceParams,
@@ -43,7 +43,6 @@ from .core import (
     is_valid_vertex,
     is_valid_word,
     min_vertex,
-    validate_params,
 )
 from .graph import Edge, build_graph, edge_for_word, predecessors, successors
 
@@ -176,96 +175,23 @@ def walk_multiset(
     return PathCertificate(w, tuple(steps), target), tuple(trace)
 
 
-def _within_letter_set(
-    v: Vertex, letters: Sequence[int], params: InstanceParams
-) -> list[PathStep]:
-    """Steps from v to the sorted s-prefix of `letters`, staying inside the
-    permutations of that letter set.  Re-expressed against `params`."""
-    sub = validate_params(multiset=sorted(letters), s=params.s)
-    target = sub.multiset[: params.s]
-    v = tuple(v)
-    if v == target:
-        return []
-    if 2 * params.s < params.k:
-        cert, _ = walk_multiset(v, sub)
-    else:
-        cert = bfs_path(v, target, sub)
-    return [
-        PathStep(edge_for_word(st.edge.word, params), st.direction) for st in cert.steps
-    ]
-
-
-def walk_kperm(
-    w: Sequence[int],
-    params: InstanceParams,
-    d_trace: list[int] | None = None,
-) -> PathCertificate:
-    """Letter-exchange path to the minimum vertex for k-permutations, k < n.
-
-    Requires 2s < k or gcd(s, k) = 1 with s < k-1 (the regimes where the
-    permutations of a fixed k-set are known to be connected).  Rounds keep a
-    working letter set K, sorted into a canonical frame: one forward edge
-    keeps the s smallest letters of K and refills the rest with the smallest
-    letters of {1..k} still missing, shrinking K's out-of-range part by up to
-    k-s per round.  Reorderings within a fixed letter set are delegated to
-    ``walk_multiset``, or to a breadth-first witness search when the overlap
-    is too large for the transposition walker.
-
-    If `d_trace` is given, the size of the out-of-range letter set is
-    appended per round (monotonically decreasing to 0).
-    """
-    k, s, n = params.k, params.s, params.n
-    if params.mode is not Mode.KPERM or k >= n:
-        raise WalkError("letter-exchange walker needs k-permutation mode with k < n")
-    if not (2 * s < k or (gcd(s, k) == 1 and s < k - 1)):
-        raise WalkError(
-            f"letter-exchange walker needs 2s < k or gcd(s,k)=1 with s < k-1, got s={s}, k={k}"
-        )
-    w = _require_vertex(w, params)
-    target = min_vertex(params)
-    cap = step_cap(params)
-    base = set(range(1, k + 1))
-
-    fill = [x for x in range(1, n + 1) if x not in set(w)][: k - s]
-    letters = set(w) | set(fill)
-    steps = _within_letter_set(w, letters, params)
-    while letters != base:
-        if d_trace is not None:
-            d_trace.append(len(letters - base))
-        frame = sorted(letters)
-        missing = sorted(base - letters)
-        take = min(k - s, len(missing))
-        fillers = frame[s : s + (k - s - take)]
-        word = tuple(frame[:s]) + tuple(missing[:take]) + tuple(fillers)
-        steps.append(PathStep(edge_for_word(word, params), Direction.FORWARD))
-        letters = set(word)
-        steps.extend(_within_letter_set(word[-s:], letters, params))
-        if len(steps) > cap:
-            raise StepCapExceeded(f"exceeded {cap} steps at {params.describe()}")
-    if d_trace is not None:
-        d_trace.append(0)
-    return PathCertificate(w, tuple(steps), target)
-
-
 def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
-    """Path to the minimum vertex for any k-permutation instance with k < n.
+    """Rotation path to the minimum vertex for any k-permutation instance
+    with k < n, at every overlap 1 <= s < k.
 
-    Defers to ``walk_kperm`` when gcd(s, k) = 1 and s < k-1.  Otherwise runs
-    the rotation walker: the current window is rotated (forward edges through
-    cyclic shifts of one underlying word) until the position to edit lies in
-    the first g = gcd(s, k) positions, one forward/backward pair rewrites
-    that position, and the window is rotated back.  If the letter wanted at
-    the first disagreeing position occurs later in the word, its stray copy
-    is first overwritten with a letter unused by the word (one exists since
-    k < n); afterwards the wanted letter is written into its home position.
+    w is extended by k-s letters it lacks into one underlying word.  The
+    current window is rotated (forward edges through cyclic shifts of that
+    word) until the position to edit lies in the first g = gcd(s, k)
+    positions, one forward/backward pair rewrites that position, and the
+    window is rotated back.  If the letter wanted at the first disagreeing
+    position occurs later in the word, its stray copy is first overwritten
+    with a letter unused by the word (one exists since k < n); afterwards
+    the wanted letter is written into its home position.
     """
     k, s, n = params.k, params.s, params.n
     if params.mode is not Mode.KPERM or not (1 <= s < k < n):
         raise WalkError("general walker needs k-permutation mode with s < k < n")
     g = gcd(s, k)
-    if g == 1 and s < k - 1:
-        return walk_kperm(w, params)
-
     w = _require_vertex(w, params)
     target = min_vertex(params)
     if w == target:
@@ -312,11 +238,12 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
     return PathCertificate(w, tuple(steps), target)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _bfs_tree(
     params: InstanceParams, target: Vertex
-) -> dict[Vertex, tuple[PathStep, Vertex] | None]:
-    """First step of a shortest undirected path from each vertex to target."""
+) -> Mapping[Vertex, tuple[PathStep, Vertex] | None]:
+    """First step of a shortest undirected path from each vertex to target,
+    as a read-only view."""
     g = build_graph(params)
     tree: dict[Vertex, tuple[PathStep, Vertex] | None] = {target: None}
     queue = deque([target])
@@ -330,7 +257,7 @@ def _bfs_tree(
             if e.target not in tree:
                 tree[e.target] = (PathStep(e, Direction.BACKWARD), x)
                 queue.append(e.target)
-    return tree
+    return MappingProxyType(tree)
 
 
 def bfs_path(
@@ -338,8 +265,10 @@ def bfs_path(
 ) -> PathCertificate:
     """Shortest weak-connectivity path found by search, as a certificate.
 
-    Used where no constructive walker applies: within a fixed letter set at
-    large coprime overlap, and for whole instances in the coprime regime.
+    Used where no constructive walker applies: full and multiset
+    permutations with 2s >= k.  The search tree towards the most recent
+    (instance, target) pair is kept, so walking every vertex of one instance
+    costs one search; asking for another pair replaces it.
     """
     w = _require_vertex(w, params)
     target = _require_vertex(target, params)

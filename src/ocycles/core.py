@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -109,7 +108,7 @@ class Reason(Enum):
     PROPER_KPERM = "proper-kperm"            # k < n: every overlap 1 <= s < k works
     SMALL_OVERLAP = "small-overlap"          # s below half the word length
     COPRIME_OVERLAP = "coprime-overlap"      # gcd(s, k) = 1 and s <= k - 2
-    UCYCLE_IMPOSSIBLE = "ucycle-impossible"  # full permutations at maximal overlap
+    UCYCLE_IMPOSSIBLE = "ucycle-impossible"  # full permutations, s = k-1, k >= 3
     OPEN_CASE = "open-case"                  # outside every known guarantee
 
 
@@ -134,8 +133,9 @@ def feasibility(params: InstanceParams) -> FeasibilityVerdict:
     permutations and multiset permutations are guaranteed when the overlap is
     small (2s < k) or coprime with the word length (gcd(s, k) = 1, s <= k-2).
     Full permutations at maximal overlap s = k-1 have no cycle under the
-    standard representation.  Everything else is an open case: generation is
-    still attempted optimistically, but may come back incomplete.
+    standard representation once k >= 3 (for k = 2 the cycle ``1 2``
+    exists).  Everything else is an open case: generation is still attempted
+    optimistically, but may come back incomplete.
     """
     k, s = params.k, params.s
     if params.mode is Mode.KPERM and k < params.n:
@@ -144,7 +144,7 @@ def feasibility(params: InstanceParams) -> FeasibilityVerdict:
         return FeasibilityVerdict(Feasibility.GUARANTEED, Reason.SMALL_OVERLAP)
     if math.gcd(s, k) == 1 and s <= k - 2:
         return FeasibilityVerdict(Feasibility.GUARANTEED, Reason.COPRIME_OVERLAP)
-    if params.mode is Mode.KPERM and s == k - 1:
+    if params.mode is Mode.KPERM and s == k - 1 and k >= 3:
         return FeasibilityVerdict(Feasibility.INFEASIBLE, Reason.UCYCLE_IMPOSSIBLE)
     return FeasibilityVerdict(Feasibility.UNKNOWN, Reason.OPEN_CASE)
 
@@ -231,14 +231,8 @@ def min_vertex(params: InstanceParams) -> Vertex:
     return params.multiset[: params.s]
 
 
-@lru_cache(maxsize=None)
 def _multiset_vertex_list(params: InstanceParams) -> tuple[Vertex, ...]:
     return tuple(_multiset_sequences(Counter(params.multiset), params.s))
-
-
-@lru_cache(maxsize=None)
-def _multiset_vertex_index(params: InstanceParams) -> dict[Vertex, int]:
-    return {v: i for i, v in enumerate(_multiset_vertex_list(params))}
 
 
 def vertex_count(params: InstanceParams) -> int:
@@ -309,7 +303,7 @@ def rank_vertex(v: Sequence[int], params: InstanceParams) -> int:
         raise ValueError(f"{v} is not a vertex of this instance")
     if params.mode is Mode.KPERM:
         return kperm_rank(v, range(1, params.n + 1))
-    return _multiset_vertex_index(params)[v]
+    return _multiset_vertex_list(params).index(v)
 
 
 def unrank_vertex(rank: int, params: InstanceParams) -> Vertex:

@@ -187,11 +187,12 @@ def test_criterion_7_oracle_agreement():
     when the verdict is not infeasible and the generator completes; the
     max-overlap full-permutation case is exhaustively refuted."""
     instances = [p for p in guaranteed_instances(max_n=7) if object_count(p) <= 60]
-    # probes outside the guaranteed region (full permutations, n >= 3)
+    # probes outside the guaranteed region (full permutations)
     probes = [
         validate_params(n=4, k=4, s=3),  # infeasible: must come back NO_CYCLE
         validate_params(n=3, k=3, s=2),  # infeasible: must come back NO_CYCLE
         validate_params(n=4, k=4, s=2),  # open case: disconnected in practice
+        validate_params(n=2, k=2, s=1),  # s = k-1 but k = 2: the cycle "1 2" exists
     ]
     for p in instances + probes:
         result = hamilton_oracle(p)
@@ -210,7 +211,7 @@ def test_criterion_7_oracle_agreement():
 
     refuted = hamilton_oracle(validate_params(n=4, k=4, s=3))
     assert refuted.status is OracleStatus.NO_CYCLE
-    _report("criterion 7", f"{len(instances)} witnesses + {len(probes)} refutations agree")
+    _report("criterion 7", f"{len(instances)} instances + {len(probes)} probes agree")
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ocycles
 from ocycles.cli import (
     CycleDocument,
     DocumentError,
@@ -123,6 +126,20 @@ class TestVerifyCmd:
         f.write_text("hello world this is not a cycle\n")
         assert main(["verify", str(f), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
 
+    @pytest.mark.parametrize("header", ["length", "objects"])
+    def test_non_integer_count_header(self, tmp_path, capsys, header):
+        out = tmp_path / "cycle.txt"
+        main(["gen", "--n", "3", "--k", "2", "--s", "1", "--out", str(out)])
+        lines = [
+            f"# {header} abc" if line.startswith(f"# {header} ") else line
+            for line in out.read_text().splitlines()
+        ]
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(out), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+        assert "bad document header" in capsys.readouterr().err
+        with pytest.raises(DocumentError):
+            parse_text(out.read_text())
+
 
 class TestStats:
     def test_full_perm_stats(self, capsys):
@@ -221,10 +238,13 @@ class TestDocumentRoundTrip:
 
 
 def test_console_entry_point_runs():
+    # run the package under test, wherever pytest found it
+    env = {**os.environ, "PYTHONPATH": str(Path(ocycles.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "ocycles.cli", "stats", "--n", "4", "--k", "3", "--s", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "edges: 24" in proc.stdout

@@ -16,9 +16,9 @@ from ocycles import (
     validate_params,
     vertices,
     walk_general,
-    walk_kperm,
     walk_multiset,
 )
+from ocycles.connect import _bfs_tree
 from conftest import guaranteed_instances
 
 
@@ -78,39 +78,61 @@ class TestWalkMultiset:
             walk_multiset((2,), p)
 
 
+def _unseated_per_rewrite(cert, params):
+    """Positions of the minimum vertex not yet seated at the head of the
+    rotation walker's underlying word, after each rewrite (backward step).
+
+    Recovered from the certificate alone: every round starts at offset 0, a
+    forward step's word is a rotation of the underlying word, and a backward
+    step's word is that rotation after the edit.
+    """
+    k, s = params.k, params.s
+    word = list(cert.steps[0].edge.word) if cert.steps else []
+    trace = []
+    offset = None
+    for st in cert.steps:
+        if st.direction is Direction.FORWARD:
+            offset = word.index(st.edge.word[0])
+            assert st.edge.word == tuple(word[(offset + i) % k] for i in range(k))
+        else:
+            for i, x in enumerate(st.edge.word):
+                word[(offset + i) % k] = x
+            seated = next((i for i in range(s) if word[i] != i + 1), s)
+            trace.append(s - seated)
+    return trace
+
+
 class TestWalkKperm:
+    """walk_general on proper k-permutations with gcd(s, k) = 1 and s < k-1,
+    the regime once covered by a separate letter-exchange walker."""
+
     def test_identity(self):
         p = validate_params(n=5, k=4, s=1)
-        cert = walk_kperm((1,), p)
+        cert = walk_general((1,), p)
         assert cert.steps == ()
 
     def test_from_highest_symbol(self):
         p = validate_params(n=5, k=4, s=1)
-        cert = walk_kperm((5,), p)
+        cert = walk_general((5,), p)
         assert cert.terminus == (1,)
         assert replay_certificate(cert, p).ok
 
     def test_d_trace_monotone(self):
         p = validate_params(n=6, k=4, s=1)
-        rounds = []
-        cert = walk_kperm((6,), p, rounds)
+        cert = walk_general((6,), p)
         assert replay_certificate(cert, p).ok
+        rounds = _unseated_per_rewrite(cert, p)
         assert rounds == sorted(rounds, reverse=True)
         assert rounds[-1] == 0
 
     def test_d_trace_monotone_everywhere(self):
-        p = validate_params(n=7, k=5, s=3)  # coprime regime, bfs splices
+        p = validate_params(n=7, k=5, s=3)
         for v in list(vertices(p))[::17]:
-            rounds = []
-            cert = walk_kperm(v, p, rounds)
+            cert = walk_general(v, p)
+            rounds = _unseated_per_rewrite(cert, p)
             assert rounds == sorted(rounds, reverse=True)
+            assert len(rounds) <= 2 * p.s
             assert replay_certificate(cert, p).ok
-
-    def test_rejects_unsupported_overlap(self):
-        with pytest.raises(WalkError):
-            walk_kperm((1, 2, 3), validate_params(n=5, k=4, s=3))  # s = k-1
-        with pytest.raises(WalkError):
-            walk_kperm((1, 2, 3), validate_params(n=7, k=6, s=3))  # gcd 3, 2s >= k
 
 
 class TestWalkGeneral:
@@ -129,16 +151,19 @@ class TestWalkGeneral:
         cert = walk_general((2, 4, 6, 1), p)
         assert replay_certificate(cert, p).ok
 
-    def test_delegates_to_letter_exchange_when_coprime(self):
-        for n, k, s in [(5, 4, 1), (6, 5, 2), (7, 5, 3)]:
+    def test_rotation_covers_coprime_overlap(self):
+        # gcd(s, k) = 1 with s < k-1: rotation reaches every window offset
+        for n, k, s in [(5, 4, 1), (6, 5, 2), (7, 5, 3), (6, 4, 1)]:
             p = validate_params(n=n, k=k, s=s)
-            assert math.gcd(s, k) == 1
-            for v in list(vertices(p))[::11]:
-                assert walk_general(v, p) == walk_kperm(v, p)
+            assert math.gcd(s, k) == 1 and s < k - 1
+            for v in vertices(p):
+                cert = walk_general(v, p)
+                assert cert.origin == v and cert.terminus == min_vertex(p)
+                assert replay_certificate(cert, p).ok, (p, v)
+                assert len(cert.steps) <= step_cap(p) // 2, (p, v)
 
     def test_max_overlap_uses_rotation(self):
-        # s = k-1 is outside the letter-exchange preconditions even though
-        # gcd(k-1, k) = 1; the rotation walker covers it
+        # s = k-1: every forward edge rotates the window by one position
         p = validate_params(n=5, k=4, s=3)
         for v in list(vertices(p))[::7]:
             cert = walk_general(v, p)
@@ -160,6 +185,20 @@ class TestBfsPath:
         p = validate_params(n=4, k=4, s=2)  # disconnected instance
         with pytest.raises(WalkError, match="no path"):
             bfs_path((1, 3), min_vertex(p), p)
+
+    def test_alternating_instances_match_fresh_searches(self):
+        # one search tree is kept; switching instance must replace it
+        a = validate_params(n=5, k=5, s=3)
+        b = validate_params(multiset=(1, 1, 2, 2, 3), s=3)
+        fresh = {}
+        for p in (a, b):
+            for v in vertices(p):
+                _bfs_tree.cache_clear()
+                fresh[p, v] = bfs_path(v, min_vertex(p), p)
+        for va, vb in zip(vertices(a), vertices(b)):
+            assert bfs_path(va, min_vertex(a), a) == fresh[a, va]
+            assert bfs_path(vb, min_vertex(b), b) == fresh[b, vb]
+            assert _bfs_tree.cache_info().currsize == 1
 
 
 class TestReplay:
@@ -190,7 +229,7 @@ class TestReplay:
 
     def test_wrong_terminus_detected(self):
         p = validate_params(n=5, k=4, s=1)
-        cert = walk_kperm((3,), p)
+        cert = walk_general((3,), p)
         forged = dataclasses.replace(cert, terminus=(2,))
         assert not replay_certificate(forged, p).ok
 

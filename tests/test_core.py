@@ -76,6 +76,8 @@ class TestFeasibility:
             (dict(multiset=(1, 1, 2, 3), s=1), Feasibility.GUARANTEED, Reason.SMALL_OVERLAP),
             (dict(multiset=(1, 2, 3, 4, 5), s=3), Feasibility.GUARANTEED, Reason.COPRIME_OVERLAP),
             (dict(multiset=(1, 1, 2, 2), s=2), Feasibility.UNKNOWN, Reason.OPEN_CASE),
+            # s = k-1 but k = 2: the cycle "1 2" exists
+            (dict(n=2, k=2, s=1), Feasibility.UNKNOWN, Reason.OPEN_CASE),
         ],
     )
     def test_classification(self, kwargs, status, reason):
