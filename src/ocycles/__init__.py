@@ -23,12 +23,9 @@ from .core import (
     is_valid_word,
     min_vertex,
     object_count,
-    rank_vertex,
-    unrank_vertex,
     validate_params,
     vertex_count,
     vertices,
-    word_rank,
 )
 from .graph import (
     BalanceReport,

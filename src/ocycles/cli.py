@@ -33,9 +33,10 @@ from .core import (
     is_valid_vertex,
     validate_params,
 )
-from .euler import TourIncomplete, decode_symbols, euler_tour, tour_to_cycle
+from .euler import OverlapCycle, TourIncomplete, decode_cycle, euler_tour, tour_to_cycle
 from .graph import build_graph, out_degree
 from .verify import (
+    DEFAULT_ORACLE_BUDGET,
     OracleStatus,
     VerificationReport,
     hamilton_oracle,
@@ -55,35 +56,24 @@ class DocumentError(ValueError):
     """A cycle document or object list fails to parse or is inconsistent."""
 
 
-@dataclass(frozen=True)
-class CycleDocument:
-    params: InstanceParams
-    symbols: tuple[int, ...]
-
-    @property
-    def objects(self) -> int:
-        return len(self.symbols) // (self.params.k - self.params.s)
-
-
-def _header_lines(doc: CycleDocument, fmt: str) -> list[str]:
-    p = doc.params
+def _header_lines(cycle: OverlapCycle, fmt: str) -> list[str]:
+    p = cycle.params
     lines = [f"# format {fmt}", f"# mode {p.mode.value}", f"# n {p.n}", f"# k {p.k}", f"# s {p.s}"]
     if p.mode is Mode.MULTISET:
         lines.append("# multiset " + ",".join(str(x) for x in p.multiset))
-    lines.append(f"# objects {doc.objects}")
-    lines.append(f"# length {len(doc.symbols)}")
+    lines.append(f"# objects {cycle.object_count}")
+    lines.append(f"# length {len(cycle.symbols)}")
     return lines
 
 
-def emit_document(doc: CycleDocument) -> str:
-    body = " ".join(str(x) for x in doc.symbols)
-    return "\n".join(_header_lines(doc, "string") + [body]) + "\n"
+def emit_document(cycle: OverlapCycle) -> str:
+    body = " ".join(str(x) for x in cycle.symbols)
+    return "\n".join(_header_lines(cycle, "string") + [body]) + "\n"
 
 
-def emit_list(doc: CycleDocument) -> str:
-    words = decode_symbols(doc.symbols, doc.params.k, doc.params.s)
-    lines = _header_lines(doc, "list")
-    lines.extend(",".join(str(x) for x in w) for w in words)
+def emit_list(cycle: OverlapCycle) -> str:
+    lines = _header_lines(cycle, "list")
+    lines.extend(",".join(str(x) for x in w) for w in decode_cycle(cycle))
     return "\n".join(lines) + "\n"
 
 
@@ -205,20 +195,27 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _require_positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise ParamError(f"{flag} must be positive, got {value}")
+    return value
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    limit = _require_positive("--limit", args.limit)
     verdict = feasibility(params)
     print(f"feasibility: {verdict.describe()}", file=sys.stderr)
     if verdict.status is Feasibility.INFEASIBLE:
         return EXIT_INFEASIBLE
-    graph = build_graph(params, args.limit)
+    graph = build_graph(params, limit)
     try:
         tour = euler_tour(graph)
     except TourIncomplete as exc:
         print(f"incomplete: {exc.used} of {exc.total} edges reached", file=sys.stderr)
         return EXIT_INCOMPLETE
-    doc = CycleDocument(params, tour_to_cycle(tour).symbols)
-    text = emit_document(doc) if args.format == "string" else emit_list(doc)
+    cycle = tour_to_cycle(tour)
+    text = emit_document(cycle) if args.format == "string" else emit_list(cycle)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -301,7 +298,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    result = hamilton_oracle(params, args.budget)
+    result = hamilton_oracle(params, _require_positive("--budget", args.budget))
     if result.status is OracleStatus.WITNESS:
         print(f"witness ({len(result.cycle)} objects, {result.nodes} nodes searched)")
         for w in result.cycle:
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="search the overlap graph for a hamilton cycle")
     _add_params(p)
-    p.add_argument("--budget", type=int, default=5_000_000, help="search-node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET, help="search-node budget")
     p.set_defaults(handler=cmd_oracle)
 
     return parser

@@ -153,7 +153,7 @@ def perm_count(n: int, k: int) -> int:
     """Number of k-permutations of an n-set (falling factorial)."""
     if k < 0 or k > n:
         return 0
-    return math.factorial(n) // math.factorial(n - k)
+    return math.perm(n, k)
 
 
 def _arrangements(counts: Counter) -> int:
@@ -260,16 +260,6 @@ def kperm_rank(seq: Sequence[int], pool: Sequence[int]) -> int:
     return rank
 
 
-def kperm_unrank(rank: int, pool: Sequence[int], length: int) -> tuple[int, ...]:
-    pool = sorted(pool)
-    out = []
-    for i in range(length):
-        f = perm_count(len(pool) - 1, length - i - 1)
-        j, rank = divmod(rank, f)
-        out.append(pool.pop(j))
-    return tuple(out)
-
-
 def arrangement_rank(seq: Sequence[int], counts: Counter) -> int:
     """Rank of `seq` among the distinct orderings of the full multiset `counts`."""
     c = Counter(counts)
@@ -286,30 +276,3 @@ def arrangement_rank(seq: Sequence[int], counts: Counter) -> int:
                 c[y] += 1
         c[x] -= 1
     return rank
-
-
-def word_rank(word: Sequence[int], params: InstanceParams) -> int:
-    """Lexicographic rank of an object among all objects of the instance."""
-    if not is_valid_word(word, params):
-        raise ValueError(f"{tuple(word)} is not an object of this instance")
-    if params.mode is Mode.KPERM:
-        return kperm_rank(word, range(1, params.n + 1))
-    return arrangement_rank(word, Counter(params.multiset))
-
-
-def rank_vertex(v: Sequence[int], params: InstanceParams) -> int:
-    v = tuple(v)
-    if not is_valid_vertex(v, params):
-        raise ValueError(f"{v} is not a vertex of this instance")
-    if params.mode is Mode.KPERM:
-        return kperm_rank(v, range(1, params.n + 1))
-    return _multiset_vertex_list(params).index(v)
-
-
-def unrank_vertex(rank: int, params: InstanceParams) -> Vertex:
-    total = vertex_count(params)
-    if not 0 <= rank < total:
-        raise ValueError(f"vertex rank {rank} out of range [0, {total})")
-    if params.mode is Mode.KPERM:
-        return kperm_unrank(rank, range(1, params.n + 1), params.s)
-    return _multiset_vertex_list(params)[rank]

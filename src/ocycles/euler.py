@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import InstanceParams, Vertex, Word, is_valid_vertex, min_vertex
-from .graph import Edge, TransitionGraph, successors
+from .graph import TransitionGraph, _completions
 
 
 @dataclass(frozen=True)
 class EulerTour:
     params: InstanceParams
-    edges: tuple[Edge, ...]
+    edges: tuple[Word, ...]  # the objects in tour order; each object is an edge
     start: Vertex
 
 
@@ -25,7 +25,10 @@ class EulerTour:
 class OverlapCycle:
     symbols: tuple[int, ...]
     params: InstanceParams
-    object_count: int
+
+    @property
+    def object_count(self) -> int:
+        return len(self.symbols) // (self.params.k - self.params.s)
 
 
 class TourIncomplete(RuntimeError):
@@ -43,37 +46,41 @@ class TourIncomplete(RuntimeError):
 
 
 def euler_tour(g: TransitionGraph, start: Sequence[int] | None = None) -> EulerTour:
-    """Closed tour using every edge exactly once, found by iterative traversal.
+    """Closed tour using every edge exactly once (Hierholzer, iterative).
 
-    Successors are consumed in lexicographic order through per-vertex cursors,
-    so the result is deterministic for a fixed start vertex.  An explicit
-    stack replaces recursion; memory is O(vertices) plus the tour itself.
+    Each object is the edge from its s-prefix to its s-suffix, so the tour is
+    a sequence of words.  Every vertex keeps a cursor over its tails (the k-s
+    symbols completing it to an object) in lexicographic order, so the result
+    is deterministic for a fixed start vertex.  One stack holds the open
+    trail of words in place of recursion; memory is O(vertices) plus the
+    tour itself.
     """
     params = g.params
+    s = params.s
     if start is None:
         start = min_vertex(params)
     start = tuple(start)
     if not is_valid_vertex(start, params):
         raise ValueError(f"{start} is not a vertex of instance ({params.describe()})")
 
-    cursors: dict[Vertex, Iterator[Edge]] = {}
-    vertex_stack: list[Vertex] = [start]
-    edge_stack: list[Edge] = []
-    tour: list[Edge] = []
-    while vertex_stack:
-        v = vertex_stack[-1]
+    cursors: dict[Vertex, Iterator[tuple[int, ...]]] = {}
+    trail: list[Word] = []
+    tour: list[Word] = []
+    v = start
+    while True:
         cursor = cursors.get(v)
         if cursor is None:
-            cursor = successors(v, g)
-            cursors[v] = cursor
-        edge = next(cursor, None)
-        if edge is None:
-            vertex_stack.pop()
-            if edge_stack:
-                tour.append(edge_stack.pop())
+            cursor = cursors[v] = _completions(v, params)
+        tail = next(cursor, None)
+        if tail is not None:
+            word = v + tail
+            trail.append(word)
+            v = word[-s:]
+        elif trail:
+            tour.append(trail.pop())
+            v = trail[-1][-s:] if trail else start
         else:
-            vertex_stack.append(edge.target)
-            edge_stack.append(edge)
+            break
     tour.reverse()
     if len(tour) != g.edge_count:
         raise TourIncomplete(len(tour), g.edge_count, EulerTour(params, tuple(tour), start))
@@ -83,22 +90,18 @@ def euler_tour(g: TransitionGraph, start: Sequence[int] | None = None) -> EulerT
 def tour_to_cycle(tour: EulerTour) -> OverlapCycle:
     """Compress a closed tour into its cyclic symbol string.
 
-    Each edge contributes the trailing k-s symbols of its word; cyclically the
-    start vertex's symbols (the trailing s symbols of the final edge) precede
-    the first contributed block.  The linear form is aligned so that decoding
+    Each word contributes its trailing k-s symbols; cyclically the start
+    vertex's symbols (the trailing s symbols of the final word) precede the
+    first contributed block.  The linear form is aligned so that decoding
     length-k windows at offsets 0, k-s, 2(k-s), ... returns the tour's words
     in order.
     """
-    params = tour.params
-    s = params.s
+    s = tour.params.s
     tail: list[int] = []
-    for edge in tour.edges:
-        tail.extend(edge.word[s:])
-    if not tail:
-        return OverlapCycle((), params, 0)
+    for word in tour.edges:
+        tail.extend(word[s:])
     # rotate right by s to align window offset 0 with the first word
-    symbols = tuple(tail[-s:] + tail[:-s])
-    return OverlapCycle(symbols, params, len(tour.edges))
+    return OverlapCycle(tuple(tail[-s:] + tail[:-s]), tour.params)
 
 
 def decode_symbols(symbols: Sequence[int], k: int, s: int) -> Iterator[Word]:

@@ -25,7 +25,7 @@ from .core import (
     is_valid_word,
     object_count,
 )
-from .euler import decode_symbols, euler_tour
+from .euler import euler_tour
 from .graph import build_graph
 
 ORACLE_OBJECT_CAP = 60
@@ -80,15 +80,19 @@ def _coverage_report(
 def verify_cycle_string(
     symbols: Sequence[int], params: InstanceParams
 ) -> VerificationReport:
-    """Check a cyclic symbol string: decode at stride k-s and test coverage.
+    """Check a cyclic symbol string: read windows at stride k-s, test coverage.
 
-    Consecutive decoded windows overlap by construction, so the defects a
-    string can exhibit are bad length, out-of-family words, duplicates, and
-    missing objects.  Malformed input yields an invalid report, not an error.
+    Windows are sliced from the string extended cyclically by its first s
+    symbols, so the last windows wrap around onto the start.  Consecutive
+    windows overlap by construction, so the defects a string can exhibit are
+    bad length, out-of-family words, duplicates, and missing objects.
+    Malformed input yields an invalid report, not an error.
     """
     symbols = tuple(symbols)
-    stride = params.k - params.s
-    if len(symbols) == 0 or len(symbols) % stride != 0:
+    k, s = params.k, params.s
+    stride = k - s
+    length = len(symbols)
+    if length == 0 or length % stride != 0:
         return VerificationReport(
             valid=False,
             object_count=0,
@@ -98,7 +102,10 @@ def verify_cycle_string(
             invalid_words=[],
             length_ok=False,
         )
-    words = list(decode_symbols(symbols, params.k, params.s))
+    # the wrap is the first s symbols cyclically; repeating them covers
+    # strings shorter than s without copying a long string s times
+    ext = symbols + (symbols[:s] * s)[:s]
+    words = [ext[i : i + k] for i in range(0, length, stride)]
     return _coverage_report(words, [], True, params)
 
 
@@ -253,6 +260,6 @@ def cross_check(params: InstanceParams, budget: int = DEFAULT_ORACLE_BUDGET) -> 
     if object_count(params) > ORACLE_OBJECT_CAP:
         raise LimitError(object_count(params), ORACLE_OBJECT_CAP)
     tour = euler_tour(build_graph(params))
-    report = verify_object_list([e.word for e in tour.edges], params)
+    report = verify_object_list(tour.edges, params)
     oracle = hamilton_oracle(params, budget)
     return report.valid and oracle.status is OracleStatus.WITNESS

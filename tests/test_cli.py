@@ -1,13 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ocycles
 from ocycles.cli import (
-    CycleDocument,
     DocumentError,
     EXIT_INCOMPLETE,
     EXIT_INFEASIBLE,
@@ -20,7 +20,7 @@ from ocycles.cli import (
     main,
     parse_text,
 )
-from ocycles import validate_params
+from ocycles import OverlapCycle, validate_params
 from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")
@@ -76,6 +76,26 @@ class TestGen:
 
     def test_gen_limit_exit(self):
         assert main(["gen", "--n", "7", "--k", "6", "--s", "1", "--limit", "100"]) == EXIT_LIMIT
+
+    @pytest.mark.parametrize("command", ["gen", "stats"])
+    def test_oversized_instance_rejected_within_1s(self, command):
+        t0 = time.perf_counter()
+        assert main([command, "--n", "1000000", "--k", "2", "--s", "1"]) == EXIT_LIMIT
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"{command} took {elapsed:.2f}s to reject n = 10^6"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "4", "--k", "3", "--s", "1", "--limit", "0"],
+            ["gen", "--n", "4", "--k", "3", "--s", "1", "--limit", "-1"],
+            ["oracle", "--n", "3", "--k", "2", "--s", "1", "--budget", "0"],
+            ["oracle", "--n", "3", "--k", "2", "--s", "1", "--budget", "-1"],
+        ],
+    )
+    def test_nonpositive_limit_or_budget_exit(self, argv, capsys):
+        assert main(argv) == EXIT_IOFMT
+        assert "must be positive" in capsys.readouterr().err
 
     def test_gen_multiset_stdout(self, capsys):
         assert main(["gen", "--multiset", "1,1,2", "--s", "1"]) == EXIT_OK
@@ -210,29 +230,29 @@ class TestDocumentRoundTrip:
         p = validate_params(n=4, k=3, s=1)
         from ocycles import build_graph, euler_tour, tour_to_cycle
 
-        doc = CycleDocument(p, tour_to_cycle(euler_tour(build_graph(p))).symbols)
-        text = emit_document(doc)
+        cycle = tour_to_cycle(euler_tour(build_graph(p)))
+        text = emit_document(cycle)
         parsed = parse_text(text)
-        assert emit_document(CycleDocument(parsed.params, parsed.symbols)) == text
+        assert emit_document(OverlapCycle(parsed.symbols, parsed.params)) == text
 
     def test_list_round_trip(self):
         p = validate_params(multiset=(1, 1, 2, 3), s=1)
         from ocycles import build_graph, euler_tour, tour_to_cycle
 
-        doc = CycleDocument(p, tour_to_cycle(euler_tour(build_graph(p))).symbols)
-        text = emit_list(doc)
+        cycle = tour_to_cycle(euler_tour(build_graph(p)))
+        text = emit_list(cycle)
         parsed = parse_text(text)
         assert parsed.fmt == "list"
         assert parsed.params == p
         rebuilt = []
         for w in parsed.words:
             rebuilt.extend(w[: p.k - p.s])
-        assert tuple(rebuilt) == doc.symbols
+        assert tuple(rebuilt) == cycle.symbols
 
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)
-        doc = CycleDocument(p, (1, 2, 1, 3, 2, 3))
-        text = emit_document(doc).replace("# length 6", "# length 8")
+        cycle = OverlapCycle((1, 2, 1, 3, 2, 3), p)
+        text = emit_document(cycle).replace("# length 6", "# length 8")
         with pytest.raises(DocumentError, match="length"):
             parse_text(text)
 

@@ -9,9 +9,12 @@ from ocycles import (
     decode_symbols,
     enumerate_objects,
     euler_tour,
+    min_vertex,
     object_count,
+    successors,
     tour_to_cycle,
     validate_params,
+    vertices,
 )
 from conftest import guaranteed_instances
 
@@ -21,13 +24,37 @@ def tour_of(**kwargs):
     return p, euler_tour(build_graph(p))
 
 
+def reference_tour(g, start=None):
+    """The words of the tour from `start`, complete or partial, found by the
+    edge-object traversal: vertex and edge stacks over `successors`."""
+    start = min_vertex(g.params) if start is None else tuple(start)
+    cursors = {}
+    vertex_stack = [start]
+    edge_stack = []
+    tour = []
+    while vertex_stack:
+        v = vertex_stack[-1]
+        if v not in cursors:
+            cursors[v] = successors(v, g)
+        edge = next(cursors[v], None)
+        if edge is None:
+            vertex_stack.pop()
+            if edge_stack:
+                tour.append(edge_stack.pop())
+        else:
+            vertex_stack.append(edge.target)
+            edge_stack.append(edge)
+    tour.reverse()
+    return [e.word for e in tour]
+
+
 class TestEulerTour:
     def test_kperm_3_2_1(self):
         p, t = tour_of(n=3, k=2, s=1)
         assert len(t.edges) == 6
         assert t.start == (1,)
         # frozen deterministic tour (lexicographic successor consumption)
-        assert [e.word for e in t.edges] == [
+        assert list(t.edges) == [
             (1, 2), (2, 1), (1, 3), (3, 2), (2, 3), (3, 1),
         ]
 
@@ -37,16 +64,15 @@ class TestEulerTour:
 
     def test_multiset_112(self):
         p, t = tour_of(multiset=(1, 1, 2), s=1)
-        assert [e.word for e in t.edges] == [(1, 1, 2), (2, 1, 1), (1, 2, 1)]
+        assert list(t.edges) == [(1, 1, 2), (2, 1, 1), (1, 2, 1)]
 
     def test_chaining_and_coverage(self):
         for kwargs in (dict(n=6, k=4, s=2), dict(n=5, k=5, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
             p, t = tour_of(**kwargs)
             s = p.s
             for a, b in zip(t.edges, t.edges[1:] + t.edges[:1]):
-                assert a.target == b.source
-                assert a.word[-s:] == b.word[:s]
-            assert Counter(e.word for e in t.edges) == Counter(enumerate_objects(p))
+                assert a[-s:] == b[:s]
+            assert Counter(t.edges) == Counter(enumerate_objects(p))
 
     def test_deterministic(self):
         p = validate_params(n=6, k=4, s=2)
@@ -59,8 +85,8 @@ class TestEulerTour:
         t = euler_tour(build_graph(p), start=(3,))
         assert t.start == (3,)
         assert len(t.edges) == object_count(p)
-        assert t.edges[0].source == (3,)
-        assert t.edges[-1].target == (3,)
+        assert t.edges[0][:1] == (3,)
+        assert t.edges[-1][-1:] == (3,)
 
     def test_incomplete_on_disconnected_instance(self):
         # full permutations of [4] with s=2 split into three components
@@ -71,12 +97,36 @@ class TestEulerTour:
         assert 0 < e.value.used < 24
         partial = e.value.partial
         for a, b in zip(partial.edges, partial.edges[1:] + partial.edges[:1]):
-            assert a.target == b.source
+            assert a[-2:] == b[:2]
 
     def test_invalid_start(self):
         p = validate_params(n=3, k=2, s=1)
         with pytest.raises(ValueError):
             euler_tour(build_graph(p), start=(7,))
+
+
+class TestReferenceTraversal:
+    def test_guaranteed_instances_match_word_for_word(self):
+        for p in guaranteed_instances(max_n=6):
+            g = build_graph(p)
+            assert list(euler_tour(g).edges) == reference_tour(g), p
+
+    def test_every_start_vertex_matches(self):
+        for kwargs in (dict(n=4, k=3, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
+            p = validate_params(**kwargs)
+            g = build_graph(p)
+            for v in vertices(p):
+                assert list(euler_tour(g, start=v).edges) == reference_tour(g, v), (p, v)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=4, k=4, s=2), dict(n=6, k=6, s=4), dict(multiset=(1, 2, 3, 4), s=2)],
+    )
+    def test_partial_tours_match(self, kwargs):
+        g = build_graph(validate_params(**kwargs))
+        with pytest.raises(TourIncomplete) as e:
+            euler_tour(g)
+        assert list(e.value.partial.edges) == reference_tour(g)
 
 
 class TestCycleString:
@@ -96,7 +146,7 @@ class TestCycleString:
         for kwargs in (dict(n=5, k=4, s=2), dict(n=5, k=5, s=3), dict(multiset=(1, 1, 1, 2, 2, 2), s=2)):
             p, t = tour_of(**kwargs)
             decoded = list(decode_cycle(tour_to_cycle(t)))
-            assert decoded == [e.word for e in t.edges]
+            assert decoded == list(t.edges)
 
     def test_start_vertex_opens_the_string(self):
         p, t = tour_of(n=5, k=4, s=2)
@@ -105,8 +155,8 @@ class TestCycleString:
         # aligned string, so the window at offset 0 is the first word and the
         # final word's suffix wraps around onto it
         assert c.symbols[: p.s] == t.start
-        assert t.start == t.edges[-1].word[-p.s:]
-        assert tuple(c.symbols[: p.k]) == t.edges[0].word
+        assert t.start == t.edges[-1][-p.s:]
+        assert tuple(c.symbols[: p.k]) == t.edges[0]
 
 
 class TestDecode:
@@ -124,7 +174,7 @@ class TestDecode:
         assert len(t.edges) == 1
         c = tour_to_cycle(t)
         # one word contributes its trailing k-s symbols
-        assert c.symbols == t.edges[0].word[p.s:]
+        assert c.symbols == t.edges[0][p.s:]
         assert list(decode_cycle(c)) == [(1, 1, 1)]
 
     def test_generator_verifier_closure(self):

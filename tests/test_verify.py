@@ -7,6 +7,7 @@ from ocycles import (
     OracleStatus,
     build_graph,
     cross_check,
+    decode_symbols,
     euler_tour,
     hamilton_oracle,
     tour_to_cycle,
@@ -14,6 +15,12 @@ from ocycles import (
     verify_cycle_string,
     verify_object_list,
 )
+from ocycles.verify import _coverage_report
+
+
+def decoded_report(symbols, p):
+    """The cycle-string report built from `decode_symbols` windows."""
+    return _coverage_report(list(decode_symbols(symbols, p.k, p.s)), [], True, p)
 
 
 class TestVerifyCycleString:
@@ -67,6 +74,44 @@ class TestVerifyCycleString:
         new = data.draw(st.integers(min_value=1, max_value=4).filter(lambda x: x != symbols[pos]))
         symbols[pos] = new
         assert not verify_cycle_string(tuple(symbols), p).valid
+
+
+class TestSlicedWindows:
+    @pytest.mark.parametrize(
+        "kwargs, symbols",
+        [
+            (dict(multiset=(1, 1, 1), s=2), (1,)),  # the one-object cycle, L < s
+            (dict(multiset=(1, 1, 1), s=2), (2,)),
+            (dict(n=5, k=5, s=4), (1,)),
+            (dict(n=5, k=5, s=4), (1, 2, 3)),
+            (dict(n=5, k=5, s=4), (5, 4, 3, 2, 1, 1)),
+            (dict(n=3, k=2, s=1), (1, 2)),
+            (dict(n=3, k=2, s=1), (1, 2, 1, 2, 1, 2)),
+            (dict(n=4, k=3, s=2), (1, 2, 3, 4)),
+        ],
+    )
+    def test_short_strings_match_decoded_windows(self, kwargs, symbols):
+        p = validate_params(**kwargs)
+        assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+
+    def test_single_object_cycle_shorter_than_overlap(self):
+        p = validate_params(multiset=(1, 1, 1), s=2)
+        symbols = tour_to_cycle(euler_tour(build_graph(p))).symbols
+        assert symbols == (1,)
+        assert verify_cycle_string(symbols, p).valid
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=4, k=3, s=1), dict(n=4, k=4, s=1), dict(multiset=(1, 1, 2, 2, 3), s=2)],
+    )
+    def test_tampered_strings_match_decoded_windows(self, kwargs):
+        p = validate_params(**kwargs)
+        symbols = tour_to_cycle(euler_tour(build_graph(p))).symbols
+        assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+        for pos in range(len(symbols)):
+            for new in range(1, p.n + 2):
+                tampered = symbols[:pos] + (new,) + symbols[pos + 1 :]
+                assert verify_cycle_string(tampered, p) == decoded_report(tampered, p)
 
 
 class TestVerifyObjectList:
