@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 ok, 2 invalid cycle or failed replay, 3 infeasible
 or no cycle found, 4 incomplete tour / search budget exhausted / no path,
-5 size limit exceeded, 6 bad parameters or unreadable/misformatted input.
+5 size limit exceeded, 6 bad parameters (command-line usage errors included)
+or unreadable/misformatted input.
 
 File formats (all plain text, headers prefixed with '#'):
 
@@ -67,7 +68,10 @@ def _header_lines(cycle: OverlapCycle, fmt: str) -> list[str]:
 
 
 def emit_document(cycle: OverlapCycle) -> str:
-    body = " ".join(str(x) for x in cycle.symbols)
+    """The string-format document; every symbol must lie in 0..n (KeyError otherwise)."""
+    # one name per symbol value, looked up per symbol: far cheaper than str()
+    names = {x: str(x) for x in range(cycle.params.n + 1)}
+    body = " ".join(map(names.__getitem__, cycle.symbols))
     return "\n".join(_header_lines(cycle, "string") + [body]) + "\n"
 
 
@@ -83,7 +87,10 @@ def _parse_symbol_line(line: str) -> tuple[int, ...]:
         if "," in line:
             return tuple(int(t) for t in line.split(",") if t.strip() != "")
         if any(c.isspace() for c in line):
-            return tuple(int(t) for t in line.split())
+            tokens = line.split()
+            # int() once per distinct token; a long body repeats a few symbols
+            table = {t: int(t) for t in set(tokens)}
+            return tuple(map(table.__getitem__, tokens))
         return tuple(int(c) for c in line)
     except ValueError as exc:
         raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
@@ -240,8 +247,12 @@ def _print_report(report: VerificationReport) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        parsed = parse_text(fh.read())
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{args.input} is not UTF-8 text: {exc}") from exc
+    parsed = parse_text(text)
     if parsed.params is not None and parsed.params != params:
         raise DocumentError(
             f"document is for ({parsed.params.describe()}), flags say ({params.describe()})"
@@ -355,7 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; a usage error
+        # is a bad parameter here, since 2 means an invalid cycle
+        return EXIT_OK if exc.code == 0 else EXIT_IOFMT
     try:
         return args.handler(args)
     except LimitError as exc:

@@ -12,17 +12,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import not_
 from typing import Sequence
 
 from .core import (
     Feasibility,
     InstanceParams,
     LimitError,
+    Mode,
     Vertex,
     Word,
     enumerate_objects,
     feasibility,
-    is_valid_word,
     object_count,
 )
 from .euler import euler_tour
@@ -50,13 +52,18 @@ def _coverage_report(
     params: InstanceParams,
 ) -> VerificationReport:
     total = object_count(params)
-    seen: Counter = Counter()
-    invalid: list[Word] = []
-    for w in words:
-        if is_valid_word(w, params):
-            seen[w] += 1
-        else:
-            invalid.append(w)
+    # one validity flag per word, then bulk passes split and count the words
+    if params.mode is Mode.KPERM:
+        # k symbols, all distinct and in 1..n; the length test keeps out a
+        # longer word whose symbols still cover k distinct letters
+        k = params.k
+        alphabet = frozenset(range(1, params.n + 1))
+        flags = [len(w) == k and len(alphabet.intersection(w)) == k for w in words]
+    else:
+        target = list(params.multiset)  # sorted by validate_params
+        flags = list(map(target.__eq__, map(sorted, words)))
+    invalid = list(compress(words, map(not_, flags)))
+    seen = Counter(compress(words, flags))
     duplicates = sorted(w for w, c in seen.items() if c > 1)
     missing = total - len(seen)
     valid = (
@@ -157,10 +164,10 @@ def hamilton_oracle(
     entered or left.  Returns a witness cycle, NO_CYCLE after exhaustive
     search, or EXHAUSTED once `budget` search nodes have been expanded.
     """
-    objs = list(enumerate_objects(params))
-    m = len(objs)
+    m = object_count(params)
     if m > ORACLE_OBJECT_CAP:
         raise LimitError(m, ORACLE_OBJECT_CAP)
+    objs = list(enumerate_objects(params))
     s = params.s
     if m == 1:
         w = objs[0]

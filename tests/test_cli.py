@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ocycles
 from ocycles.cli import (
@@ -114,6 +118,28 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "3", "--k", "2"],  # missing --s
+            ["gen", "--n", "x", "--k", "2", "--s", "1"],  # non-integer --n
+            ["bogus", "--n", "3", "--k", "2", "--s", "1"],  # unknown subcommand
+            ["gen", "--n", "3", "--k", "2", "--s", "1", "--format", "xml"],
+            ["verify", "--n", "3", "--k", "2", "--s", "1"],  # no input file
+            [],
+        ],
+    )
+    def test_usage_error_exits_bad_parameters(self, argv, capsys):
+        assert main(argv) == EXIT_IOFMT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"], ["oracle", "-h"]])
+    def test_help_exits_ok(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestVerifyCmd:
     def test_fixture_list(self):
         assert main(["verify", FIXTURE, "--n", "5", "--k", "5", "--s", "3"]) == EXIT_OK
@@ -145,6 +171,18 @@ class TestVerifyCmd:
         f = tmp_path / "g.txt"
         f.write_text("hello world this is not a cycle\n")
         assert main(["verify", str(f), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        f.write_text("1 2 1 3 2 3\n", encoding="utf-16")
+        assert main(["verify", str(f), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_numeric_token_among_numbers(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        f.write_text("1 2 1 3 x 3\n")
+        assert main(["verify", str(f), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+        assert "cannot parse symbols" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header", ["length", "objects"])
     def test_non_integer_count_header(self, tmp_path, capsys, header):
@@ -224,6 +262,16 @@ class TestOracle:
     def test_exhausted(self):
         assert main(["oracle", "--n", "5", "--k", "3", "--s", "1", "--budget", "2"]) == EXIT_INCOMPLETE
 
+    @pytest.mark.parametrize("n", ["1000", "10000"])
+    def test_cap_checked_before_enumerating(self, n, capsys):
+        # 999,000 and 99,990,000 objects: the cap must refuse them without
+        # listing them, and name the oracle's own limit, not the edge limit
+        t0 = time.perf_counter()
+        assert main(["oracle", "--n", n, "--k", "2", "--s", "1"]) == EXIT_LIMIT
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"oracle took {elapsed:.2f}s to reject n = {n}"
+        assert "above the limit of 60" in capsys.readouterr().err
+
 
 class TestDocumentRoundTrip:
     def test_byte_identity(self):
@@ -249,6 +297,28 @@ class TestDocumentRoundTrip:
             rebuilt.extend(w[: p.k - p.s])
         assert tuple(rebuilt) == cycle.symbols
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=10, k=2, s=1), dict(n=10, k=3, s=1), dict(multiset=(1, 1, 2, 3), s=1),
+         dict(multiset=(2, 4, 4), s=1)],
+    )
+    def test_emit_matches_str_join(self, kwargs):
+        # two-digit symbols, and a multiset whose largest symbol is n
+        p = validate_params(**kwargs)
+        from ocycles import build_graph, euler_tour, tour_to_cycle
+
+        cycle = tour_to_cycle(euler_tour(build_graph(p)))
+        assert p.n in cycle.symbols
+        text = emit_document(cycle)
+        assert text.endswith("\n" + " ".join(str(x) for x in cycle.symbols) + "\n")
+
+    @pytest.mark.parametrize(
+        "body", ["03 +3 -1 3", "\t1  02\t+3 ", "10 010 +10 -0 0", "1_0 2 3"]
+    )
+    def test_whitespace_tokens_parse_as_int(self, body):
+        parsed = parse_text(body + "\n")
+        assert parsed.symbols == tuple(int(t) for t in body.split())
+
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)
         cycle = OverlapCycle((1, 2, 1, 3, 2, 3), p)
@@ -268,3 +338,90 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "edges: 24" in proc.stdout
+
+
+SMALL_INT = st.integers(min_value=-2, max_value=8).map(str)
+INT_LIST = st.lists(st.integers(min_value=-2, max_value=8), max_size=7).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@st.composite
+def valid_nks(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=n))
+    return str(n), str(k), str(draw(st.integers(min_value=1, max_value=k - 1)))
+
+
+@st.composite
+def cli_argv(draw, doc_path, out_path):
+    command = draw(st.sampled_from(["gen", "verify", "stats", "oracle", "path"]))
+    argv = [command]
+    if command == "verify":
+        missing, directory = doc_path + ".missing", str(Path(doc_path).parent)
+        argv.append(draw(st.sampled_from([doc_path, doc_path, doc_path, missing, directory])))
+    # half the examples carry a valid (n, k, s), so they get past the
+    # parameter checks into the subcommand itself
+    if draw(st.booleans()):
+        for flag, value in zip(("--n", "--k", "--s"), draw(valid_nks())):
+            argv += [flag, value]
+        flags = {}
+    else:
+        flags = {"--n": SMALL_INT, "--k": SMALL_INT, "--s": SMALL_INT}
+    flags["--multiset"] = INT_LIST
+    own = {
+        "gen": {
+            "--limit": SMALL_INT,
+            "--format": st.sampled_from(["string", "list", "csv"]),
+            "--out": st.sampled_from([out_path, str(Path(out_path).parent)]),
+        },
+        "path": {"--from": st.one_of(INT_LIST, SMALL_INT)},
+        # always a budget, so no example runs a default 5,000,000-node search
+        "oracle": {"--budget": SMALL_INT},
+    }
+    for flag, strategy in {**flags, **own.get(command, {})}.items():
+        if flag in ("--from", "--budget") or draw(st.booleans()):
+            argv += [flag, draw(strategy)]
+    # now and then a flag the subcommand does not take
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        argv += [draw(st.sampled_from(["--budget", "--from", "--limit", "--bogus"])), draw(SMALL_INT)]
+    return argv
+
+
+DOCUMENT_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet="0123456789 ,#\n-+", max_size=200),
+    st.lists(
+        st.sampled_from(
+            ["# format string", "# format list", "# mode kperm", "# mode multiset",
+             "# n 3", "# k 2", "# s 1", "# multiset 1,1,2", "# objects 6", "# length 6",
+             "# length x", "1 2 1 3 2 3", "12", "1,2", "2,1", "0 9", "abc", ""]
+        ),
+        max_size=8,
+    ).map("\n".join),
+)
+
+# a document as saved: UTF-8, another encoding, or arbitrary bytes
+DOCUMENT_BYTES = st.one_of(
+    DOCUMENT_TEXT.map(str.encode),
+    DOCUMENT_TEXT.map(lambda text: text.encode("utf-16")),
+    st.binary(max_size=40),
+)
+
+
+class TestExitCodeFuzz:
+    """Over arbitrary arguments and documents, `main` returns a documented code."""
+
+    @given(data=st.data(), document=DOCUMENT_BYTES)
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_main_returns_documented_code(self, tmp_path, data, document):
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(document)
+        argv = data.draw(cli_argv(str(doc), str(tmp_path / "out.txt")))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_INFEASIBLE, EXIT_INCOMPLETE, EXIT_LIMIT, EXIT_IOFMT)

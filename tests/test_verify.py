@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +8,15 @@ from hypothesis import strategies as st
 from ocycles import (
     LimitError,
     OracleStatus,
+    VerificationReport,
     build_graph,
     cross_check,
+    decode_cycle,
     decode_symbols,
     euler_tour,
     hamilton_oracle,
+    is_valid_word,
+    object_count,
     tour_to_cycle,
     validate_params,
     verify_cycle_string,
@@ -112,6 +119,138 @@ class TestSlicedWindows:
             for new in range(1, p.n + 2):
                 tampered = symbols[:pos] + (new,) + symbols[pos + 1 :]
                 assert verify_cycle_string(tampered, p) == decoded_report(tampered, p)
+
+
+def reference_coverage(words, violations, length_ok, p):
+    """The per-word reference: one `is_valid_word` call and Counter update per word."""
+    seen = Counter()
+    invalid = []
+    for w in words:
+        if is_valid_word(w, p):
+            seen[w] += 1
+        else:
+            invalid.append(w)
+    duplicates = sorted(w for w, c in seen.items() if c > 1)
+    missing = object_count(p) - len(seen)
+    valid = length_ok and not invalid and not duplicates and not violations and missing == 0
+    return VerificationReport(
+        valid, len(words), duplicates, missing, violations, invalid, length_ok
+    )
+
+
+def reference_cycle_string(symbols, p):
+    symbols = tuple(symbols)
+    stride = p.k - p.s
+    if not symbols or len(symbols) % stride != 0:
+        return VerificationReport(False, 0, [], object_count(p), [], [], False)
+    ext = symbols + (symbols[: p.s] * p.s)[: p.s]
+    windows = [ext[i : i + p.k] for i in range(0, len(symbols), stride)]
+    return reference_coverage(windows, [], True, p)
+
+
+def reference_object_list(words, p):
+    words = [tuple(w) for w in words]
+    s = p.s
+    length_ok = bool(words) and all(len(w) == p.k for w in words)
+    violations = []
+    if length_ok:
+        for i, a in enumerate(words):
+            b = words[(i + 1) % len(words)]
+            if a[-s:] != b[:s]:
+                violations.append((i, a[-s:], b[:s]))
+    return reference_coverage(words, violations, length_ok, p)
+
+
+def assert_same_report(got, want):
+    """Field by field, so a mismatch names the field; lists compare in order."""
+    for f in dataclasses.fields(VerificationReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def single_symbol_edits(seq, values):
+    """Every change, deletion, insertion and adjacent swap of one position."""
+    seq = tuple(seq)
+    for i in range(len(seq)):
+        yield seq[:i] + seq[i + 1 :]
+        for v in values:
+            yield seq[:i] + (v,) + seq[i:]
+            if v != seq[i]:
+                yield seq[:i] + (v,) + seq[i + 1 :]
+        if i + 1 < len(seq):
+            yield seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2 :]
+    for v in values:
+        yield seq + (v,)
+
+
+DIFFERENTIAL_INSTANCES = [
+    dict(n=4, k=3, s=1),
+    dict(n=5, k=3, s=1),
+    dict(n=6, k=4, s=2),
+    dict(multiset=(1, 1, 2, 2, 3), s=2),
+]
+
+
+class TestAgainstPerWordReference:
+    """The bulk validity passes give the per-word reference's reports."""
+
+    @pytest.mark.parametrize("kwargs", DIFFERENTIAL_INSTANCES)
+    def test_string_edits(self, kwargs):
+        p = validate_params(**kwargs)
+        symbols = tour_to_cycle(euler_tour(build_graph(p))).symbols
+        values = range(0, p.n + 2)  # includes 0 and n + 1, outside the alphabet
+        for edited in single_symbol_edits(symbols, values):
+            assert_same_report(verify_cycle_string(edited, p), reference_cycle_string(edited, p))
+
+    @pytest.mark.parametrize("kwargs", [DIFFERENTIAL_INSTANCES[i] for i in (0, 1, 3)])
+    def test_list_symbol_edits(self, kwargs):
+        # every single-symbol edit of each word, kept in place in the list;
+        # (6,4,2) is left out: its 360 words would need about 27,000 lists
+        p = validate_params(**kwargs)
+        words = list(decode_cycle(tour_to_cycle(euler_tour(build_graph(p)))))
+        for i, w in enumerate(words):
+            for edited in single_symbol_edits(w, range(0, p.n + 2)):
+                tampered = words[:i] + [edited] + words[i + 1 :]
+                assert_same_report(verify_object_list(tampered, p), reference_object_list(tampered, p))
+
+    @pytest.mark.parametrize("kwargs", DIFFERENTIAL_INSTANCES)
+    def test_list_word_edits(self, kwargs):
+        # every deletion, duplication and adjacent swap of whole words
+        p = validate_params(**kwargs)
+        words = list(decode_cycle(tour_to_cycle(euler_tour(build_graph(p)))))
+        for i in range(len(words)):
+            for tampered in (
+                words[:i] + words[i + 1 :],
+                words[:i] + [words[i]] + words[i:],
+                words[:i] + words[i + 1 : i + 2] + [words[i]] + words[i + 2 :],
+            ):
+                assert_same_report(verify_object_list(tampered, p), reference_object_list(tampered, p))
+
+    @pytest.mark.parametrize(
+        "kwargs, words",
+        [
+            # k-1 and k+1 symbols; (1, 2, 3, 1) covers k = 3 distinct letters
+            # yet has k + 1 symbols, so it must stay invalid
+            (dict(n=4, k=3, s=1), [(1, 2), (1, 2, 3, 1), (1, 2, 3, 4), (1, 2, 3)]),
+            (dict(n=4, k=3, s=1), [(1, 2, 3, 1), (1, 2, 3, 2), (3, 2, 1, 3)]),
+            (dict(n=4, k=3, s=1), [(0, 1, 2), (2, 5, 1), (1, 0, 5), (0, 0, 0)]),
+            (dict(n=4, k=3, s=1), [(1, 2, 2), (2, 2, 2), (3, 4, 1), (1, 3, 4)]),
+            (dict(n=3, k=3, s=1), [(1, 2, 3, 1), (3, 1, 2), (2, 3), (0, 1, 2), (1, 2, 4)]),
+            (dict(multiset=(1, 1, 2, 2, 3), s=2),
+             [(1, 1, 2, 2), (1, 1, 2, 2, 3, 3), (1, 1, 2, 2, 3, 1), (0, 1, 1, 2, 2)]),
+            (dict(multiset=(1, 1, 2, 2, 3), s=2),
+             [(1, 1, 2, 2, 4), (1, 2, 1, 2, 3), (3, 2, 2, 1, 1), (1, 2, 1, 2, 3)]),
+        ],
+    )
+    def test_off_length_and_off_alphabet_words(self, kwargs, words):
+        p = validate_params(**kwargs)
+        report = verify_object_list(words, p)
+        assert_same_report(report, reference_object_list(words, p))
+        for w in words:
+            if len(w) != p.k or 0 in w or p.n + 1 in w:
+                assert w in report.invalid_words
+        # the same words as one string exercise the string form too
+        flat = [x for w in words for x in w]
+        assert_same_report(verify_cycle_string(flat, p), reference_cycle_string(flat, p))
 
 
 class TestVerifyObjectList:
