@@ -35,8 +35,6 @@ from .graph import (
     check_balance,
     edge_for_word,
     out_degree,
-    predecessors,
-    successors,
 )
 from .euler import (
     EulerTour,
@@ -67,7 +65,6 @@ from .verify import (
     OracleResult,
     OracleStatus,
     VerificationReport,
-    cross_check,
     hamilton_oracle,
     verify_cycle_string,
     verify_object_list,

@@ -34,7 +34,7 @@ from .core import (
     is_valid_vertex,
     validate_params,
 )
-from .euler import OverlapCycle, TourIncomplete, decode_cycle, euler_tour, tour_to_cycle
+from .euler import EulerTour, OverlapCycle, TourIncomplete, euler_tour, tour_to_cycle
 from .graph import build_graph, out_degree
 from .verify import (
     DEFAULT_ORACLE_BUDGET,
@@ -57,27 +57,31 @@ class DocumentError(ValueError):
     """A cycle document or object list fails to parse or is inconsistent."""
 
 
-def _header_lines(cycle: OverlapCycle, fmt: str) -> list[str]:
-    p = cycle.params
+def _header_lines(p: InstanceParams, objects: int, fmt: str) -> list[str]:
     lines = [f"# format {fmt}", f"# mode {p.mode.value}", f"# n {p.n}", f"# k {p.k}", f"# s {p.s}"]
     if p.mode is Mode.MULTISET:
         lines.append("# multiset " + ",".join(str(x) for x in p.multiset))
-    lines.append(f"# objects {cycle.object_count}")
-    lines.append(f"# length {len(cycle.symbols)}")
+    lines.append(f"# objects {objects}")
+    lines.append(f"# length {objects * (p.k - p.s)}")
     return lines
+
+
+def _symbol_names(p: InstanceParams) -> dict[int, str]:
+    # one name per symbol value, looked up per symbol: far cheaper than str()
+    return {x: str(x) for x in range(p.n + 1)}
 
 
 def emit_document(cycle: OverlapCycle) -> str:
     """The string-format document; every symbol must lie in 0..n (KeyError otherwise)."""
-    # one name per symbol value, looked up per symbol: far cheaper than str()
-    names = {x: str(x) for x in range(cycle.params.n + 1)}
-    body = " ".join(map(names.__getitem__, cycle.symbols))
-    return "\n".join(_header_lines(cycle, "string") + [body]) + "\n"
+    body = " ".join(map(_symbol_names(cycle.params).__getitem__, cycle.symbols))
+    return "\n".join(_header_lines(cycle.params, cycle.object_count, "string") + [body]) + "\n"
 
 
-def emit_list(cycle: OverlapCycle) -> str:
-    lines = _header_lines(cycle, "list")
-    lines.extend(",".join(str(x) for x in w) for w in decode_cycle(cycle))
+def emit_list(tour: EulerTour) -> str:
+    """The list-format document: the tour's words, one per line, in tour order."""
+    name = _symbol_names(tour.params).__getitem__
+    lines = _header_lines(tour.params, len(tour.edges), "list")
+    lines.extend(",".join(map(name, w)) for w in tour.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -221,8 +225,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except TourIncomplete as exc:
         print(f"incomplete: {exc.used} of {exc.total} edges reached", file=sys.stderr)
         return EXIT_INCOMPLETE
-    cycle = tour_to_cycle(tour)
-    text = emit_document(cycle) if args.format == "string" else emit_list(cycle)
+    text = emit_document(tour_to_cycle(tour)) if args.format == "string" else emit_list(tour)
     _write_output(text, args.out)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ Three mechanisms cover the parameter space:
   word always exists, so every position can be rewritten.
 * ``bfs_path`` - for full and multiset permutations with 2s >= k, where no
   constructive walker is known: a breadth-first search of the transition
-  graph.
+  graph from the minimum vertex, over the words the graph hands out.
 
 The walkers are diagnostics and proof witnesses; generation itself never
 depends on them.
@@ -44,7 +44,7 @@ from .core import (
     is_valid_word,
     min_vertex,
 )
-from .graph import Edge, build_graph, edge_for_word, predecessors, successors
+from .graph import Edge, _completions, build_graph, edge_for_word
 
 
 class Direction(Enum):
@@ -239,40 +239,49 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
 
 
 @lru_cache(maxsize=1)
-def _bfs_tree(
-    params: InstanceParams, target: Vertex
-) -> Mapping[Vertex, tuple[PathStep, Vertex] | None]:
-    """First step of a shortest undirected path from each vertex to target,
-    as a read-only view."""
-    g = build_graph(params)
+def _bfs_tree(params: InstanceParams) -> Mapping[Vertex, tuple[PathStep, Vertex] | None]:
+    """First step of a shortest undirected path from each vertex to the
+    minimum vertex, as a read-only view.
+
+    Each vertex x is expanded over its completions: first the words head + x
+    that enter it, then the words x + tail that leave it, both in
+    lexicographic order.  A step's edge is built once, when the search first
+    reaches the vertex it leaves from.
+    """
+    build_graph(params)  # enforces the edge limit
+    s = params.s
+    target = min_vertex(params)
     tree: dict[Vertex, tuple[PathStep, Vertex] | None] = {target: None}
     queue = deque([target])
     while queue:
         x = queue.popleft()
-        for e in predecessors(x, g):
-            if e.source not in tree:
+        for head in _completions(x, params):
+            word = head + x
+            if word[:s] not in tree:
+                e = edge_for_word(word, params)
                 tree[e.source] = (PathStep(e, Direction.FORWARD), x)
                 queue.append(e.source)
-        for e in successors(x, g):
-            if e.target not in tree:
+        for tail in _completions(x, params):
+            word = x + tail
+            if word[-s:] not in tree:
+                e = edge_for_word(word, params)
                 tree[e.target] = (PathStep(e, Direction.BACKWARD), x)
                 queue.append(e.target)
     return MappingProxyType(tree)
 
 
-def bfs_path(
-    w: Sequence[int], target: Sequence[int], params: InstanceParams
-) -> PathCertificate:
-    """Shortest weak-connectivity path found by search, as a certificate.
+def bfs_path(w: Sequence[int], params: InstanceParams) -> PathCertificate:
+    """Shortest weak-connectivity path from w to the minimum vertex, found by
+    search, as a certificate.
 
     Used where no constructive walker applies: full and multiset
-    permutations with 2s >= k.  The search tree towards the most recent
-    (instance, target) pair is kept, so walking every vertex of one instance
-    costs one search; asking for another pair replaces it.
+    permutations with 2s >= k.  The search tree of the most recent instance
+    is kept, so walking every vertex of one instance costs one search;
+    asking for another instance replaces it.
     """
     w = _require_vertex(w, params)
-    target = _require_vertex(target, params)
-    tree = _bfs_tree(params, target)
+    target = min_vertex(params)
+    tree = _bfs_tree(params)
     if w not in tree:
         raise WalkError(f"no path from {w} to {target} in {params.describe()}")
     steps: list[PathStep] = []
@@ -289,7 +298,7 @@ def find_path(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         if 2 * params.s < params.k:
             cert, _ = walk_multiset(w, params)
             return cert
-        return bfs_path(w, min_vertex(params), params)
+        return bfs_path(w, params)
     return walk_general(w, params)
 
 

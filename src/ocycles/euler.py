@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import InstanceParams, Vertex, Word, is_valid_vertex, min_vertex
+from .core import InstanceParams, Vertex, Word, min_vertex
 from .graph import TransitionGraph, _completions
 
 
@@ -18,7 +18,6 @@ from .graph import TransitionGraph, _completions
 class EulerTour:
     params: InstanceParams
     edges: tuple[Word, ...]  # the objects in tour order; each object is an edge
-    start: Vertex
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class TourIncomplete(RuntimeError):
     """The traversal ran out of edges before covering the whole graph.
 
     This means the graph is disconnected.  The closed partial tour over the
-    start vertex's component is attached for inspection.
+    minimum vertex's component is attached for inspection.
     """
 
     def __init__(self, used: int, total: int, partial: EulerTour):
@@ -45,23 +44,19 @@ class TourIncomplete(RuntimeError):
         self.partial = partial
 
 
-def euler_tour(g: TransitionGraph, start: Sequence[int] | None = None) -> EulerTour:
+def euler_tour(g: TransitionGraph) -> EulerTour:
     """Closed tour using every edge exactly once (Hierholzer, iterative).
 
     Each object is the edge from its s-prefix to its s-suffix, so the tour is
-    a sequence of words.  Every vertex keeps a cursor over its tails (the k-s
-    symbols completing it to an object) in lexicographic order, so the result
-    is deterministic for a fixed start vertex.  One stack holds the open
-    trail of words in place of recursion; memory is O(vertices) plus the
-    tour itself.
+    a sequence of words.  It starts at the minimum vertex, and every vertex
+    keeps a cursor over its tails (the k-s symbols completing it to an
+    object) in lexicographic order, so the result is deterministic.  One
+    stack holds the open trail of words in place of recursion; memory is
+    O(vertices) plus the tour itself.
     """
     params = g.params
     s = params.s
-    if start is None:
-        start = min_vertex(params)
-    start = tuple(start)
-    if not is_valid_vertex(start, params):
-        raise ValueError(f"{start} is not a vertex of instance ({params.describe()})")
+    start = min_vertex(params)
 
     cursors: dict[Vertex, Iterator[tuple[int, ...]]] = {}
     trail: list[Word] = []
@@ -83,8 +78,8 @@ def euler_tour(g: TransitionGraph, start: Sequence[int] | None = None) -> EulerT
             break
     tour.reverse()
     if len(tour) != g.edge_count:
-        raise TourIncomplete(len(tour), g.edge_count, EulerTour(params, tuple(tour), start))
-    return EulerTour(params, tuple(tour), start)
+        raise TourIncomplete(len(tour), g.edge_count, EulerTour(params, tuple(tour)))
+    return EulerTour(params, tuple(tour))
 
 
 def tour_to_cycle(tour: EulerTour) -> OverlapCycle:

@@ -1,9 +1,11 @@
 """The implicit transition graph: length-s prefixes as vertices, objects as edges.
 
 Every object contributes one directed edge from its s-prefix to its s-suffix.
-The graph is never materialized; successors are generated on demand from a
-vertex, in lexicographic order of the completion, so traversals need only
-per-vertex cursors.
+The graph is never materialized and hands out words, not edge objects: the
+k-s symbols that complete a vertex v are generated on demand in lexicographic
+order, and serve both as tails (the words v + tail leave v) and as heads (the
+words head + v enter v), so traversals need only per-vertex cursors.  An
+``Edge`` is built only by ``edge_for_word``, for a step of a certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Edge:
     word: Word
     source: Vertex
     target: Vertex
-    ordinal: int  # index within the source's lexicographic successor list
+    ordinal: int  # index of the tail among the source's tails, in lexicographic order
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ def out_degree(v: Sequence[int], g: TransitionGraph) -> int:
 
 
 def _completions(v: Vertex, params: InstanceParams) -> Iterator[tuple[int, ...]]:
+    """The k-s symbol sequences that complete v to an object, lexicographically."""
     length = params.k - params.s
     if params.mode is Mode.KPERM:
         from itertools import permutations
@@ -91,26 +94,8 @@ def _completions(v: Vertex, params: InstanceParams) -> Iterator[tuple[int, ...]]
         yield from _multiset_sequences(_remaining_counts(v, params), length)
 
 
-def successors(v: Sequence[int], g: TransitionGraph) -> Iterator[Edge]:
-    """Edges leaving v, in lexicographic order of the completion."""
-    params = g.params
-    v = _require_vertex(v, params)
-    s = params.s
-    for i, tail in enumerate(_completions(v, params)):
-        word = v + tail
-        yield Edge(word, v, word[-s:], i)
-
-
-def predecessors(v: Sequence[int], g: TransitionGraph) -> Iterator[Edge]:
-    """Edges entering v, in lexicographic order of their words."""
-    params = g.params
-    v = _require_vertex(v, params)
-    for head in _completions(v, params):
-        yield edge_for_word(head + v, params)
-
-
 def edge_for_word(word: Sequence[int], params: InstanceParams) -> Edge:
-    """Wrap an object as an edge, computing its successor-list ordinal."""
+    """Wrap an object as an edge, computing the ordinal of its tail."""
     word = tuple(word)
     if not is_valid_word(word, params):
         raise ValueError(f"{word} is not an object of instance ({params.describe()})")

@@ -1,7 +1,8 @@
 """Independent verification: cycle validation and a Hamilton-cycle oracle.
 
 The verifier re-derives everything (object universe, counts, coverage) from
-the instance parameters alone and never trusts generator metadata.  The
+the instance parameters alone and never trusts generator metadata; it imports
+nothing from the generator's ``graph`` or ``euler`` modules.  The
 oracle searches the object-level overlap graph, where objects are vertices
 and an edge runs from a to b when a's s-suffix equals b's s-prefix; a
 Hamilton cycle there is the same thing as an overlap cycle.
@@ -17,18 +18,14 @@ from operator import not_
 from typing import Sequence
 
 from .core import (
-    Feasibility,
     InstanceParams,
     LimitError,
     Mode,
     Vertex,
     Word,
     enumerate_objects,
-    feasibility,
     object_count,
 )
-from .euler import euler_tour
-from .graph import build_graph
 
 ORACLE_OBJECT_CAP = 60
 DEFAULT_ORACLE_BUDGET = 5_000_000
@@ -257,16 +254,3 @@ def hamilton_oracle(
     except _BudgetSpent:
         return OracleResult(OracleStatus.EXHAUSTED, None, nodes)
     return OracleResult(OracleStatus.NO_CYCLE, None, nodes)
-
-
-def cross_check(params: InstanceParams, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
-    """Generate and verify, then confirm the oracle independently agrees."""
-    verdict = feasibility(params)
-    if verdict.status is not Feasibility.GUARANTEED:
-        raise ValueError("cross_check expects a guaranteed-feasible instance")
-    if object_count(params) > ORACLE_OBJECT_CAP:
-        raise LimitError(object_count(params), ORACLE_OBJECT_CAP)
-    tour = euler_tour(build_graph(params))
-    report = verify_object_list(tour.edges, params)
-    oracle = hamilton_oracle(params, budget)
-    return report.valid and oracle.status is OracleStatus.WITNESS

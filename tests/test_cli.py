@@ -287,8 +287,9 @@ class TestDocumentRoundTrip:
         p = validate_params(multiset=(1, 1, 2, 3), s=1)
         from ocycles import build_graph, euler_tour, tour_to_cycle
 
-        cycle = tour_to_cycle(euler_tour(build_graph(p)))
-        text = emit_list(cycle)
+        tour = euler_tour(build_graph(p))
+        cycle = tour_to_cycle(tour)
+        text = emit_list(tour)
         parsed = parse_text(text)
         assert parsed.fmt == "list"
         assert parsed.params == p

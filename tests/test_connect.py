@@ -1,14 +1,18 @@
 import dataclasses
 import math
+from collections import deque
 
 import pytest
 
 from ocycles import (
     Direction,
+    Edge,
     PathCertificate,
+    PathStep,
     StepCapExceeded,
     WalkError,
     bfs_path,
+    enumerate_objects,
     find_path,
     min_vertex,
     replay_certificate,
@@ -178,13 +182,13 @@ class TestWalkGeneral:
 class TestBfsPath:
     def test_finds_short_witness(self):
         p = validate_params(n=5, k=5, s=3)  # coprime full-perm regime
-        cert = bfs_path((3, 2, 1), min_vertex(p), p)
+        cert = bfs_path((3, 2, 1), p)
         assert replay_certificate(cert, p).ok
 
     def test_unreachable_raises(self):
         p = validate_params(n=4, k=4, s=2)  # disconnected instance
         with pytest.raises(WalkError, match="no path"):
-            bfs_path((1, 3), min_vertex(p), p)
+            bfs_path((1, 3), p)
 
     def test_alternating_instances_match_fresh_searches(self):
         # one search tree is kept; switching instance must replace it
@@ -194,11 +198,72 @@ class TestBfsPath:
         for p in (a, b):
             for v in vertices(p):
                 _bfs_tree.cache_clear()
-                fresh[p, v] = bfs_path(v, min_vertex(p), p)
+                fresh[p, v] = bfs_path(v, p)
         for va, vb in zip(vertices(a), vertices(b)):
-            assert bfs_path(va, min_vertex(a), a) == fresh[a, va]
-            assert bfs_path(vb, min_vertex(b), b) == fresh[b, vb]
+            assert bfs_path(va, a) == fresh[a, va]
+            assert bfs_path(vb, b) == fresh[b, vb]
             assert _bfs_tree.cache_info().currsize == 1
+
+
+def reference_bfs_outcomes(p):
+    """Each vertex's breadth-first certificate to the minimum vertex, or the
+    text of the WalkError for an unreachable one, by the edge-object search:
+    each vertex is expanded over the edges entering it, then those leaving
+    it, both in lexicographic order of their words, with the edges built
+    from the object list grouped by suffix and by prefix."""
+    s = p.s
+    leaving, entering = {}, {}
+    for word in enumerate_objects(p):
+        out = leaving.setdefault(word[:s], [])
+        edge = Edge(word, word[:s], word[-s:], len(out))
+        out.append(edge)
+        entering.setdefault(word[-s:], []).append(edge)
+    target = min_vertex(p)
+    tree = {target: None}
+    queue = deque([target])
+    while queue:
+        x = queue.popleft()
+        for e in entering.get(x, ()):
+            if e.source not in tree:
+                tree[e.source] = (PathStep(e, Direction.FORWARD), x)
+                queue.append(e.source)
+        for e in leaving.get(x, ()):
+            if e.target not in tree:
+                tree[e.target] = (PathStep(e, Direction.BACKWARD), x)
+                queue.append(e.target)
+    outcomes = {}
+    for w in vertices(p):
+        if w not in tree:
+            outcomes[w] = f"no path from {w} to {target} in {p.describe()}"
+            continue
+        steps = []
+        cur = w
+        while cur != target:
+            step, cur = tree[cur]
+            steps.append(step)
+        outcomes[w] = PathCertificate(w, tuple(steps), target)
+    return outcomes
+
+
+def outcome(walk, w, p):
+    try:
+        return walk(w, p)
+    except WalkError as exc:
+        return str(exc)
+
+
+class TestBfsReference:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=5, k=5, s=3), dict(n=6, k=6, s=4), dict(n=7, k=7, s=4), dict(n=8, k=8, s=5),
+         dict(multiset=(1, 1, 2, 2, 3), s=3), dict(multiset=(1, 1, 2, 2, 3, 3), s=3),
+         dict(n=4, k=4, s=2)],
+    )
+    def test_every_vertex_matches_reference(self, kwargs):
+        p = validate_params(**kwargs)
+        for v, expected in reference_bfs_outcomes(p).items():
+            assert outcome(bfs_path, v, p) == expected, v
+            assert outcome(find_path, v, p) == expected, v
 
 
 class TestReplay:

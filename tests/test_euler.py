@@ -11,10 +11,8 @@ from ocycles import (
     euler_tour,
     min_vertex,
     object_count,
-    successors,
     tour_to_cycle,
     validate_params,
-    vertices,
 )
 from conftest import guaranteed_instances
 
@@ -24,35 +22,39 @@ def tour_of(**kwargs):
     return p, euler_tour(build_graph(p))
 
 
-def reference_tour(g, start=None):
-    """The words of the tour from `start`, complete or partial, found by the
-    edge-object traversal: vertex and edge stacks over `successors`."""
-    start = min_vertex(g.params) if start is None else tuple(start)
+def reference_tour(g):
+    """The words of the tour from the minimum vertex, complete or partial,
+    found by a vertex-stack and edge-stack traversal whose cursors run
+    through the objects sharing each prefix, in lexicographic order."""
+    s = g.params.s
+    out_words = {}
+    for w in enumerate_objects(g.params):
+        out_words.setdefault(w[:s], []).append(w)
     cursors = {}
-    vertex_stack = [start]
+    vertex_stack = [min_vertex(g.params)]
     edge_stack = []
     tour = []
     while vertex_stack:
         v = vertex_stack[-1]
         if v not in cursors:
-            cursors[v] = successors(v, g)
-        edge = next(cursors[v], None)
-        if edge is None:
+            cursors[v] = iter(out_words.get(v, ()))
+        word = next(cursors[v], None)
+        if word is None:
             vertex_stack.pop()
             if edge_stack:
                 tour.append(edge_stack.pop())
         else:
-            vertex_stack.append(edge.target)
-            edge_stack.append(edge)
+            vertex_stack.append(word[-s:])
+            edge_stack.append(word)
     tour.reverse()
-    return [e.word for e in tour]
+    return tour
 
 
 class TestEulerTour:
     def test_kperm_3_2_1(self):
         p, t = tour_of(n=3, k=2, s=1)
         assert len(t.edges) == 6
-        assert t.start == (1,)
+        assert t.edges[0][:1] == min_vertex(p) == (1,)
         # frozen deterministic tour (lexicographic successor consumption)
         assert list(t.edges) == [
             (1, 2), (2, 1), (1, 3), (3, 2), (2, 3), (3, 1),
@@ -80,14 +82,6 @@ class TestEulerTour:
         t2 = euler_tour(build_graph(p))
         assert t1 == t2
 
-    def test_custom_start(self):
-        p = validate_params(n=4, k=3, s=1)
-        t = euler_tour(build_graph(p), start=(3,))
-        assert t.start == (3,)
-        assert len(t.edges) == object_count(p)
-        assert t.edges[0][:1] == (3,)
-        assert t.edges[-1][-1:] == (3,)
-
     def test_incomplete_on_disconnected_instance(self):
         # full permutations of [4] with s=2 split into three components
         p = validate_params(n=4, k=4, s=2)
@@ -99,24 +93,12 @@ class TestEulerTour:
         for a, b in zip(partial.edges, partial.edges[1:] + partial.edges[:1]):
             assert a[-2:] == b[:2]
 
-    def test_invalid_start(self):
-        p = validate_params(n=3, k=2, s=1)
-        with pytest.raises(ValueError):
-            euler_tour(build_graph(p), start=(7,))
-
 
 class TestReferenceTraversal:
     def test_guaranteed_instances_match_word_for_word(self):
         for p in guaranteed_instances(max_n=6):
             g = build_graph(p)
             assert list(euler_tour(g).edges) == reference_tour(g), p
-
-    def test_every_start_vertex_matches(self):
-        for kwargs in (dict(n=4, k=3, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
-            p = validate_params(**kwargs)
-            g = build_graph(p)
-            for v in vertices(p):
-                assert list(euler_tour(g, start=v).edges) == reference_tour(g, v), (p, v)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,11 +133,11 @@ class TestCycleString:
     def test_start_vertex_opens_the_string(self):
         p, t = tour_of(n=5, k=4, s=2)
         c = tour_to_cycle(t)
-        # the start vertex (trailing s symbols of the final edge) leads the
-        # aligned string, so the window at offset 0 is the first word and the
-        # final word's suffix wraps around onto it
-        assert c.symbols[: p.s] == t.start
-        assert t.start == t.edges[-1][-p.s:]
+        # the start vertex, the minimum one (trailing s symbols of the final
+        # edge) leads the aligned string, so the window at offset 0 is the
+        # first word and the final word's suffix wraps around onto it
+        assert c.symbols[: p.s] == min_vertex(p)
+        assert min_vertex(p) == t.edges[-1][-p.s:]
         assert tuple(c.symbols[: p.k]) == t.edges[0]
 
 

@@ -3,15 +3,15 @@ from collections import Counter
 import pytest
 
 from ocycles import (
+    Edge,
     build_graph,
     check_balance,
     edge_for_word,
     enumerate_objects,
     out_degree,
-    predecessors,
-    successors,
     validate_params,
 )
+from ocycles.graph import _completions
 from conftest import guaranteed_instances
 
 
@@ -44,52 +44,63 @@ class TestOutDegree:
             out_degree((9,), g)
 
 
+def words_by_ordinal(v, p):
+    """The objects with prefix v, each placed at its edge ordinal."""
+    words = [w for w in enumerate_objects(p) if w[: p.s] == v]
+    placed = [None] * len(words)
+    for w in words:
+        placed[edge_for_word(w, p).ordinal] = w
+    return placed
+
+
 class TestSuccessors:
     def test_small_example(self):
-        g = build_graph(validate_params(n=3, k=2, s=1))
-        assert [e.word for e in successors((1,), g)] == [(1, 2), (1, 3)]
+        p = validate_params(n=3, k=2, s=1)
+        assert words_by_ordinal((1,), p) == [(1, 2), (1, 3)]
 
     def test_full_perm_example(self):
-        g = build_graph(validate_params(n=5, k=5, s=3))
-        assert [e.word for e in successors((1, 2, 3), g)] == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
+        p = validate_params(n=5, k=5, s=3)
+        assert words_by_ordinal((1, 2, 3), p) == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
 
     def test_multiset_example(self):
-        g = build_graph(validate_params(multiset=(1, 1, 2), s=1))
-        assert [e.word for e in successors((1,), g)] == [(1, 1, 2), (1, 2, 1)]
+        p = validate_params(multiset=(1, 1, 2), s=1)
+        assert words_by_ordinal((1,), p) == [(1, 1, 2), (1, 2, 1)]
 
     def test_against_enumeration_filter(self):
-        # independent oracle: successors(v) must equal the lexicographic
-        # sublist of all objects whose prefix is v
+        # independent oracle: the words leaving v, as the graph hands them
+        # out, must be the lexicographic sublist of all objects whose prefix
+        # is v, and each edge's ordinal its index in that sublist
         for kwargs in (dict(n=5, k=3, s=1), dict(n=4, k=4, s=2), dict(multiset=(1, 1, 2, 2), s=1)):
             p = validate_params(**kwargs)
-            g = build_graph(p)
             objects = list(enumerate_objects(p))
             seen_vertices = {w[: p.s] for w in objects}
             for v in seen_vertices:
                 expected = [w for w in objects if w[: p.s] == v]
-                got = list(successors(v, g))
-                assert [e.word for e in got] == expected
+                assert [v + tail for tail in _completions(v, p)] == expected
+                got = [edge_for_word(w, p) for w in expected]
                 assert [e.ordinal for e in got] == list(range(len(got)))
                 assert all(e.source == v and e.target == e.word[-p.s:] for e in got)
 
     def test_predecessors_mirror(self):
         p = validate_params(n=4, k=3, s=2)
-        g = build_graph(p)
         objects = list(enumerate_objects(p))
         for v in {w[-p.s:] for w in objects}:
             expected = sorted(w for w in objects if w[-p.s:] == v)
-            assert [e.word for e in predecessors(v, g)] == expected
+            assert [head + v for head in _completions(v, p)] == expected
 
 
 class TestEdgeForWord:
     def test_round_trips_with_successors(self):
+        # an edge's ordinal is its word's index among the objects that share
+        # its prefix, in lexicographic order
         for kwargs in (dict(n=5, k=4, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
             p = validate_params(**kwargs)
-            g = build_graph(p)
+            by_prefix = {}
             for w in enumerate_objects(p):
-                e = edge_for_word(w, p)
-                listed = list(successors(e.source, g))
-                assert listed[e.ordinal] == e
+                by_prefix.setdefault(w[: p.s], []).append(w)
+            for v, listed in by_prefix.items():
+                for i, w in enumerate(listed):
+                    assert edge_for_word(w, p) == Edge(w, v, w[-p.s:], i)
 
     def test_rejects_non_object(self):
         p = validate_params(n=4, k=3, s=1)

@@ -1,19 +1,25 @@
+import ast
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ocycles.verify
 from ocycles import (
+    DEFAULT_ORACLE_BUDGET,
+    ORACLE_OBJECT_CAP,
+    Feasibility,
     LimitError,
     OracleStatus,
     VerificationReport,
     build_graph,
-    cross_check,
     decode_cycle,
     decode_symbols,
     euler_tour,
+    feasibility,
     hamilton_oracle,
     is_valid_word,
     object_count,
@@ -331,6 +337,19 @@ class TestHamiltonOracle:
         assert result.cycle[0] == (1, 2)
 
 
+def cross_check(params, budget=DEFAULT_ORACLE_BUDGET):
+    """Generate and verify, then confirm the oracle independently agrees."""
+    verdict = feasibility(params)
+    if verdict.status is not Feasibility.GUARANTEED:
+        raise ValueError("cross_check expects a guaranteed-feasible instance")
+    if object_count(params) > ORACLE_OBJECT_CAP:
+        raise LimitError(object_count(params), ORACLE_OBJECT_CAP)
+    tour = euler_tour(build_graph(params))
+    report = verify_object_list(tour.edges, params)
+    oracle = hamilton_oracle(params, budget)
+    return report.valid and oracle.status is OracleStatus.WITNESS
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize(
         "kwargs",
@@ -343,3 +362,18 @@ class TestCrossCheck:
     def test_requires_guaranteed(self):
         with pytest.raises(ValueError):
             cross_check(validate_params(n=4, k=4, s=2))
+
+
+def test_verifier_imports_nothing_from_the_generator():
+    # the verifier re-derives the object universe itself; importing the
+    # tour or the graph would let it trust what it is meant to check
+    modules = set()
+    for node in ast.walk(ast.parse(Path(ocycles.verify.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            if node.module in (None, "ocycles"):  # from . import euler
+                modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    assert "core" in modules  # the parse found the imports
+    assert [m for m in modules if {"euler", "graph"} & set(m.split("."))] == []
