@@ -27,21 +27,11 @@ from .core import (
     vertex_count,
     vertices,
 )
-from .graph import (
-    BalanceReport,
-    Edge,
-    TransitionGraph,
-    build_graph,
-    check_balance,
-    edge_for_word,
-    out_degree,
-)
+from .graph import Edge, TransitionGraph, build_graph, edge_for_word
 from .euler import (
     EulerTour,
     OverlapCycle,
     TourIncomplete,
-    decode_cycle,
-    decode_symbols,
     euler_tour,
     tour_to_cycle,
 )

@@ -32,10 +32,12 @@ from .core import (
     Word,
     feasibility,
     is_valid_vertex,
+    perm_count,
     validate_params,
+    vertex_count,
 )
 from .euler import EulerTour, OverlapCycle, TourIncomplete, euler_tour, tour_to_cycle
-from .graph import build_graph, out_degree
+from .graph import build_graph
 from .verify import (
     DEFAULT_ORACLE_BUDGET,
     OracleStatus,
@@ -147,7 +149,7 @@ def parse_text(text: str) -> ParsedInput:
         return ParsedInput("string", params, symbols, None)
     words = tuple(_parse_symbol_line(line) for line in body)
     if params is not None:
-        declared_len = sum(params.k - params.s for _ in words)
+        declared_len = len(words) * (params.k - params.s)
         _check_declared(headers, declared_len, params, n_words=len(words))
     return ParsedInput("list", params, None, words)
 
@@ -277,10 +279,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"n: {params.n}")
     print(f"k: {params.k}")
     print(f"s: {params.s}")
-    print(f"vertices: {g.vertex_count}")
+    print(f"vertices: {vertex_count(params)}")
     print(f"edges: {g.edge_count}")
     if params.mode is Mode.KPERM:
-        print(f"out-degree: {out_degree(tuple(range(1, params.s + 1)), g)}")
+        print(f"out-degree: {perm_count(params.n - params.s, params.k - params.s)}")
     print(f"cycle-length: {(params.k - params.s) * g.edge_count}")
     print(f"feasibility: {feasibility(params).describe()}")
     return EXIT_OK

@@ -8,7 +8,7 @@ shared overlap produces the cyclic string form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import InstanceParams, Vertex, Word, min_vertex
 from .graph import TransitionGraph, _completions
@@ -98,18 +98,3 @@ def tour_to_cycle(tour: EulerTour) -> OverlapCycle:
     # rotate right by s to align window offset 0 with the first word
     return OverlapCycle(tuple(tail[-s:] + tail[:-s]), tour.params)
 
-
-def decode_symbols(symbols: Sequence[int], k: int, s: int) -> Iterator[Word]:
-    """Read length-k windows at stride k-s from a cyclic symbol string."""
-    stride = k - s
-    length = len(symbols)
-    if length % stride != 0:
-        raise ValueError(f"cycle length {length} is not divisible by k-s = {stride}")
-    for i in range(length // stride):
-        base = i * stride
-        yield tuple(symbols[(base + j) % length] for j in range(k))
-
-
-def decode_cycle(cycle: OverlapCycle) -> Iterator[Word]:
-    """Yield the cycle's objects in order; inverse of :func:`tour_to_cycle`."""
-    yield from decode_symbols(cycle.symbols, cycle.params.k, cycle.params.s)

@@ -1,11 +1,13 @@
 """Shared instance sweeps and fixtures for the test suite."""
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from ocycles import InstanceParams, validate_params
+from ocycles import Direction, InstanceParams, enumerate_objects, min_vertex, validate_params
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -68,3 +70,65 @@ def perm5_fixture_words() -> list[tuple[int, ...]]:
     """120 permutations of {1..5} arranged in a 3-overlap cycle (known-good)."""
     text = (DATA_DIR / "perm5_s3_cycle.txt").read_text()
     return [tuple(int(c) for c in line) for line in text.split()]
+
+
+def decode_symbols(symbols, k, s):
+    """Read length-k windows at stride k-s from a cyclic symbol string."""
+    stride = k - s
+    length = len(symbols)
+    if length % stride != 0:
+        raise ValueError(f"cycle length {length} is not divisible by k-s = {stride}")
+    for i in range(length // stride):
+        base = i * stride
+        yield tuple(symbols[(base + j) % length] for j in range(k))
+
+
+def decode_cycle(cycle):
+    """The cycle's objects in order; the inverse of ``tour_to_cycle``."""
+    yield from decode_symbols(cycle.symbols, cycle.params.k, cycle.params.s)
+
+
+@dataclass
+class BalanceReport:
+    balanced: bool
+    vertex_count: int
+    edge_count: int
+    violations: list  # (vertex, out-degree, in-degree)
+    prefixes_match_suffixes: bool
+
+
+def check_balance(params):
+    """Sweep every object and compare in- and out-degrees at every vertex.
+
+    The graph is Eulerian-ready only if every vertex is balanced and the set
+    of s-prefixes equals the set of s-suffixes.
+    """
+    s = params.s
+    outd, ind = Counter(), Counter()
+    for word in enumerate_objects(params):
+        outd[word[:s]] += 1
+        ind[word[-s:]] += 1
+    seen = set(outd) | set(ind)
+    violations = sorted((v, outd[v], ind[v]) for v in seen if outd[v] != ind[v])
+    prefixes_match = set(outd) == set(ind)
+    return BalanceReport(
+        balanced=not violations and prefixes_match,
+        vertex_count=len(seen),
+        edge_count=sum(outd.values()),
+        violations=violations,
+        prefixes_match_suffixes=prefixes_match,
+    )
+
+
+def multiset_trace(cert, params):
+    """The transposition walker's progress trace, recovered from its
+    certificate: for each forward/backward pair, the first index at which
+    the vertex the pair starts from differs from the minimum vertex."""
+    s = params.s
+    target = min_vertex(params)
+    trace = []
+    for st in cert.steps:
+        if st.direction is Direction.FORWARD:
+            cur = st.edge.word[:s]
+            trace.append(next(i for i in range(s) if cur[i] != target[i]))
+    return tuple(trace)

@@ -14,7 +14,6 @@ from ocycles import (
     OracleStatus,
     TourIncomplete,
     build_graph,
-    check_balance,
     euler_tour,
     feasibility,
     find_path,
@@ -28,15 +27,16 @@ from ocycles import (
     verify_object_list,
     vertex_count,
     vertices,
-    walk_multiset,
 )
 from ocycles.cli import main as cli_main
 from conftest import (
     MULTISET_BATTERY,
+    check_balance,
     fullperm_instances,
     guaranteed_instances,
     kperm_instances,
     multiset_instances,
+    multiset_trace,
 )
 
 PERM5 = validate_params(n=5, k=5, s=3)
@@ -137,7 +137,7 @@ def test_criterion_5_balance():
         g = build_graph(p)
         if g.edge_count > 100_000:
             continue
-        report = check_balance(g)
+        report = check_balance(p)
         assert report.balanced, p
         assert report.violations == []
         assert report.prefixes_match_suffixes
@@ -169,7 +169,7 @@ def test_criterion_6_walker_completeness():
             walks += 1
             max_fill = max(max_fill, len(cert.steps) / cap)
             if transposition_regime:
-                _, trace = walk_multiset(v, p)
+                trace = multiset_trace(cert, p)
                 assert len(trace) <= p.s
                 assert all(a < b for a, b in zip(trace, trace[1:])), (p, v, trace)
                 traces += 1

@@ -5,8 +5,6 @@ import pytest
 from ocycles import (
     TourIncomplete,
     build_graph,
-    decode_cycle,
-    decode_symbols,
     enumerate_objects,
     euler_tour,
     min_vertex,
@@ -14,7 +12,7 @@ from ocycles import (
     tour_to_cycle,
     validate_params,
 )
-from conftest import guaranteed_instances
+from conftest import decode_cycle, decode_symbols, guaranteed_instances
 
 
 def tour_of(**kwargs):

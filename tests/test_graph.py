@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -5,14 +6,21 @@ import pytest
 from ocycles import (
     Edge,
     build_graph,
-    check_balance,
     edge_for_word,
     enumerate_objects,
-    out_degree,
     validate_params,
+    vertex_count,
 )
+from ocycles.cli import main
 from ocycles.graph import _completions
-from conftest import guaranteed_instances
+from conftest import check_balance, guaranteed_instances
+
+
+def stats_out_degree(p, capsys):
+    """The out-degree line that ``ocycles stats`` prints for a k-permutation instance."""
+    assert main(["stats", "--n", str(p.n), "--k", str(p.k), "--s", str(p.s)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return int(next(line for line in lines if line.startswith("out-degree: ")).split(": ")[1])
 
 
 class TestOutDegree:
@@ -22,54 +30,38 @@ class TestOutDegree:
             (dict(n=3, k=2, s=1), (1,), 2),
             (dict(n=5, k=5, s=3), (1, 2, 3), 2),
             (dict(n=6, k=4, s=2), (1, 2), 12),
-            (dict(multiset=(1, 1, 2), s=1), (1,), 2),
-            (dict(multiset=(1, 1, 2), s=1), (2,), 1),
         ],
     )
-    def test_examples(self, kwargs, vertex, expected):
-        g = build_graph(validate_params(**kwargs))
-        assert out_degree(vertex, g) == expected
+    def test_examples(self, kwargs, vertex, expected, capsys):
+        p = validate_params(**kwargs)
+        assert stats_out_degree(p, capsys) == expected
+        assert sum(1 for w in enumerate_objects(p) if w[: p.s] == vertex) == expected
 
-    def test_matches_brute_force_count(self):
-        for kwargs in (dict(n=5, k=3, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
+    def test_matches_brute_force_count(self, capsys):
+        for kwargs in (dict(n=5, k=3, s=2), dict(n=5, k=5, s=2), dict(n=6, k=4, s=1)):
             p = validate_params(**kwargs)
-            g = build_graph(p)
             by_prefix = Counter(w[: p.s] for w in enumerate_objects(p))
-            for v, count in by_prefix.items():
-                assert out_degree(v, g) == count
-
-    def test_invalid_vertex(self):
-        g = build_graph(validate_params(n=3, k=2, s=1))
-        with pytest.raises(ValueError):
-            out_degree((9,), g)
-
-
-def words_by_ordinal(v, p):
-    """The objects with prefix v, each placed at its edge ordinal."""
-    words = [w for w in enumerate_objects(p) if w[: p.s] == v]
-    placed = [None] * len(words)
-    for w in words:
-        placed[edge_for_word(w, p).ordinal] = w
-    return placed
+            assert set(by_prefix.values()) == {stats_out_degree(p, capsys)}
 
 
 class TestSuccessors:
     def test_small_example(self):
         p = validate_params(n=3, k=2, s=1)
-        assert words_by_ordinal((1,), p) == [(1, 2), (1, 3)]
+        assert [(1,) + t for t in _completions((1,), p)] == [(1, 2), (1, 3)]
 
     def test_full_perm_example(self):
         p = validate_params(n=5, k=5, s=3)
-        assert words_by_ordinal((1, 2, 3), p) == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
+        v = (1, 2, 3)
+        assert [v + t for t in _completions(v, p)] == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
 
     def test_multiset_example(self):
         p = validate_params(multiset=(1, 1, 2), s=1)
-        assert words_by_ordinal((1,), p) == [(1, 1, 2), (1, 2, 1)]
+        assert [(1,) + t for t in _completions((1,), p)] == [(1, 1, 2), (1, 2, 1)]
 
     def test_against_enumeration_filter(self):
         # independent oracle: the words leaving v, as the graph hands them
         # out, must be the lexicographic sublist of all objects whose prefix
-        # is v, and each edge's ordinal its index in that sublist
+        # is v, and each wraps as the edge holding that word
         for kwargs in (dict(n=5, k=3, s=1), dict(n=4, k=4, s=2), dict(multiset=(1, 1, 2, 2), s=1)):
             p = validate_params(**kwargs)
             objects = list(enumerate_objects(p))
@@ -77,9 +69,7 @@ class TestSuccessors:
             for v in seen_vertices:
                 expected = [w for w in objects if w[: p.s] == v]
                 assert [v + tail for tail in _completions(v, p)] == expected
-                got = [edge_for_word(w, p) for w in expected]
-                assert [e.ordinal for e in got] == list(range(len(got)))
-                assert all(e.source == v and e.target == e.word[-p.s:] for e in got)
+                assert [edge_for_word(w, p) for w in expected] == [Edge(w) for w in expected]
 
     def test_predecessors_mirror(self):
         p = validate_params(n=4, k=3, s=2)
@@ -91,16 +81,17 @@ class TestSuccessors:
 
 class TestEdgeForWord:
     def test_round_trips_with_successors(self):
-        # an edge's ordinal is its word's index among the objects that share
-        # its prefix, in lexicographic order
+        # the edges built from v's completions, in order, are the objects
+        # that share the prefix v, in lexicographic order; an edge is its word
         for kwargs in (dict(n=5, k=4, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
             p = validate_params(**kwargs)
             by_prefix = {}
             for w in enumerate_objects(p):
                 by_prefix.setdefault(w[: p.s], []).append(w)
             for v, listed in by_prefix.items():
-                for i, w in enumerate(listed):
-                    assert edge_for_word(w, p) == Edge(w, v, w[-p.s:], i)
+                edges = [edge_for_word(v + t, p) for t in _completions(v, p)]
+                assert edges == [Edge(w) for w in listed]
+        assert [f.name for f in dataclasses.fields(Edge)] == ["word"]
 
     def test_rejects_non_object(self):
         p = validate_params(n=4, k=3, s=1)
@@ -114,13 +105,14 @@ class TestBalance:
         [dict(n=3, k=2, s=1), dict(n=5, k=5, s=3), dict(n=6, k=4, s=3)],
     )
     def test_examples_balanced(self, kwargs):
-        g = build_graph(validate_params(**kwargs))
-        report = check_balance(g)
+        p = validate_params(**kwargs)
+        g = build_graph(p)
+        report = check_balance(p)
         assert report.balanced
         assert report.violations == []
         assert report.prefixes_match_suffixes
         assert report.edge_count == g.edge_count
-        assert report.vertex_count == g.vertex_count
+        assert report.vertex_count == vertex_count(p)
 
     def test_uniform_degrees_small(self):
         g = build_graph(validate_params(n=3, k=2, s=1))
@@ -131,5 +123,5 @@ class TestBalance:
 
     def test_all_guaranteed_instances_balanced(self):
         for p in guaranteed_instances(max_n=6):
-            report = check_balance(build_graph(p))
+            report = check_balance(p)
             assert report.balanced, p

@@ -16,8 +16,6 @@ from ocycles import (
     OracleStatus,
     VerificationReport,
     build_graph,
-    decode_cycle,
-    decode_symbols,
     euler_tour,
     feasibility,
     hamilton_oracle,
@@ -29,6 +27,7 @@ from ocycles import (
     verify_object_list,
 )
 from ocycles.verify import _coverage_report
+from conftest import decode_cycle, decode_symbols
 
 
 def decoded_report(symbols, p):
