@@ -145,36 +145,28 @@ def parse_text(text: str) -> ParsedInput:
         for line in body:
             collected.extend(_parse_symbol_line(line))
         symbols = tuple(collected)
-        _check_declared(headers, len(symbols), params)
+        objects = len(symbols) // (params.k - params.s) if params is not None else None
+        _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
     words = tuple(_parse_symbol_line(line) for line in body)
     if params is not None:
-        declared_len = len(words) * (params.k - params.s)
-        _check_declared(headers, declared_len, params, n_words=len(words))
+        _check_declared(headers, len(words) * (params.k - params.s), len(words))
     return ParsedInput("list", params, None, words)
 
 
-def _check_declared(
-    headers: dict[str, str],
-    symbol_count: int,
-    params: InstanceParams | None,
-    n_words: int | None = None,
-) -> None:
+def _check_declared(headers: dict[str, str], length: int, objects: int | None) -> None:
     try:
         declared = {key: int(headers[key]) for key in ("length", "objects") if key in headers}
     except ValueError as exc:
         raise DocumentError(f"bad document header: {exc}") from exc
-    if declared.get("length", symbol_count) != symbol_count:
+    if declared.get("length", length) != length:
         raise DocumentError(
-            f"header declares length {declared['length']}, body has {symbol_count} symbols"
+            f"header declares length {declared['length']}, body has {length} symbols"
         )
-    if "objects" in declared and params is not None:
-        stride = params.k - params.s
-        actual = n_words if n_words is not None else symbol_count // stride
-        if declared["objects"] != actual:
-            raise DocumentError(
-                f"header declares {declared['objects']} objects, body has {actual}"
-            )
+    if "objects" in declared and objects is not None and declared["objects"] != objects:
+        raise DocumentError(
+            f"header declares {declared['objects']} objects, body has {objects}"
+        )
 
 
 def _parse_multiset(text: str) -> tuple[int, ...]:

@@ -40,11 +40,12 @@ from .core import (
     InstanceParams,
     Mode,
     Vertex,
+    completions,
     is_valid_vertex,
     is_valid_word,
     min_vertex,
 )
-from .graph import Edge, _completions, build_graph, edge_for_word
+from .graph import Edge, build_graph, edge_for_word
 
 
 class Direction(Enum):
@@ -175,7 +176,8 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
     """Rotation path to the minimum vertex for any k-permutation instance
     with k < n, at every overlap 1 <= s < k.
 
-    w is extended by k-s letters it lacks into one underlying word.  The
+    w is extended by its first completion, the k-s smallest letters it
+    lacks in ascending order, into one underlying word.  The
     current window is rotated (forward edges through cyclic shifts of that
     word) until the position to edit lies in the first g = gcd(s, k)
     positions, one forward/backward pair rewrites that position, and the
@@ -194,7 +196,7 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         return PathCertificate(w, (), target)
     cap = step_cap(params)
     steps: list[PathStep] = []
-    word = list(w) + [x for x in range(1, n + 1) if x not in set(w)][: k - s]
+    word = list(w + next(completions(w, k - s, params)))
     offset = 0
 
     def window(t: int) -> tuple[int, ...]:
@@ -251,13 +253,13 @@ def _bfs_tree(params: InstanceParams) -> Mapping[Vertex, tuple[PathStep, Vertex]
     queue = deque([target])
     while queue:
         x = queue.popleft()
-        for head in _completions(x, params):
+        for head in completions(x, params.k - s, params):
             word = head + x
             y = word[:s]
             if y not in tree:
                 tree[y] = (PathStep(edge_for_word(word, params), Direction.FORWARD), x)
                 queue.append(y)
-        for tail in _completions(x, params):
+        for tail in completions(x, params.k - s, params):
             word = x + tail
             y = word[-s:]
             if y not in tree:

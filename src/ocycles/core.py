@@ -191,17 +191,26 @@ def _multiset_sequences(counts: Counter, length: int) -> Iterator[tuple[int, ...
     yield from rec()
 
 
-def enumerate_objects(
-    params: InstanceParams, limit: int = DEFAULT_EDGE_LIMIT
-) -> Iterator[Word]:
-    """Yield every object of the instance exactly once, lexicographically."""
-    count = object_count(params)
-    if count > limit:
-        raise LimitError(count, limit)
+def completions(
+    prefix: Sequence[int], length: int, params: InstanceParams
+) -> Iterator[tuple[int, ...]]:
+    """The `length`-symbol sequences that can follow `prefix` inside an
+    object (len(prefix) + length <= k), lexicographically: arrangements of
+    the letters of {1..n} it lacks, or of what remains of the multiset.
+    Objects, vertices, and the tails and heads of a vertex's edges (length
+    k-s) are all enumerated here.
+    """
     if params.mode is Mode.KPERM:
-        yield from permutations(range(1, params.n + 1), params.k)
-    else:
-        yield from _multiset_sequences(Counter(params.multiset), params.k)
+        used = set(prefix)
+        return permutations([x for x in range(1, params.n + 1) if x not in used], length)
+    counts = Counter(params.multiset)
+    counts.subtract(prefix)
+    return _multiset_sequences(+counts, length)
+
+
+def enumerate_objects(params: InstanceParams) -> Iterator[Word]:
+    """Every object of the instance exactly once, lexicographically."""
+    return completions((), params.k, params)
 
 
 def is_valid_word(word: Sequence[int], params: InstanceParams) -> bool:
@@ -224,29 +233,20 @@ def is_valid_vertex(v: Sequence[int], params: InstanceParams) -> bool:
     return all(have[x] >= c for x, c in need.items())
 
 
+def vertices(params: InstanceParams) -> Iterator[Vertex]:
+    """Every vertex (distinct length-s prefix of an object), lexicographic."""
+    return completions((), params.s, params)
+
+
 def min_vertex(params: InstanceParams) -> Vertex:
     """The distinguished smallest vertex: 1..s, or the sorted multiset prefix."""
-    if params.mode is Mode.KPERM:
-        return tuple(range(1, params.s + 1))
-    return params.multiset[: params.s]
-
-
-def _multiset_vertex_list(params: InstanceParams) -> tuple[Vertex, ...]:
-    return tuple(_multiset_sequences(Counter(params.multiset), params.s))
+    return next(vertices(params))
 
 
 def vertex_count(params: InstanceParams) -> int:
     if params.mode is Mode.KPERM:
         return perm_count(params.n, params.s)
-    return len(_multiset_vertex_list(params))
-
-
-def vertices(params: InstanceParams) -> Iterator[Vertex]:
-    """Every vertex (distinct length-s prefix of an object), lexicographic."""
-    if params.mode is Mode.KPERM:
-        yield from permutations(range(1, params.n + 1), params.s)
-    else:
-        yield from _multiset_vertex_list(params)
+    return sum(1 for _ in vertices(params))
 
 
 def kperm_rank(seq: Sequence[int], pool: Sequence[int]) -> int:

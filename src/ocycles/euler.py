@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import InstanceParams, Vertex, Word, min_vertex
-from .graph import TransitionGraph, _completions
+from .core import InstanceParams, Vertex, Word, completions, min_vertex
+from .graph import TransitionGraph
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def euler_tour(g: TransitionGraph) -> EulerTour:
     while True:
         cursor = cursors.get(v)
         if cursor is None:
-            cursor = cursors[v] = _completions(v, params)
+            cursor = cursors[v] = completions(v, params.k - s, params)
         tail = next(cursor, None)
         if tail is not None:
             word = v + tail

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import not_
+from itertools import compress, count
+from operator import itemgetter, ne, not_
 from typing import Sequence
 
 from .core import (
@@ -122,10 +122,12 @@ def verify_object_list(
     length_ok = bool(words) and all(len(w) == params.k for w in words)
     violations: list[tuple[int, Vertex, Vertex]] = []
     if length_ok:
-        for i, a in enumerate(words):
-            b = words[(i + 1) % len(words)]
-            if a[-s:] != b[:s]:
-                violations.append((i, a[-s:], b[:s]))
+        # each word against the next, the last against the first
+        nxt = words[1:] + words[:1]
+        suffixes = map(itemgetter(slice(-s, None)), words)
+        prefixes = map(itemgetter(slice(s)), nxt)
+        bad = compress(count(), map(ne, suffixes, prefixes))
+        violations = [(i, words[i][-s:], nxt[i][:s]) for i in bad]
     return _coverage_report(words, violations, length_ok, params)
 
 

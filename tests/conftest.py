@@ -3,11 +3,12 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from ocycles import Direction, InstanceParams, enumerate_objects, min_vertex, validate_params
+from ocycles import Direction, InstanceParams, Mode, enumerate_objects, min_vertex, validate_params
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -63,6 +64,14 @@ def guaranteed_instances(max_n: int = 7) -> list[InstanceParams]:
         + multiset_instances()
         + multiset_coprime_instances()
     )
+
+
+def brute_objects(params):
+    """Every object of the instance, sorted, by brute force: all orderings
+    of the alphabet's k-subsets or of the multiset, deduplicated."""
+    if params.mode is Mode.KPERM:
+        return sorted(set(permutations(range(1, params.n + 1), params.k)))
+    return sorted(set(permutations(params.multiset)))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ocycles import (
     Feasibility,
     GRANTING_REASONS,
-    LimitError,
     Mode,
     ParamError,
     Reason,
@@ -21,8 +20,8 @@ from ocycles import (
     vertex_count,
     vertices,
 )
-from ocycles.core import kperm_rank
-from conftest import guaranteed_instances
+from ocycles.core import completions, kperm_rank
+from conftest import brute_objects, guaranteed_instances
 
 
 class TestValidateParams:
@@ -127,11 +126,42 @@ class TestEnumeration:
             expected //= math.factorial(c)
         assert object_count(p) == expected
 
-    def test_limit_enforced(self):
-        p = validate_params(n=7, k=7, s=1)
-        with pytest.raises(LimitError) as e:
-            list(enumerate_objects(p, limit=100))
-        assert e.value.count == 5040
+
+# kperm (5,3) and (4,4) and three multisets; s is only needed to validate
+COMPLETION_INSTANCES = [
+    dict(n=5, k=3, s=1),
+    dict(n=4, k=4, s=1),
+    dict(multiset=(1, 1, 2, 2), s=1),
+    dict(multiset=(1, 1, 2, 3, 4), s=1),
+    dict(multiset=(1, 1, 1, 2, 2, 2), s=1),
+]
+
+
+class TestCompletions:
+    """``completions`` against the brute-force object list."""
+
+    @pytest.mark.parametrize("kwargs", COMPLETION_INSTANCES)
+    def test_every_prefix_and_length(self, kwargs):
+        p = validate_params(**kwargs)
+        objects = brute_objects(p)
+        prefixes = {w[:i] for w in objects for i in range(p.k + 1)}
+        for prefix in prefixes:
+            i = len(prefix)
+            below = [w for w in objects if w[:i] == prefix]
+            for length in range(p.k - i + 1):
+                expected = sorted({w[i : i + length] for w in below})
+                assert list(completions(prefix, length, p)) == expected, (prefix, length)
+
+    @pytest.mark.parametrize("kwargs", COMPLETION_INSTANCES)
+    def test_vertices_min_vertex_and_count(self, kwargs):
+        base = validate_params(**kwargs)
+        objects = brute_objects(base)
+        for s in range(1, base.k):
+            p = validate_params(**{**kwargs, "s": s})
+            expected = sorted({w[:s] for w in objects})
+            assert list(vertices(p)) == expected
+            assert min_vertex(p) == expected[0]
+            assert vertex_count(p) == len(expected)
 
 
 class TestRanking:

@@ -12,8 +12,8 @@ from ocycles import (
     vertex_count,
 )
 from ocycles.cli import main
-from ocycles.graph import _completions
-from conftest import check_balance, guaranteed_instances
+from ocycles.core import completions
+from conftest import brute_objects, check_balance, guaranteed_instances
 
 
 def stats_out_degree(p, capsys):
@@ -47,36 +47,37 @@ class TestOutDegree:
 class TestSuccessors:
     def test_small_example(self):
         p = validate_params(n=3, k=2, s=1)
-        assert [(1,) + t for t in _completions((1,), p)] == [(1, 2), (1, 3)]
+        assert [(1,) + t for t in completions((1,), p.k - p.s, p)] == [(1, 2), (1, 3)]
 
     def test_full_perm_example(self):
         p = validate_params(n=5, k=5, s=3)
         v = (1, 2, 3)
-        assert [v + t for t in _completions(v, p)] == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
+        assert [v + t for t in completions(v, p.k - p.s, p)] == [(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
 
     def test_multiset_example(self):
         p = validate_params(multiset=(1, 1, 2), s=1)
-        assert [(1,) + t for t in _completions((1,), p)] == [(1, 1, 2), (1, 2, 1)]
+        assert [(1,) + t for t in completions((1,), p.k - p.s, p)] == [(1, 1, 2), (1, 2, 1)]
 
     def test_against_enumeration_filter(self):
         # independent oracle: the words leaving v, as the graph hands them
-        # out, must be the lexicographic sublist of all objects whose prefix
-        # is v, and each wraps as the edge holding that word
+        # out, must be the lexicographic sublist of all objects (found by
+        # brute force) whose prefix is v, and each wraps as the edge holding
+        # that word
         for kwargs in (dict(n=5, k=3, s=1), dict(n=4, k=4, s=2), dict(multiset=(1, 1, 2, 2), s=1)):
             p = validate_params(**kwargs)
-            objects = list(enumerate_objects(p))
+            objects = brute_objects(p)
             seen_vertices = {w[: p.s] for w in objects}
             for v in seen_vertices:
                 expected = [w for w in objects if w[: p.s] == v]
-                assert [v + tail for tail in _completions(v, p)] == expected
+                assert [v + tail for tail in completions(v, p.k - p.s, p)] == expected
                 assert [edge_for_word(w, p) for w in expected] == [Edge(w) for w in expected]
 
     def test_predecessors_mirror(self):
         p = validate_params(n=4, k=3, s=2)
-        objects = list(enumerate_objects(p))
+        objects = brute_objects(p)
         for v in {w[-p.s:] for w in objects}:
             expected = sorted(w for w in objects if w[-p.s:] == v)
-            assert [head + v for head in _completions(v, p)] == expected
+            assert [head + v for head in completions(v, p.k - p.s, p)] == expected
 
 
 class TestEdgeForWord:
@@ -86,10 +87,10 @@ class TestEdgeForWord:
         for kwargs in (dict(n=5, k=4, s=2), dict(multiset=(1, 1, 2, 2, 3), s=2)):
             p = validate_params(**kwargs)
             by_prefix = {}
-            for w in enumerate_objects(p):
+            for w in brute_objects(p):
                 by_prefix.setdefault(w[: p.s], []).append(w)
             for v, listed in by_prefix.items():
-                edges = [edge_for_word(v + t, p) for t in _completions(v, p)]
+                edges = [edge_for_word(v + t, p) for t in completions(v, p.k - p.s, p)]
                 assert edges == [Edge(w) for w in listed]
         assert [f.name for f in dataclasses.fields(Edge)] == ["word"]
 

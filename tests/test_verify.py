@@ -376,3 +376,27 @@ def test_verifier_imports_nothing_from_the_generator():
             modules.update(a.name for a in node.names)
     assert "core" in modules  # the parse found the imports
     assert [m for m in modules if {"euler", "graph"} & set(m.split("."))] == []
+
+
+def test_only_core_enumerates():
+    # core.completions is the one place that lists what may follow a prefix;
+    # any other module reaching for the raw enumerators would grow a second
+    # copy of that decision
+    enumerators = {"permutations", "_multiset_sequences"}
+    package = Path(ocycles.verify.__file__).parent
+    checked = []
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ImportFrom, ast.Import)):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):  # itertools.permutations
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        if path.stem == "core":
+            assert enumerators <= names  # the parse finds them where they belong
+        else:
+            assert enumerators.isdisjoint(names), path.name
+            checked.append(path.stem)
+    assert {"graph", "euler", "connect", "verify", "cli"} <= set(checked)
