@@ -5,59 +5,10 @@ verification, connectivity walkers with replayable certificates, and a
 small exhaustive Hamilton-cycle oracle.
 """
 
-from .core import (
-    DEFAULT_EDGE_LIMIT,
-    Feasibility,
-    FeasibilityVerdict,
-    GRANTING_REASONS,
-    InstanceParams,
-    LimitError,
-    Mode,
-    ParamError,
-    Reason,
-    Vertex,
-    Word,
-    enumerate_objects,
-    feasibility,
-    is_valid_vertex,
-    is_valid_word,
-    min_vertex,
-    object_count,
-    validate_params,
-    vertex_count,
-    vertices,
-)
-from .graph import Edge, TransitionGraph, build_graph, edge_for_word
-from .euler import (
-    EulerTour,
-    OverlapCycle,
-    TourIncomplete,
-    euler_tour,
-    tour_to_cycle,
-)
-from .connect import (
-    Direction,
-    PathCertificate,
-    PathStep,
-    ReplayReport,
-    StepCapExceeded,
-    WalkError,
-    bfs_path,
-    find_path,
-    replay_certificate,
-    step_cap,
-    walk_general,
-    walk_multiset,
-)
-from .verify import (
-    DEFAULT_ORACLE_BUDGET,
-    ORACLE_OBJECT_CAP,
-    OracleResult,
-    OracleStatus,
-    VerificationReport,
-    hamilton_oracle,
-    verify_cycle_string,
-    verify_object_list,
-)
+from .core import feasibility, min_vertex, validate_params
+from .graph import build_graph
+from .euler import euler_tour, tour_to_cycle
+from .connect import find_path, replay_certificate
+from .verify import hamilton_oracle, verify_cycle_string
 
 __version__ = "0.1.0"

@@ -103,25 +103,26 @@ def _object_multiset(params: InstanceParams) -> Counter:
     raise WalkError("objects form one multiset only for multiset instances or full permutations")
 
 
+def _take(
+    steps: list[PathStep], word: Sequence[int], direction: Direction, params: InstanceParams
+) -> None:
+    """Append the step along `word`; a walker past its step cap is a bug."""
+    steps.append(PathStep(edge_for_word(word, params), direction))
+    if len(steps) > step_cap(params):
+        raise StepCapExceeded(f"exceeded {step_cap(params)} steps at {params.describe()}")
+
+
 def _reserving_completion(remaining: Counter, head_len: int, need: int) -> tuple[int, ...]:
     """Lexicographically smallest ordering of `remaining` that keeps at least
     one copy of `need` within the first `head_len` positions (so the suffix
-    window leaves a copy free for the backward substitution)."""
-    counts = Counter(remaining)
-    placed = False
-    out: list[int] = []
-    for pos in range(head_len):
-        slots_left = head_len - pos - 1
-        for x in sorted(counts):
-            if counts[x] <= 0:
-                continue
-            if x == need or placed or slots_left >= 1:
-                counts[x] -= 1
-                out.append(x)
-                placed = placed or x == need
-                break
-    out.extend(sorted(counts.elements()))
-    return tuple(out)
+    window leaves a copy free for the backward substitution): the sorted
+    remainder, with one copy of `need` moved back to the last head position
+    if none sits in the head already."""
+    ordered = sorted(remaining.elements())
+    if need not in ordered[:head_len]:
+        ordered.remove(need)
+        ordered.insert(head_len - 1, need)
+    return tuple(ordered)
 
 
 def walk_multiset(w: Sequence[int], params: InstanceParams) -> PathCertificate:
@@ -129,12 +130,15 @@ def walk_multiset(w: Sequence[int], params: InstanceParams) -> PathCertificate:
 
     Every round emits one forward/backward pair that seats the first
     position where the current vertex disagrees with the minimum vertex, so
-    that position strictly increases from round to round.  If the needed
-    symbol already sits later in the window, the pair transposes it into
-    place (both words share their suffix because 2s < k keeps the window
-    clear of it).  Otherwise the symbol is drawn from the unseen remainder:
-    the forward word's suffix is chosen to leave a copy of the symbol
-    unused, and the backward word splices it into the disagreeing position.
+    that position strictly increases from round to round.  The forward word
+    is the current vertex followed by a completion.  The backward word is
+    the next vertex, the symbols left over in ascending order, and the
+    forward word's suffix; traversed backward, it leads from that suffix to
+    the next vertex (2s < k keeps the two windows apart).  If the needed
+    symbol already sits later in the window, the next vertex transposes it
+    into place and the completion is the sorted remainder.  Otherwise the
+    next vertex takes it from the unseen remainder, whose completion is
+    chosen to leave a copy of the symbol outside the suffix.
     """
     M = _object_multiset(params)
     k, s = params.k, params.s
@@ -142,7 +146,6 @@ def walk_multiset(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         raise WalkError(f"transposition walker needs 2s < k, got s={s}, k={k}")
     w = _require_vertex(w, params)
     target = min_vertex(params)
-    cap = step_cap(params)
     steps: list[PathStep] = []
     cur = w
     while cur != target:
@@ -151,23 +154,17 @@ def walk_multiset(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         remaining = M - Counter(cur)
         if need in cur[d + 1 :]:
             completion = tuple(sorted(remaining.elements()))
-            word = cur + completion
             j = cur.index(need, d + 1)
             moved = list(cur)
             moved[d], moved[j] = moved[j], moved[d]
-            word_back = tuple(moved) + completion
             nxt = tuple(moved)
         else:
             completion = _reserving_completion(remaining, k - 2 * s, need)
-            word = cur + completion
-            suffix = word[-s:]
             nxt = cur[:d] + (need,) + cur[d + 1 :]
-            middle = M - Counter(nxt) - Counter(suffix)
-            word_back = nxt + tuple(sorted(middle.elements())) + suffix
-        steps.append(PathStep(edge_for_word(word, params), Direction.FORWARD))
-        steps.append(PathStep(edge_for_word(word_back, params), Direction.BACKWARD))
-        if len(steps) > cap:
-            raise StepCapExceeded(f"exceeded {cap} steps at {params.describe()}")
+        suffix = completion[-s:]
+        middle = M - Counter(nxt) - Counter(suffix)
+        _take(steps, cur + completion, Direction.FORWARD, params)
+        _take(steps, nxt + tuple(sorted(middle.elements())) + suffix, Direction.BACKWARD, params)
         cur = nxt
     return PathCertificate(w, tuple(steps), target)
 
@@ -177,14 +174,15 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
     with k < n, at every overlap 1 <= s < k.
 
     w is extended by its first completion, the k-s smallest letters it
-    lacks in ascending order, into one underlying word.  The
-    current window is rotated (forward edges through cyclic shifts of that
-    word) until the position to edit lies in the first g = gcd(s, k)
-    positions, one forward/backward pair rewrites that position, and the
-    window is rotated back.  If the letter wanted at the first disagreeing
-    position occurs later in the word, its stray copy is first overwritten
-    with a letter unused by the word (one exists since k < n); afterwards
-    the wanted letter is written into its home position.
+    lacks in ascending order, into one underlying word.  Each round rewrites
+    one position of that word: the window is rotated (forward edges through
+    cyclic shifts of the word) until the position lies in the first
+    g = gcd(s, k) positions, one more forward step and one backward step
+    with the new letter swap it in, and the window is rotated back.  The
+    position is the first one that disagrees with the minimum vertex, and
+    the letter the one wanted there; but if the wanted letter occurs
+    elsewhere in the word, that stray copy is first overwritten with the
+    smallest letter absent from the word (one exists since k < n).
     """
     k, s, n = params.k, params.s, params.n
     if params.mode is not Mode.KPERM or not (1 <= s < k < n):
@@ -192,22 +190,17 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
     g = gcd(s, k)
     w = _require_vertex(w, params)
     target = min_vertex(params)
-    if w == target:
-        return PathCertificate(w, (), target)
-    cap = step_cap(params)
     steps: list[PathStep] = []
     word = list(w + next(completions(w, k - s, params)))
     offset = 0
 
     def window(t: int) -> tuple[int, ...]:
-        return tuple(word[(t + i) % k] for i in range(k))
+        return tuple(word[t:] + word[:t])
 
     def rotate_once() -> None:
         nonlocal offset
-        steps.append(PathStep(edge_for_word(window(offset), params), Direction.FORWARD))
+        _take(steps, window(offset), Direction.FORWARD, params)
         offset = (offset + k - s) % k
-        if len(steps) > cap:
-            raise StepCapExceeded(f"exceeded {cap} steps at {params.describe()}")
 
     def rotate_to(t: int) -> None:
         while offset != t:
@@ -218,21 +211,16 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         wanted = d + 1
         if wanted in word:
             # clear the stray copy first so the letter can be re-seated
-            pos = word.index(wanted)
-            anchor = pos - pos % g
-            rotate_to(anchor)
-            rotate_once()
-            word[pos] = min(set(range(1, n + 1)) - set(word))
+            pos, letter = word.index(wanted), min(set(range(1, n + 1)) - set(word))
         else:
-            anchor = d - d % g
-            rotate_to(anchor)
-            rotate_once()
-            word[d] = wanted
-        steps.append(PathStep(edge_for_word(window(anchor), params), Direction.BACKWARD))
+            pos, letter = d, wanted
+        anchor = pos - pos % g
+        rotate_to(anchor)
+        rotate_once()
+        word[pos] = letter
+        _take(steps, window(anchor), Direction.BACKWARD, params)
         offset = anchor
         rotate_to(0)
-        if len(steps) > cap:
-            raise StepCapExceeded(f"exceeded {cap} steps at {params.describe()}")
     return PathCertificate(w, tuple(steps), target)
 
 
@@ -309,14 +297,12 @@ def replay_certificate(cert: PathCertificate, params: InstanceParams) -> ReplayR
         word = st.edge.word
         if not is_valid_word(word, params):
             return ReplayReport(False, f"word {word} is not an object of the instance", i)
-        if st.direction is Direction.FORWARD:
-            if word[:s] != cur:
-                return ReplayReport(False, f"forward step does not leave {cur}", i)
-            cur = word[-s:]
-        else:
-            if word[-s:] != cur:
-                return ReplayReport(False, f"backward step does not leave {cur}", i)
-            cur = word[:s]
+        leaves, enters = word[:s], word[-s:]
+        if st.direction is Direction.BACKWARD:
+            leaves, enters = enters, leaves
+        if leaves != cur:
+            return ReplayReport(False, f"{st.direction.value} step does not leave {cur}", i)
+        cur = enters
     if cur != cert.terminus:
         return ReplayReport(False, f"walk ends at {cur}, not the stated terminus", None)
     if cert.terminus != min_vertex(params):

@@ -112,11 +112,6 @@ class Reason(Enum):
     OPEN_CASE = "open-case"                  # outside every known guarantee
 
 
-GRANTING_REASONS = frozenset(
-    {Reason.PROPER_KPERM, Reason.SMALL_OVERLAP, Reason.COPRIME_OVERLAP}
-)
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     status: Feasibility
@@ -218,7 +213,7 @@ def is_valid_word(word: Sequence[int], params: InstanceParams) -> bool:
     if len(word) != params.k:
         return False
     if params.mode is Mode.KPERM:
-        return len(set(word)) == params.k and all(1 <= x <= params.n for x in word)
+        return len(set(word)) == params.k and 1 <= min(word) and max(word) <= params.n
     return Counter(word) == Counter(params.multiset)
 
 
@@ -227,7 +222,7 @@ def is_valid_vertex(v: Sequence[int], params: InstanceParams) -> bool:
     if len(v) != params.s:
         return False
     if params.mode is Mode.KPERM:
-        return len(set(v)) == params.s and all(1 <= x <= params.n for x in v)
+        return len(set(v)) == params.s and 1 <= min(v) and max(v) <= params.n
     need = Counter(v)
     have = Counter(params.multiset)
     return all(have[x] >= c for x, c in need.items())

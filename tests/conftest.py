@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ocycles import Direction, InstanceParams, Mode, enumerate_objects, min_vertex, validate_params
+from ocycles.core import InstanceParams, Mode, enumerate_objects, min_vertex, validate_params
+from ocycles.connect import Direction
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -9,25 +9,18 @@ import random
 import time
 from collections import Counter
 
-from ocycles import (
+from ocycles.core import (
     Feasibility,
-    OracleStatus,
-    TourIncomplete,
-    build_graph,
-    euler_tour,
     feasibility,
-    find_path,
-    hamilton_oracle,
     object_count,
-    replay_certificate,
-    step_cap,
-    tour_to_cycle,
     validate_params,
-    verify_cycle_string,
-    verify_object_list,
     vertex_count,
     vertices,
 )
+from ocycles.graph import build_graph
+from ocycles.euler import TourIncomplete, euler_tour, tour_to_cycle
+from ocycles.connect import find_path, replay_certificate, step_cap
+from ocycles.verify import OracleStatus, hamilton_oracle, verify_cycle_string, verify_object_list
 from ocycles.cli import main as cli_main
 from conftest import (
     MULTISET_BATTERY,

@@ -24,7 +24,8 @@ from ocycles.cli import (
     main,
     parse_text,
 )
-from ocycles import OverlapCycle, validate_params
+from ocycles.core import validate_params
+from ocycles.euler import OverlapCycle
 from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")

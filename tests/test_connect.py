@@ -1,28 +1,29 @@
 import dataclasses
+import hashlib
 import math
-from collections import deque
+from collections import Counter, deque
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from ocycles import (
+import ocycles.connect
+from ocycles.core import enumerate_objects, min_vertex, validate_params, vertices
+from ocycles.graph import Edge
+from ocycles.connect import (
     Direction,
-    Edge,
     PathCertificate,
     PathStep,
     StepCapExceeded,
     WalkError,
+    _bfs_tree,
+    _reserving_completion,
     bfs_path,
-    enumerate_objects,
     find_path,
-    min_vertex,
     replay_certificate,
     step_cap,
-    validate_params,
-    vertices,
     walk_general,
     walk_multiset,
 )
-from ocycles.connect import _bfs_tree
 from conftest import guaranteed_instances, multiset_trace
 
 
@@ -48,6 +49,19 @@ class TestWalkMultiset:
         cert = walk_multiset((3, 4), p)
         assert len(multiset_trace(cert, p)) <= 2
         assert replay_certificate(cert, p).ok
+
+    def test_reserving_completion_is_the_brute_force_minimum(self):
+        # every multiset over {1..4} of size 1-6, every symbol in it, every head
+        cases = 0
+        for size in range(1, 7):
+            for m in combinations_with_replacement(range(1, 5), size):
+                orderings = sorted(set(permutations(m)))
+                for need in set(m):
+                    for head_len in range(1, size + 1):
+                        best = next(o for o in orderings if need in o[:head_len])
+                        assert _reserving_completion(Counter(m), head_len, need) == best
+                        cases += 1
+        assert cases == 2520
 
     def test_high_multiplicity_replacement(self):
         # the needed symbol saturates the remainder, so the forward word's
@@ -265,6 +279,14 @@ class TestBfsReference:
             assert outcome(find_path, v, p) == expected, v
 
 
+def flip_step(cert, i):
+    """The certificate with step i traversed the other way."""
+    st = cert.steps[i]
+    other = Direction.BACKWARD if st.direction is Direction.FORWARD else Direction.FORWARD
+    steps = cert.steps[:i] + (dataclasses.replace(st, direction=other),) + cert.steps[i + 1 :]
+    return dataclasses.replace(cert, steps=steps)
+
+
 class TestReplay:
     def test_empty_certificate_at_minimum(self):
         p = validate_params(n=5, k=4, s=2)
@@ -291,6 +313,34 @@ class TestReplay:
         assert not report.ok
         assert report.step == 1
 
+    def test_flipped_direction_message(self):
+        p = validate_params(n=5, k=4, s=2)
+        cert = walk_general((3, 4), p)
+        assert [st.direction for st in cert.steps[1:3]] == [Direction.FORWARD, Direction.BACKWARD]
+        for i, expected in [
+            (1, "backward step does not leave (1, 2)"),
+            (2, "forward step does not leave (3, 4)"),
+        ]:
+            report = replay_certificate(flip_step(cert, i), p)
+            assert (report.ok, report.step, report.violation) == (False, i, expected)
+
+    def test_every_flipped_direction_is_located(self):
+        # all three walkers: rotation (k < n), transposition (2s < k), search
+        for p in guaranteed_instances(5):
+            s = p.s
+            for v in vertices(p):
+                cert = find_path(v, p)
+                for i, st in enumerate(cert.steps):
+                    word = st.edge.word
+                    if word[:s] == word[-s:]:
+                        continue  # both ends are one vertex: the flip changes nothing
+                    leaves = word[:s] if st.direction is Direction.FORWARD else word[-s:]
+                    flipped = flip_step(cert, i)
+                    report = replay_certificate(flipped, p)
+                    expected = f"{flipped.steps[i].direction.value} step does not leave {leaves}"
+                    assert (report.step, report.violation) == (i, expected), (p, v, i)
+                    assert not report.ok
+
     def test_wrong_terminus_detected(self):
         p = validate_params(n=5, k=4, s=1)
         cert = walk_general((3,), p)
@@ -308,6 +358,13 @@ class TestFindPathEverywhere:
                 assert replay_certificate(cert, p).ok, (p, v)
                 assert len(cert.steps) <= cap, (p, v)
 
+    def test_walkers_stop_at_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(ocycles.connect, "step_cap", lambda params: 1)
+        with pytest.raises(StepCapExceeded):
+            walk_general((4, 3), validate_params(n=6, k=4, s=2))
+        with pytest.raises(StepCapExceeded):
+            walk_multiset((2, 2), validate_params(multiset=(1, 1, 1, 2, 2, 2), s=2))
+
     def test_cap_never_exceeded_without_signal(self):
         # the walkers raise rather than silently overrun
         p = validate_params(n=7, k=6, s=4)
@@ -317,3 +374,20 @@ class TestFindPathEverywhere:
             except StepCapExceeded:  # pragma: no cover - would be a bug
                 pytest.fail("step cap exceeded")
             assert len(cert.steps) <= step_cap(p)
+
+
+# SHA-256 over "<direction> <word>" lines for every step of find_path from
+# every vertex of guaranteed_instances(6); any change to a walker's output
+# changes it.
+CERTIFICATES_SHA256 = "9fe1bbb1c8dd79c5a00eb03e2b243bb7e98c306aa9ff6b125fc0230f1dbfa940"
+
+
+def test_certificates_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for p in guaranteed_instances(6):
+        for v in vertices(p):
+            for st in find_path(v, p).steps:
+                digest.update(f"{st.direction.value} {st.edge.word}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (22725, CERTIFICATES_SHA256)

@@ -1,26 +1,28 @@
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocycles import (
+from ocycles.core import (
     Feasibility,
-    GRANTING_REASONS,
     Mode,
     ParamError,
     Reason,
+    completions,
     enumerate_objects,
     feasibility,
+    is_valid_vertex,
+    is_valid_word,
+    kperm_rank,
     min_vertex,
     object_count,
     validate_params,
     vertex_count,
     vertices,
 )
-from ocycles.core import completions, kperm_rank
 from conftest import brute_objects, guaranteed_instances
 
 
@@ -86,7 +88,7 @@ class TestFeasibility:
         for p in guaranteed_instances():
             v = feasibility(p)
             assert v.status is Feasibility.GUARANTEED
-            assert v.reason in GRANTING_REASONS
+            assert v.reason in (Reason.PROPER_KPERM, Reason.SMALL_OVERLAP, Reason.COPRIME_OVERLAP)
 
 
 class TestEnumeration:
@@ -162,6 +164,24 @@ class TestCompletions:
             assert list(vertices(p)) == expected
             assert min_vertex(p) == expected[0]
             assert vertex_count(p) == len(expected)
+
+
+class TestValidity:
+    """``is_valid_word`` and ``is_valid_vertex`` accept exactly the objects
+    and their prefixes among all tuples over {0..n+1}."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n=4, k=3), dict(n=4, k=4), dict(multiset=(1, 1, 2, 3))]
+    )
+    def test_against_brute_objects(self, kwargs):
+        base = validate_params(**kwargs, s=1)
+        objects = set(brute_objects(base))
+        alphabet = range(base.n + 2)
+        assert {w for w in product(alphabet, repeat=base.k) if is_valid_word(w, base)} == objects
+        for s in range(1, base.k):
+            p = validate_params(**kwargs, s=s)
+            accepted = {v for v in product(alphabet, repeat=s) if is_valid_vertex(v, p)}
+            assert accepted == {w[:s] for w in objects}, s
 
 
 class TestRanking:

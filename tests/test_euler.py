@@ -2,16 +2,9 @@ from collections import Counter
 
 import pytest
 
-from ocycles import (
-    TourIncomplete,
-    build_graph,
-    enumerate_objects,
-    euler_tour,
-    min_vertex,
-    object_count,
-    tour_to_cycle,
-    validate_params,
-)
+from ocycles.core import enumerate_objects, min_vertex, object_count, validate_params
+from ocycles.graph import build_graph
+from ocycles.euler import TourIncomplete, euler_tour, tour_to_cycle
 from conftest import decode_cycle, decode_symbols, guaranteed_instances
 
 

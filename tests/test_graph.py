@@ -3,16 +3,9 @@ from collections import Counter
 
 import pytest
 
-from ocycles import (
-    Edge,
-    build_graph,
-    edge_for_word,
-    enumerate_objects,
-    validate_params,
-    vertex_count,
-)
+from ocycles.core import completions, enumerate_objects, validate_params, vertex_count
+from ocycles.graph import Edge, build_graph, edge_for_word
 from ocycles.cli import main
-from ocycles.core import completions
 from conftest import brute_objects, check_balance, guaranteed_instances
 
 

@@ -8,25 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ocycles.verify
-from ocycles import (
-    DEFAULT_ORACLE_BUDGET,
-    ORACLE_OBJECT_CAP,
+from ocycles.core import (
     Feasibility,
     LimitError,
-    OracleStatus,
-    VerificationReport,
-    build_graph,
-    euler_tour,
     feasibility,
-    hamilton_oracle,
     is_valid_word,
     object_count,
-    tour_to_cycle,
     validate_params,
+)
+from ocycles.graph import build_graph
+from ocycles.euler import euler_tour, tour_to_cycle
+from ocycles.verify import (
+    DEFAULT_ORACLE_BUDGET,
+    ORACLE_OBJECT_CAP,
+    OracleStatus,
+    VerificationReport,
+    _coverage_report,
+    hamilton_oracle,
     verify_cycle_string,
     verify_object_list,
 )
-from ocycles.verify import _coverage_report
 from conftest import decode_cycle, decode_symbols
 
 
