@@ -29,10 +29,12 @@ from .core import (
     LimitError,
     Mode,
     ParamError,
+    SymbolString,
     Word,
     feasibility,
     is_valid_vertex,
     perm_count,
+    symbol_string,
     validate_params,
     vertex_count,
 )
@@ -106,7 +108,7 @@ def _parse_symbol_line(line: str) -> tuple[int, ...]:
 class ParsedInput:
     fmt: str  # "string" | "list"
     params: InstanceParams | None
-    symbols: tuple[int, ...] | None
+    symbols: SymbolString | None  # bytes when every symbol fits in a byte
     words: tuple[Word, ...] | None
 
 
@@ -144,7 +146,7 @@ def parse_text(text: str) -> ParsedInput:
         collected: list[int] = []
         for line in body:
             collected.extend(_parse_symbol_line(line))
-        symbols = tuple(collected)
+        symbols = symbol_string(collected)
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)

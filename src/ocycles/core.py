@@ -18,8 +18,25 @@ from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 Vertex = tuple[int, ...]
+# a cycle string: one byte per symbol when every symbol fits, else int tuple
+SymbolString = bytes | tuple[int, ...]
 
 DEFAULT_EDGE_LIMIT = 10_000_000
+
+
+def symbol_string(symbols: Sequence[int]) -> SymbolString:
+    """The symbols as ``bytes`` when every one lies in 0..255, else as a tuple.
+
+    Either form indexes and iterates as ints and slices to its own type, and
+    equal-length slices of one form sort in the same order, so the string's
+    readers need not know which form they hold.
+    """
+    try:
+        # bytes() of an iterator reads its items; bytes() of a buffer such
+        # as an array('H') would copy the buffer's raw memory instead
+        return bytes(iter(symbols))
+    except (ValueError, TypeError):
+        return tuple(symbols)
 
 
 class Mode(Enum):

@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import InstanceParams, Vertex, Word, completions, min_vertex
+from .core import (
+    InstanceParams,
+    SymbolString,
+    Vertex,
+    Word,
+    completions,
+    min_vertex,
+    symbol_string,
+)
 from .graph import TransitionGraph
 
 
@@ -22,7 +30,7 @@ class EulerTour:
 
 @dataclass(frozen=True)
 class OverlapCycle:
-    symbols: tuple[int, ...]
+    symbols: SymbolString  # bytes when every symbol fits in a byte (n <= 255)
     params: InstanceParams
 
     @property
@@ -89,12 +97,14 @@ def tour_to_cycle(tour: EulerTour) -> OverlapCycle:
     vertex's symbols (the trailing s symbols of the final word) precede the
     first contributed block.  The linear form is aligned so that decoding
     length-k windows at offsets 0, k-s, 2(k-s), ... returns the tour's words
-    in order.
+    in order.  The string is ``bytes`` when every symbol fits in a byte.
     """
     s = tour.params.s
     tail: list[int] = []
     for word in tour.edges:
         tail.extend(word[s:])
+    symbols = symbol_string(tail)
+    del tail  # eight bytes per symbol; the string needs one
     # rotate right by s to align window offset 0 with the first word
-    return OverlapCycle(tuple(tail[-s:] + tail[:-s]), tour.params)
+    return OverlapCycle(symbols[-s:] + symbols[:-s], tour.params)
 

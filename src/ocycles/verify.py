@@ -25,6 +25,7 @@ from .core import (
     Word,
     enumerate_objects,
     object_count,
+    symbol_string,
 )
 
 ORACLE_OBJECT_CAP = 60
@@ -59,9 +60,10 @@ def _coverage_report(
     else:
         target = list(params.multiset)  # sorted by validate_params
         flags = list(map(target.__eq__, map(sorted, words)))
-    invalid = list(compress(words, map(not_, flags)))
+    # reports hold int tuples whichever form the words were sliced from
+    invalid = list(map(tuple, compress(words, map(not_, flags))))
     seen = Counter(compress(words, flags))
-    duplicates = sorted(w for w, c in seen.items() if c > 1)
+    duplicates = sorted(tuple(w) for w, c in seen.items() if c > 1)
     missing = total - len(seen)
     valid = (
         length_ok
@@ -90,9 +92,11 @@ def verify_cycle_string(
     symbols, so the last windows wrap around onto the start.  Consecutive
     windows overlap by construction, so the defects a string can exhibit are
     bad length, out-of-family words, duplicates, and missing objects.
+    The string is held as ``bytes`` when every symbol lies in 0..255, so each
+    window is a k-byte slice; the report lists words as int tuples either way.
     Malformed input yields an invalid report, not an error.
     """
-    symbols = tuple(symbols)
+    symbols = symbol_string(symbols)
     k, s = params.k, params.s
     stride = k - s
     length = len(symbols)

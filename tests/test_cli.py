@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -29,6 +30,13 @@ from ocycles.euler import OverlapCycle
 from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")
+
+# SHA-256 of `gen --n 300 --k 2 --s 1` in each format, from before cycle
+# strings were held as bytes; symbols above 255 keep the tuple form
+N300_DIGESTS = {
+    "string": "3634cd10f21fc90b1cea5316cb27265c4b3b65a9ee9eb31b009835895354f748",
+    "list": "f2304f23d4253303473ce8a601b4672c22f27ff81783048753cd60d1d133130f",
+}
 
 
 class TestGen:
@@ -297,7 +305,7 @@ class TestDocumentRoundTrip:
         rebuilt = []
         for w in parsed.words:
             rebuilt.extend(w[: p.k - p.s])
-        assert tuple(rebuilt) == cycle.symbols
+        assert tuple(rebuilt) == tuple(cycle.symbols)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -319,7 +327,32 @@ class TestDocumentRoundTrip:
     )
     def test_whitespace_tokens_parse_as_int(self, body):
         parsed = parse_text(body + "\n")
-        assert parsed.symbols == tuple(int(t) for t in body.split())
+        assert tuple(parsed.symbols) == tuple(int(t) for t in body.split())
+
+    def test_n300_gen_verify_parse_emit(self, tmp_path, capsys):
+        argv = ["--n", "300", "--k", "2", "--s", "1"]
+        texts = {}
+        for fmt, digest in N300_DIGESTS.items():
+            out = tmp_path / f"{fmt}.txt"
+            assert main(["gen", *argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+            texts[fmt] = out.read_text()
+            assert hashlib.sha256(texts[fmt].encode()).hexdigest() == digest
+            assert main(["verify", str(out), *argv]) == EXIT_OK
+            assert "valid: yes" in capsys.readouterr().out
+        parsed = parse_text(texts["string"])
+        assert type(parsed.symbols) is tuple
+        assert emit_document(OverlapCycle(parsed.symbols, parsed.params)) == texts["string"]
+
+    @pytest.mark.parametrize(
+        "body, form",
+        [("1 2 1 3 2 3", bytes), ("1 2 1\n3 2 3", bytes), ("0 255", bytes),
+         ("1 2 256", tuple), ("1 2\n-1 3", tuple)],
+    )
+    def test_string_body_form(self, body, form):
+        # one byte per symbol when every symbol fits, one-line or multi-line
+        parsed = parse_text("# format string\n" + body + "\n")
+        assert type(parsed.symbols) is form
+        assert tuple(parsed.symbols) == tuple(int(t) for t in body.split())
 
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)

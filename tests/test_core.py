@@ -1,4 +1,5 @@
 import math
+from array import array
 from collections import Counter
 from itertools import permutations, product
 
@@ -19,11 +20,28 @@ from ocycles.core import (
     kperm_rank,
     min_vertex,
     object_count,
+    symbol_string,
     validate_params,
     vertex_count,
     vertices,
 )
 from conftest import brute_objects, guaranteed_instances
+
+
+class TestSymbolString:
+    def test_bytes_for_every_byte_value(self):
+        assert symbol_string(list(range(256))) == bytes(range(256))
+        assert symbol_string(()) == b""
+
+    @pytest.mark.parametrize("symbols", [(0, 256), (255, -1), (1, 10**6), (1, 2.0)])
+    def test_tuple_once_a_symbol_leaves_the_byte_range(self, symbols):
+        got = symbol_string(list(symbols))
+        assert type(got) is tuple and got == symbols
+
+    def test_buffers_are_read_symbol_by_symbol(self):
+        # bytes() of an array('H') copies two bytes of raw memory per item
+        assert symbol_string(array("H", [1, 2, 255])) == b"\x01\x02\xff"
+        assert symbol_string(array("H", [1, 300])) == (1, 300)
 
 
 class TestValidateParams:

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -110,7 +112,7 @@ class TestSlicedWindows:
     def test_single_object_cycle_shorter_than_overlap(self):
         p = validate_params(multiset=(1, 1, 1), s=2)
         symbols = tour_to_cycle(euler_tour(build_graph(p))).symbols
-        assert symbols == (1,)
+        assert tuple(symbols) == (1,)
         assert verify_cycle_string(symbols, p).valid
 
     @pytest.mark.parametrize(
@@ -123,7 +125,7 @@ class TestSlicedWindows:
         assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
         for pos in range(len(symbols)):
             for new in range(1, p.n + 2):
-                tampered = symbols[:pos] + (new,) + symbols[pos + 1 :]
+                tampered = (*symbols[:pos], new, *symbols[pos + 1 :])
                 assert verify_cycle_string(tampered, p) == decoded_report(tampered, p)
 
 
@@ -257,6 +259,86 @@ class TestAgainstPerWordReference:
         # the same words as one string exercise the string form too
         flat = [x for w in words for x in w]
         assert_same_report(verify_cycle_string(flat, p), reference_cycle_string(flat, p))
+
+
+@pytest.fixture(scope="module")
+def kperm_300_cycle():
+    p = validate_params(n=300, k=2, s=1)
+    return p, tour_to_cycle(euler_tour(build_graph(p))).symbols
+
+
+class TestBothRepresentations:
+    """Byte strings (every symbol in 0..255) and tuple strings give the
+    per-word reference's reports, with words as int tuples either way."""
+
+    def test_generated_n300_string_and_tamperings(self, kperm_300_cycle):
+        p, symbols = kperm_300_cycle
+        assert type(symbols) is tuple and len(symbols) == 89_700
+        report = verify_cycle_string(symbols, p)
+        assert report.valid
+        assert_same_report(report, reference_cycle_string(symbols, p))
+        rng = random.Random(300)
+        for _ in range(5):
+            i = rng.randrange(len(symbols) - 1)
+            new = rng.choice((0, p.n + 1, rng.randrange(1, p.n + 1)))
+            for tampered in (
+                symbols[:i] + (new,) + symbols[i + 1 :],
+                symbols[:i] + (symbols[i + 1], symbols[i]) + symbols[i + 2 :],
+            ):
+                assert_same_report(verify_cycle_string(tampered, p), reference_cycle_string(tampered, p))
+
+    @pytest.mark.parametrize("kwargs", [dict(n=4, k=3, s=1), dict(multiset=(1, 1, 2, 2, 3), s=2)])
+    def test_symbols_on_both_sides_of_the_byte_range(self, kwargs):
+        p = validate_params(**kwargs)
+        symbols = tour_to_cycle(euler_tour(build_graph(p))).symbols
+        assert type(symbols) is bytes
+        listed = []
+        for edited in single_symbol_edits(symbols, (0, 1, 255, 256, -1, 10**6)):
+            report = verify_cycle_string(edited, p)
+            assert_same_report(report, reference_cycle_string(edited, p))
+            listed += report.invalid_words + report.duplicates
+        assert listed
+        assert all(type(w) is tuple and all(type(x) is int for x in w) for w in listed)
+
+
+@pytest.fixture(scope="module")
+def fullperm_8_8_3():
+    p = validate_params(n=8, k=8, s=3)
+    return p, euler_tour(build_graph(p))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of Python allocations above the start, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base
+
+
+class TestMemoryGuard:
+    """Traced peaks per object at (8,8,3), 40,320 objects.  Allocation sizes
+    are deterministic; one-byte symbols keep both well under their bounds."""
+
+    def test_tour_to_cycle(self, fullperm_8_8_3):
+        p, tour = fullperm_8_8_3
+        cycle, peak = traced_peak(tour_to_cycle, tour)
+        assert cycle.object_count == 40_320
+        assert peak / 40_320 < 80
+
+    def test_verify_cycle_string(self, fullperm_8_8_3):
+        p, tour = fullperm_8_8_3
+        symbols = tour_to_cycle(tour).symbols
+        report, peak = traced_peak(verify_cycle_string, symbols, p)
+        assert report.valid
+        assert peak / 40_320 < 150
 
 
 class TestVerifyObjectList:
