@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .connect import WalkError, find_path, replay_certificate
@@ -143,10 +144,13 @@ def parse_text(text: str) -> ParsedInput:
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
     if fmt == "string":
-        collected: list[int] = []
-        for line in body:
-            collected.extend(_parse_symbol_line(line))
-        symbols = symbol_string(collected)
+        # each line's tuple goes straight to symbol_string; a lone bytes
+        # line is its own join, and a line outside 0..255 makes a tuple
+        lines = [symbol_string(_parse_symbol_line(line)) for line in body]
+        try:
+            symbols = b"".join(lines)
+        except TypeError:
+            symbols = tuple(chain.from_iterable(lines))
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)

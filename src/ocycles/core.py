@@ -29,8 +29,11 @@ def symbol_string(symbols: Sequence[int]) -> SymbolString:
 
     Either form indexes and iterates as ints and slices to its own type, and
     equal-length slices of one form sort in the same order, so the string's
-    readers need not know which form they hold.
+    readers need not know which form they hold.  A ``bytes`` argument is
+    returned as it is, not copied.
     """
+    if isinstance(symbols, bytes):
+        return symbols
     try:
         # bytes() of an iterator reads its items; bytes() of a buffer such
         # as an array('H') would copy the buffer's raw memory instead

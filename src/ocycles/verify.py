@@ -166,6 +166,7 @@ def hamilton_oracle(
     order, pruning any state in which an unvisited object can no longer be
     entered or left.  Returns a witness cycle, NO_CYCLE after exhaustive
     search, or EXHAUSTED once `budget` search nodes have been expanded.
+    Object sets are int bitmasks, so each search node costs O(degree).
     """
     m = object_count(params)
     if m > ORACLE_OBJECT_CAP:
@@ -186,75 +187,58 @@ def hamilton_oracle(
     for i, js in enumerate(succ):
         for j in js:
             pred[j].append(i)
-    succ_sets = [set(js) for js in succ]
+    succ_mask = [sum(1 << j for j in js) for js in succ]
+    pred_mask = [sum(1 << i for i in ps) for ps in pred]
 
     start = 0
-    visited = [False] * m
-    in_avail = [len(pred[i]) for i in range(m)]
-    out_avail = [len(succ[i]) for i in range(m)]
+    closing = pred_mask[start]
     path = [start]
     nodes = 0
     witness: tuple[Word, ...] | None = None
 
-    def visit(v: int) -> None:
-        visited[v] = True
-        for u in succ[v]:
-            in_avail[u] -= 1
-        for p in pred[v]:
-            out_avail[p] -= 1
-
-    def unvisit(v: int) -> None:
-        visited[v] = False
-        for u in succ[v]:
-            in_avail[u] += 1
-        for p in pred[v]:
-            out_avail[p] += 1
-
-    def feasible(v: int) -> bool:
-        # every unvisited object must stay enterable and leavable; at most one
-        # can rely on being entered right now, at most one on exiting to start
-        rescue = 0
-        finisher = 0
-        for u in range(m):
-            if visited[u]:
-                continue
-            if in_avail[u] == 0:
-                if u not in succ_sets[v]:
-                    return False
-                rescue += 1
-                if rescue > 1:
-                    return False
-            if out_avail[u] == 0:
-                if start not in succ_sets[u]:
-                    return False
-                finisher += 1
-                if finisher > 1:
-                    return False
-        return True
-
-    def dfs(v: int) -> None:
+    def dfs(v: int, unvisited: int, no_entry: int, no_exit: int) -> None:
+        # the masks arrive as v's parent left them (the root's parent has
+        # visited nothing): `no_entry` holds the unvisited objects that no
+        # unvisited object can enter, `no_exit` those that can reach no
+        # unvisited object; visiting v can add to both
         nonlocal nodes, witness
         nodes += 1
         if nodes > budget:
             raise _BudgetSpent
-        if len(path) == m:
-            if start in succ_sets[v]:
+        unvisited ^= 1 << v
+        if not unvisited:
+            if closing >> v & 1:
                 witness = tuple(objs[i] for i in path)
                 raise _Found
             return
-        if not feasible(v):
+        for u in succ[v]:
+            if not pred_mask[u] & unvisited:
+                no_entry |= 1 << u
+        for p in pred[v]:
+            if not succ_mask[p] & unvisited:
+                no_exit |= 1 << p
+        no_entry &= unvisited
+        no_exit &= unvisited
+        # at most one object can rely on being entered from v right now, and
+        # at most one on leaving for the start to close the cycle
+        if (
+            no_entry & (no_entry - 1)
+            or no_entry & ~succ_mask[v]
+            or no_exit & (no_exit - 1)
+            or no_exit & ~closing
+        ):
             return
         for u in succ[v]:
-            if not visited[u]:
-                visit(u)
+            if unvisited >> u & 1:
                 path.append(u)
-                dfs(u)
+                dfs(u, unvisited, no_entry, no_exit)
                 path.pop()
-                unvisit(u)
 
-    visit(start)
+    unvisited = (1 << m) - 1
+    no_entry = sum(1 << u for u in range(m) if not pred_mask[u])
+    no_exit = sum(1 << u for u in range(m) if not succ_mask[u])
     try:
-        dfs(start)
+        dfs(start, unvisited, no_entry, no_exit)
     except _Found:
         return OracleResult(OracleStatus.WITNESS, witness, nodes)
     except _BudgetSpent:

@@ -3,12 +3,19 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 
-from ocycles.core import InstanceParams, Mode, enumerate_objects, min_vertex, validate_params
+from ocycles.core import (
+    InstanceParams,
+    Mode,
+    enumerate_objects,
+    min_vertex,
+    object_count,
+    validate_params,
+)
 from ocycles.connect import Direction
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -142,3 +149,20 @@ def multiset_trace(cert, params):
             cur = st.edge.word[:s]
             trace.append(next(i for i in range(s) if cur[i] != target[i]))
     return tuple(trace)
+
+
+def oracle_sweep_instances() -> list[InstanceParams]:
+    """Every k-permutation instance and every multiset over exactly {1..m}
+    of size 3..8, at every overlap, with 2 to 60 objects: the instances an
+    exhaustive oracle search can take, 286 in all."""
+    out = []
+    for n in range(2, 12):
+        for k in range(2, n + 1):
+            if 2 <= math.perm(n, k) <= 60:
+                out.extend(validate_params(n=n, k=k, s=s) for s in range(1, k))
+    for m in range(1, 9):
+        for size in range(3, 9):
+            for ms in combinations_with_replacement(range(1, m + 1), size):
+                if set(ms) == set(range(1, m + 1)) and 2 <= object_count(validate_params(multiset=ms, s=1)) <= 60:
+                    out.extend(validate_params(multiset=ms, s=s) for s in range(1, size))
+    return out

@@ -38,6 +38,10 @@ class TestSymbolString:
         got = symbol_string(list(symbols))
         assert type(got) is tuple and got == symbols
 
+    def test_bytes_are_returned_unchanged(self):
+        symbols = bytes(range(1, 10)) * 1000
+        assert symbol_string(symbols) is symbols
+
     def test_buffers_are_read_symbol_by_symbol(self):
         # bytes() of an array('H') copies two bytes of raw memory per item
         assert symbol_string(array("H", [1, 2, 255])) == b"\x01\x02\xff"
