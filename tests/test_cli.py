@@ -27,7 +27,7 @@ from ocycles.cli import (
 )
 from ocycles.core import validate_params
 from ocycles.euler import OverlapCycle
-from conftest import DATA_DIR
+from conftest import DATA_DIR, guaranteed_instances
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")
 
@@ -37,6 +37,9 @@ N300_DIGESTS = {
     "string": "3634cd10f21fc90b1cea5316cb27265c4b3b65a9ee9eb31b009835895354f748",
     "list": "f2304f23d4253303473ce8a601b4672c22f27ff81783048753cd60d1d133130f",
 }
+# SHA-256 over `gen` in both formats for the acceptance sweep, (10,5,4) and
+# the multiset 1,1,2,2,3,3,4,4,5 with s = 4, from before the tour wrote bytes
+SWEEP_DOCS_DIGEST = "5555507e5bfcdc9644e80b73502079db58397e78512525223b0e9beec7962a1f"
 
 
 class TestGen:
@@ -328,6 +331,24 @@ class TestDocumentRoundTrip:
     def test_whitespace_tokens_parse_as_int(self, body):
         parsed = parse_text(body + "\n")
         assert tuple(parsed.symbols) == tuple(int(t) for t in body.split())
+
+    def test_sweep_documents_are_pinned(self, tmp_path):
+        instances = guaranteed_instances(7) + [
+            validate_params(n=10, k=5, s=4),
+            validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4),
+        ]
+        out = tmp_path / "doc.txt"
+        h = hashlib.sha256()
+        with contextlib.redirect_stderr(io.StringIO()):
+            for p in instances:
+                if p.multiset is None:
+                    argv = ["--n", str(p.n), "--k", str(p.k), "--s", str(p.s)]
+                else:
+                    argv = ["--multiset", ",".join(map(str, p.multiset)), "--s", str(p.s)]
+                for fmt in ("string", "list"):
+                    assert main(["gen", *argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+                    h.update(out.read_bytes())
+        assert h.hexdigest() == SWEEP_DOCS_DIGEST
 
     def test_n300_gen_verify_parse_emit(self, tmp_path, capsys):
         argv = ["--n", "300", "--k", "2", "--s", "1"]
