@@ -17,10 +17,11 @@ File formats (all plain text, headers prefixed with '#'):
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
 from .core import (
@@ -76,17 +77,30 @@ def _symbol_names(p: InstanceParams) -> dict[int, str]:
     return {x: str(x) for x in range(p.n + 1)}
 
 
+# a string body is joined and parsed a piece at a time: one join or split
+# over the whole body would first list one pointer per symbol
+_JOIN_SYMBOLS = 1 << 14
+_SPLIT_CHARS = 1 << 16
+
+
 def emit_document(cycle: OverlapCycle) -> str:
     """The string-format document; every symbol must lie in 0..n (KeyError otherwise)."""
-    body = " ".join(map(_symbol_names(cycle.params).__getitem__, cycle.symbols))
-    return "\n".join(_header_lines(cycle.params, cycle.object_count, "string") + [body]) + "\n"
+    name = _symbol_names(cycle.params).__getitem__
+    symbols = cycle.symbols
+    pieces = range(0, len(symbols), _JOIN_SYMBOLS)
+    body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
+    return "\n".join([*_header_lines(cycle.params, cycle.object_count, "string"), body, ""])
 
 
 def emit_list(tour: EulerTour) -> str:
     """The list-format document: the tour's words, one per line, in tour order."""
-    name = _symbol_names(tour.params).__getitem__
-    lines = _header_lines(tour.params, len(tour.edges), "list")
-    lines.extend(",".join(map(name, w)) for w in tour.edges)
+    p = tour.params
+    # each symbol named once; a word is a slice of the names, and the last
+    # words wrap around onto the start
+    names = list(map(_symbol_names(p).__getitem__, tour.symbols))
+    names += (names[: p.s] * p.s)[: p.s]
+    lines = _header_lines(p, len(tour.edges), "list")
+    lines.extend(",".join(names[i : i + p.k]) for i in range(0, len(tour.symbols), p.k - p.s))
     return "\n".join(lines) + "\n"
 
 
@@ -103,6 +117,33 @@ def _parse_symbol_line(line: str) -> tuple[int, ...]:
         return tuple(int(c) for c in line)
     except ValueError as exc:
         raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
+
+
+_SPACE = re.compile(r"\s")
+
+
+def _string_line(line: str) -> Iterator[SymbolString]:
+    """A string body line's symbols, as ``bytes`` pieces while every symbol
+    fits in a byte.  A whitespace-separated line is read in pieces of about
+    64 kB cut at whitespace."""
+    if "," in line or not any(c.isspace() for c in line):
+        yield symbol_string(_parse_symbol_line(line))
+        return
+    start = 0
+    while start < len(line):
+        cut = _SPACE.search(line, start + _SPLIT_CHARS)
+        end = cut.start() if cut else len(line)
+        tokens = line[start:end].split()
+        try:
+            # int() once per distinct token; a long body repeats a few symbols
+            table = {t: int(t) for t in set(tokens)}
+        except ValueError as exc:
+            raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
+        try:
+            yield bytes(map(table.__getitem__, tokens))
+        except ValueError:
+            yield tuple(map(table.__getitem__, tokens))
+        start = end
 
 
 @dataclass(frozen=True)
@@ -144,13 +185,14 @@ def parse_text(text: str) -> ParsedInput:
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
     if fmt == "string":
-        # each line's tuple goes straight to symbol_string; a lone bytes
-        # line is its own join, and a line outside 0..255 makes a tuple
-        lines = [symbol_string(_parse_symbol_line(line)) for line in body]
+        pieces = [piece for line in body for piece in _string_line(line)]
+        del body  # the lines are read; only their pieces are joined
+        # a lone bytes piece is its own join, and a tuple piece (a symbol
+        # outside 0..255) makes the whole string a tuple
         try:
-            symbols = b"".join(lines)
+            symbols = b"".join(pieces)
         except TypeError:
-            symbols = tuple(chain.from_iterable(lines))
+            symbols = tuple(chain.from_iterable(pieces))
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
@@ -256,6 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{args.input} is not UTF-8 text: {exc}") from exc
     parsed = parse_text(text)
+    del text  # the document is parsed; verifying needs only its symbols
     if parsed.params is not None and parsed.params != params:
         raise DocumentError(
             f"document is for ({parsed.params.describe()}), flags say ({params.describe()})"

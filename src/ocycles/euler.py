@@ -7,25 +7,59 @@ shared overlap produces the cyclic string form.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
     InstanceParams,
     SymbolString,
-    Vertex,
     Word,
     completions,
     min_vertex,
-    symbol_string,
 )
 from .graph import TransitionGraph
+
+
+class TourWords(Sequence):
+    """A tour's words, read on demand from its cycle string: an index gives a
+    word tuple, a slice a tuple of words."""
+
+    def __init__(self, symbols: SymbolString, params: InstanceParams):
+        self._symbols = symbols
+        self._params = params
+
+    def __len__(self) -> int:
+        return len(self._symbols) // (self._params.k - self._params.s)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        count = len(self)
+        if not -count <= i < count:
+            raise IndexError("tour index out of range")
+        symbols, k = self._symbols, self._params.k
+        start = (i % count) * (k - self._params.s)
+        length = len(symbols)
+        return tuple(symbols[j % length] for j in range(start, start + k))
+
+    def __iter__(self) -> Iterator[Word]:
+        symbols, k, s = self._symbols, self._params.k, self._params.s
+        # repeating the first s symbols covers strings shorter than s
+        ext = symbols + (symbols[:s] * s)[:s]
+        return (tuple(ext[i : i + k]) for i in range(0, len(symbols), k - s))
 
 
 @dataclass(frozen=True)
 class EulerTour:
     params: InstanceParams
-    edges: tuple[Word, ...]  # the objects in tour order; each object is an edge
+    # the tour's cycle string: the word at window i is the tour's i-th edge
+    symbols: SymbolString
+
+    @property
+    def edges(self) -> TourWords:
+        """The objects in tour order; each object is an edge."""
+        return TourWords(self.symbols, self.params)
 
 
 @dataclass(frozen=True)
@@ -58,53 +92,67 @@ def euler_tour(g: TransitionGraph) -> EulerTour:
     Each object is the edge from its s-prefix to its s-suffix, so the tour is
     a sequence of words.  It starts at the minimum vertex, and every vertex
     keeps a cursor over its tails (the k-s symbols completing it to an
-    object) in lexicographic order, so the result is deterministic.  One
-    stack holds the open trail of words in place of recursion; memory is
-    O(vertices) plus the tour itself.
+    object) in lexicographic order, so the result is deterministic.
+
+    The tour is kept in its cycle-string form, one byte per symbol when
+    n <= 255 (lists and tuples otherwise).  The open trail holds each
+    step's tail, and a stack holds the cursor entry of the vertex each step
+    reached, one pointer per step, so a pop needs no slice to find its
+    vertex.  A pop writes its tail into the output from the end: the tour's
+    words come off the trail last first.  Memory is O(vertices) plus a few
+    bytes per edge.
     """
     params = g.params
-    s = params.s
-    start = min_vertex(params)
-
-    cursors: dict[Vertex, Iterator[tuple[int, ...]]] = {}
-    trail: list[Word] = []
-    tour: list[Word] = []
-    v = start
+    s, stride = params.s, params.k - params.s
+    if params.n <= 255:
+        key, trail, out = bytes, bytearray(), bytearray(g.edge_count * stride)
+    else:
+        key, trail, out = tuple, [], [0] * (g.edge_count * stride)
+    start = key(min_vertex(params))
+    entry = (start, map(key, completions(start, stride, params)))
+    cursors = {start: entry}
+    stack = [entry]
+    pos = len(out)
+    wide = stride >= s  # the next vertex lies inside the tail: one slice
     while True:
-        cursor = cursors.get(v)
-        if cursor is None:
-            cursor = cursors[v] = completions(v, params.k - s, params)
-        tail = next(cursor, None)
+        tail = next(entry[1], None)
         if tail is not None:
-            word = v + tail
-            trail.append(word)
-            v = word[-s:]
-        elif trail:
-            tour.append(trail.pop())
-            v = trail[-1][-s:] if trail else start
+            trail += tail
+            v = tail[-s:] if wide else (entry[0] + tail)[-s:]
+            entry = cursors.get(v)
+            if entry is None:
+                entry = cursors[v] = (v, map(key, completions(v, stride, params)))
+            stack.append(entry)
+        elif len(stack) > 1:
+            stack.pop()
+            entry = stack[-1]
+            out[pos - stride : pos] = trail[-stride:]
+            del trail[-stride:]
+            pos -= stride
         else:
             break
-    tour.reverse()
-    if len(tour) != g.edge_count:
-        raise TourIncomplete(len(tour), g.edge_count, EulerTour(params, tuple(tour)))
-    return EulerTour(params, tuple(tour))
+    # the tails in tour order, rotated right by s so that window 0 is the
+    # first word: cyclically the start vertex precedes the first tail
+    if key is bytes:
+        tails = memoryview(out)[pos:]
+        symbols = b"".join((tails[-s:], tails[:-s]))
+    else:
+        tails = out[pos:]
+        symbols = tuple(tails[-s:] + tails[:-s])
+    tour = EulerTour(params, symbols)
+    if pos:
+        raise TourIncomplete(len(tour.edges), g.edge_count, tour)
+    return tour
 
 
 def tour_to_cycle(tour: EulerTour) -> OverlapCycle:
-    """Compress a closed tour into its cyclic symbol string.
+    """The tour's cyclic symbol string.
 
     Each word contributes its trailing k-s symbols; cyclically the start
     vertex's symbols (the trailing s symbols of the final word) precede the
     first contributed block.  The linear form is aligned so that decoding
     length-k windows at offsets 0, k-s, 2(k-s), ... returns the tour's words
     in order.  The string is ``bytes`` when every symbol fits in a byte.
+    ``euler_tour`` already writes it in this form.
     """
-    s = tour.params.s
-    tail: list[int] = []
-    for word in tour.edges:
-        tail.extend(word[s:])
-    symbols = symbol_string(tail)
-    del tail  # eight bytes per symbol; the string needs one
-    # rotate right by s to align window offset 0 with the first word
-    return OverlapCycle(symbols[-s:] + symbols[:-s], tour.params)
-
+    return OverlapCycle(tour.symbols, tour.params)

@@ -367,10 +367,12 @@ class TestDocumentRoundTrip:
     @pytest.mark.parametrize(
         "body, form",
         [("1 2 1 3 2 3", bytes), ("1 2 1\n3 2 3", bytes), ("0 255", bytes),
-         ("1 2 256", tuple), ("1 2\n-1 3", tuple)],
+         ("1 2 256", tuple), ("1 2\n-1 3", tuple),
+         ("10 " * 30_000 + "255", bytes), ("10 " * 30_000 + "256", tuple)],
     )
     def test_string_body_form(self, body, form):
-        # one byte per symbol when every symbol fits, one-line or multi-line
+        # one byte per symbol when every symbol fits, one-line or multi-line;
+        # the 90 kB lines are parsed in pieces, one cut inside a token
         parsed = parse_text("# format string\n" + body + "\n")
         assert type(parsed.symbols) is form
         assert tuple(parsed.symbols) == tuple(int(t) for t in body.split())

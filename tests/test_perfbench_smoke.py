@@ -1,8 +1,12 @@
-"""A one-second run of the benchmark's small-sweep workload.
+"""One-second runs of the benchmark's small-sweep, cycle-ladder and
+docs-verify workloads.
 
-It runs ``perfbench/run.py`` as the benchmark is run, from the repository
-root, and reads the result line the run prints last: every one of the 286
-instances must pass its checks (gen, verify and the oracle).
+Each runs ``perfbench/run.py`` as the benchmark is run, from the repository
+root, and reads the result line the run prints last: every operation of the
+one pass must pass its checks.  On small-sweep that is gen, verify and the
+oracle on 286 instances; on cycle-ladder, gen then verify on four instances,
+with each generated document checked against the construction; on
+docs-verify, verify of 13 supplied documents and 6 gen runs.
 """
 
 import json
@@ -10,11 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_small_sweep_smoke_run():
-    argv = ["perfbench/run.py", "--workload", "small-sweep", "--seed", "1"]
+def smoke_run(workload: str) -> dict:
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1"]
     argv += ["--seconds", "1", "--trace", "0"]
     done = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
@@ -23,4 +29,13 @@ def test_small_sweep_smoke_run():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stdout[-2000:]
     assert result["failed"] == 0
-    assert result["attempted"] == 286
+    return result
+
+
+def test_small_sweep_smoke_run():
+    assert smoke_run("small-sweep")["attempted"] == 286
+
+
+@pytest.mark.parametrize("workload, attempted", [("cycle-ladder", 4), ("docs-verify", 19)])
+def test_one_pass_smoke_run(workload, attempted):
+    assert smoke_run(workload)["attempted"] == attempted

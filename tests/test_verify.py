@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ocycles.verify
+from ocycles.cli import emit_document, parse_text
 from ocycles.core import (
     Feasibility,
     LimitError,
@@ -325,7 +326,14 @@ def traced_peak(fn, *args):
 
 class TestMemoryGuard:
     """Traced peaks per object at (8,8,3), 40,320 objects.  Allocation sizes
-    are deterministic; one-byte symbols keep both well under their bounds."""
+    are deterministic; one-byte symbols and pieces of a long body keep each
+    stage well under its bound."""
+
+    def test_euler_tour(self, fullperm_8_8_3):
+        p, _ = fullperm_8_8_3
+        tour, peak = traced_peak(euler_tour, build_graph(p))
+        assert len(tour.edges) == 40_320
+        assert peak / 40_320 < 35
 
     def test_tour_to_cycle(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
@@ -333,12 +341,25 @@ class TestMemoryGuard:
         assert cycle.object_count == 40_320
         assert peak / 40_320 < 80
 
+    def test_emit_document(self, fullperm_8_8_3):
+        p, tour = fullperm_8_8_3
+        text, peak = traced_peak(emit_document, tour_to_cycle(tour))
+        assert text.rsplit("\n", 2)[1].count(" ") == 40_320 * 5 - 1
+        assert peak / 40_320 < 30
+
+    def test_parse_text(self, fullperm_8_8_3):
+        p, tour = fullperm_8_8_3
+        cycle = tour_to_cycle(tour)
+        parsed, peak = traced_peak(parse_text, emit_document(cycle))
+        assert parsed.symbols == cycle.symbols
+        assert peak / 40_320 < 45
+
     def test_verify_cycle_string(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
         symbols = tour_to_cycle(tour).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid
-        assert peak / 40_320 < 150
+        assert peak / 40_320 < 110
 
 
 class TestVerifyObjectList:
