@@ -140,9 +140,10 @@ def _string_line(line: str) -> Iterator[SymbolString]:
         except ValueError as exc:
             raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
         try:
-            yield bytes(map(table.__getitem__, tokens))
+            piece = bytes(map(table.__getitem__, tokens))
         except ValueError:
-            yield tuple(map(table.__getitem__, tokens))
+            piece = tuple(map(table.__getitem__, tokens))
+        yield piece
         start = end
 
 
