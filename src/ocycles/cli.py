@@ -104,6 +104,28 @@ def emit_list(tour: EulerTour) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bad_token(line: str, start: int = 0, end: int | None = None) -> DocumentError:
+    """The parse error for line[start:end]: it names the first token there
+    that int() rejects and where it starts, not the (possibly huge) line."""
+    # a token is what the parse splits the line into: the text between
+    # commas, a run of non-whitespace, or (packed) one character
+    if "," in line:
+        token = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
+    elif any(c.isspace() for c in line):
+        token = re.compile(r"\S+")
+    else:
+        token = re.compile(r".")
+    for m in token.finditer(line, start, len(line) if end is None else end):
+        try:
+            int(m.group())
+        except ValueError:
+            shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
+            return DocumentError(
+                f"cannot parse symbols: {shown!r} at character {m.start() + 1} of the line"
+            )
+    return DocumentError("cannot parse symbols")
+
+
 def _parse_symbol_line(line: str) -> tuple[int, ...]:
     line = line.strip()
     try:
@@ -116,7 +138,7 @@ def _parse_symbol_line(line: str) -> tuple[int, ...]:
             return tuple(map(table.__getitem__, tokens))
         return tuple(int(c) for c in line)
     except ValueError as exc:
-        raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
+        raise _bad_token(line) from exc
 
 
 _SPACE = re.compile(r"\s")
@@ -138,7 +160,7 @@ def _string_line(line: str) -> Iterator[SymbolString]:
             # int() once per distinct token; a long body repeats a few symbols
             table = {t: int(t) for t in set(tokens)}
         except ValueError as exc:
-            raise DocumentError(f"cannot parse symbols from line {line!r}") from exc
+            raise _bad_token(line, start, end) from exc
         try:
             piece = bytes(map(table.__getitem__, tokens))
         except ValueError:

@@ -187,23 +187,45 @@ def object_count(params: InstanceParams) -> int:
 
 
 def _multiset_sequences(counts: Counter, length: int) -> Iterator[tuple[int, ...]]:
-    """All length-`length` sequences drawable from `counts`, lexicographic."""
-    symbols = sorted(counts)
+    """All length-`length` sequences drawable from `counts` (symbols with a
+    count below 1 are left out), lexicographic.
+
+    One loop, no recursion: `left` holds what remains of each symbol in
+    sorted order, `chosen` the symbol index picked at each position but the
+    last, and `i` the next index to try at the current position.  The last
+    position is never pushed, so a sequence costs one append, one tuple and
+    one pop.  It stays lazy: the tour keeps one of these open per vertex.
+    """
+    if length == 0:
+        yield ()
+        return
+    symbols = sorted(x for x, c in counts.items() if c > 0)
+    left = [counts[x] for x in symbols]
+    m, last = len(symbols), length - 1
     prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
+    chosen: list[int] = []
+    i = 0
+    while True:
+        while i < m and not left[i]:
+            i += 1
+        if i == m:
+            if not chosen:
+                return
+            # nothing is left to try here: undo the previous position's pick
+            i = chosen.pop()
+            left[i] += 1
+            prefix.pop()
+            i += 1
+        elif len(chosen) < last:
+            left[i] -= 1
+            chosen.append(i)
+            prefix.append(symbols[i])
+            i = 0
+        else:
+            prefix.append(symbols[i])
             yield tuple(prefix)
-            return
-        for x in symbols:
-            if counts[x] > 0:
-                counts[x] -= 1
-                prefix.append(x)
-                yield from rec()
-                prefix.pop()
-                counts[x] += 1
-
-    yield from rec()
+            prefix.pop()
+            i += 1
 
 
 def completions(
@@ -220,7 +242,7 @@ def completions(
         return permutations([x for x in range(1, params.n + 1) if x not in used], length)
     counts = Counter(params.multiset)
     counts.subtract(prefix)
-    return _multiset_sequences(+counts, length)
+    return _multiset_sequences(counts, length)
 
 
 def enumerate_objects(params: InstanceParams) -> Iterator[Word]:

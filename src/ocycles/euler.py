@@ -98,9 +98,12 @@ def euler_tour(g: TransitionGraph) -> EulerTour:
     n <= 255 (lists and tuples otherwise).  The open trail holds each
     step's tail, and a stack holds the cursor entry of the vertex each step
     reached, one pointer per step, so a pop needs no slice to find its
-    vertex.  A pop writes its tail into the output from the end: the tour's
-    words come off the trail last first.  Memory is O(vertices) plus a few
-    bytes per edge.
+    vertex.  Finished steps are popped a run at a time: when a vertex has no
+    tail left, the stack is popped until a vertex with a tail (or the start
+    alone) is on top.  The r steps popped are the last r on the trail, each
+    written just before the one popped before it, so the run's tails move
+    into the output, which fills from the end, in one slice.  Memory is
+    O(vertices) plus a few bytes per edge.
     """
     params = g.params
     s, stride = params.s, params.k - params.s
@@ -116,21 +119,30 @@ def euler_tour(g: TransitionGraph) -> EulerTour:
     wide = stride >= s  # the next vertex lies inside the tail: one slice
     while True:
         tail = next(entry[1], None)
-        if tail is not None:
-            trail += tail
-            v = tail[-s:] if wide else (entry[0] + tail)[-s:]
-            entry = cursors.get(v)
-            if entry is None:
-                entry = cursors[v] = (v, map(key, completions(v, stride, params)))
-            stack.append(entry)
-        elif len(stack) > 1:
-            stack.pop()
-            entry = stack[-1]
-            out[pos - stride : pos] = trail[-stride:]
-            del trail[-stride:]
-            pos -= stride
-        else:
-            break
+        if tail is None:
+            # the step into this vertex is finished, and so is each step
+            # before it whose vertex has no tail left: pop that whole run,
+            # then move its tails, the last on the trail, in one slice
+            run = 0
+            while len(stack) > 1:
+                stack.pop()
+                run += stride
+                entry = stack[-1]
+                tail = next(entry[1], None)
+                if tail is not None:
+                    break
+            if run:  # trail[-0:] would be the whole trail
+                out[pos - run : pos] = trail[-run:]
+                del trail[-run:]
+                pos -= run
+            if tail is None:
+                break
+        trail += tail
+        v = tail[-s:] if wide else (entry[0] + tail)[-s:]
+        entry = cursors.get(v)
+        if entry is None:
+            entry = cursors[v] = (v, map(key, completions(v, stride, params)))
+        stack.append(entry)
     # the tails in tour order, rotated right by s so that window 0 is the
     # first word: cyclically the start vertex precedes the first tail
     if key is bytes:

@@ -196,6 +196,36 @@ class TestVerifyCmd:
         assert main(["verify", str(f), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
         assert "cannot parse symbols" in capsys.readouterr().err
 
+    def test_bad_token_in_a_long_body_gives_a_short_error(self, tmp_path, capsys):
+        # the error names the token and where it sits, not the whole body line
+        out = tmp_path / "cycle.txt"
+        assert main(["gen", "--n", "8", "--k", "8", "--s", "3", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        body = lines[-1]
+        cut = body.index(" ", len(body) // 2)
+        lines[-1] = body[:cut] + " x" + body[cut:]
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(out), "--n", "8", "--k", "8", "--s", "3"]) == EXIT_IOFMT
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse symbols")
+        assert "'x'" in err and f"character {cut + 2} " in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "body, token, at",
+        [
+            ("1,2, 3x ,4", "3x", 6),  # comma-separated
+            ("1 2 1 3 x 3", "x", 9),  # whitespace pieces
+            ("121a23", "a", 4),  # packed
+            ("1,2,3\n4,y,6", "y", 3),  # a list document: the second line
+        ],
+    )
+    def test_parse_error_names_first_bad_token(self, body, token, at):
+        with pytest.raises(DocumentError) as e:
+            parse_text(body + "\n")
+        assert str(e.value) == f"cannot parse symbols: {token!r} at character {at} of the line"
+
     @pytest.mark.parametrize("header", ["length", "objects"])
     def test_non_integer_count_header(self, tmp_path, capsys, header):
         out = tmp_path / "cycle.txt"

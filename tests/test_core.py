@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ocycles.core
 from ocycles.core import (
     Feasibility,
     Mode,
@@ -161,6 +162,45 @@ COMPLETION_INSTANCES = [
 ]
 
 
+def recursive_sequences(counts, length):
+    """The multiset enumerator as it was written before it became one loop:
+    a generator per position, the reference for order and content."""
+    symbols = sorted(counts)
+    prefix = []
+
+    def rec():
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for x in symbols:
+            if counts[x] > 0:
+                counts[x] -= 1
+                prefix.append(x)
+                yield from rec()
+                prefix.pop()
+                counts[x] += 1
+
+    yield from rec()
+
+
+@pytest.fixture(params=["iterative", "recursive"])
+def multiset_enumerator(request, monkeypatch):
+    """Runs a test once with core's enumerator and once with the reference."""
+    if request.param == "recursive":
+        monkeypatch.setattr(ocycles.core, "_multiset_sequences", recursive_sequences)
+    return request.param
+
+
+def brute_completions(objects, prefix, length):
+    i = len(prefix)
+    return sorted({w[i : i + length] for w in objects if w[:i] == prefix and len(w) >= i + length})
+
+
+MULTISET_EDGE_INSTANCES = [kw for kw in COMPLETION_INSTANCES if "multiset" in kw] + [
+    dict(multiset=(3, 3, 3, 3), s=1),  # a single distinct symbol
+]
+
+
 class TestCompletions:
     """``completions`` against the brute-force object list."""
 
@@ -186,6 +226,34 @@ class TestCompletions:
             assert list(vertices(p)) == expected
             assert min_vertex(p) == expected[0]
             assert vertex_count(p) == len(expected)
+
+    @pytest.mark.parametrize("kwargs", MULTISET_EDGE_INSTANCES)
+    def test_every_length_with_either_enumerator(self, kwargs, multiset_enumerator):
+        # length 0 gives one empty tuple, and a length past what remains none
+        p = validate_params(**kwargs)
+        objects = brute_objects(p)
+        for prefix in {w[:i] for w in objects for i in range(p.k + 1)}:
+            rest = p.k - len(prefix)
+            for length in range(rest + 2):
+                got = list(completions(prefix, length, p))
+                assert got == brute_completions(objects, prefix, length), (prefix, length)
+            assert list(completions(prefix, 0, p)) == [()]
+            assert list(completions(prefix, rest + 1, p)) == []
+
+    @pytest.mark.parametrize(
+        "counts", [{1: 2, 2: 2, 3: 1}, {2: 1, 7: 2, 300: 1}, {5: 3}, {1: 2, 2: 0, 3: 1}]
+    )
+    def test_iterative_matches_recursive(self, counts):
+        for length in range(sum(counts.values()) + 2):
+            got = list(ocycles.core._multiset_sequences(Counter(counts), length))
+            assert got == list(recursive_sequences(Counter(counts), length)), length
+
+    def test_enumeration_is_lazy(self):
+        # the tour holds one open cursor per vertex; the first of the
+        # C(100, 50) arrangements must come without listing the rest
+        sequences = ocycles.core._multiset_sequences(Counter({1: 50, 2: 50}), 100)
+        assert next(sequences) == (1,) * 50 + (2,) * 50
+        assert next(sequences) == (1,) * 49 + (2, 1) + (2,) * 49
 
 
 class TestValidity:

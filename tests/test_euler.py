@@ -102,6 +102,42 @@ class TestReferenceTraversal:
         assert list(e.value.partial.edges) == reference_tour(g)
 
 
+class TestListBranch:
+    """Above n = 255 the tour runs over lists and tuple keys.  Relabelling
+    the symbols monotonically keeps every cursor's order, so the byte tour of
+    the relabelled multiset is the same tour, complete or partial."""
+
+    @pytest.mark.parametrize(
+        "wide, narrow, complete",
+        [
+            ((1, 1, 2, 2, 300), (1, 1, 2, 2, 3), True),  # small-overlap
+            ((1, 2, 3, 300), (1, 2, 3, 4), False),  # open case, disconnected
+        ],
+    )
+    def test_matches_the_byte_branch(self, wide, narrow, complete):
+        relabel = dict(zip(wide, narrow))
+
+        def run(multiset):
+            g = build_graph(validate_params(multiset=multiset, s=2))
+            try:
+                return g, euler_tour(g), None
+            except TourIncomplete as e:
+                return g, e.partial, e
+
+        wide_graph, wide_tour, wide_error = run(wide)
+        _, narrow_tour, narrow_error = run(narrow)
+        assert type(wide_tour.symbols) is tuple and type(narrow_tour.symbols) is bytes
+        assert tuple(map(relabel.get, wide_tour.symbols)) == tuple(narrow_tour.symbols)
+        relabelled = [tuple(map(relabel.get, w)) for w in wide_tour.edges]
+        assert relabelled == list(narrow_tour.edges)
+        assert list(wide_tour.edges) == reference_tour(wide_graph)
+        if complete:
+            assert wide_error is None and narrow_error is None
+        else:
+            assert (wide_error.used, wide_error.total) == (narrow_error.used, narrow_error.total)
+            assert wide_error.used == len(wide_tour.edges) < wide_error.total
+
+
 class TestCycleString:
     def test_kperm_3_2_1_string(self):
         p, t = tour_of(n=3, k=2, s=1)

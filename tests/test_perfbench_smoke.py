@@ -1,12 +1,13 @@
-"""One-second runs of the benchmark's small-sweep, cycle-ladder and
-docs-verify workloads.
+"""One-second runs of each of the benchmark's workloads: small-sweep,
+cycle-ladder, docs-verify and walkers-all.
 
 Each runs ``perfbench/run.py`` as the benchmark is run, from the repository
 root, and reads the result line the run prints last: every operation of the
 one pass must pass its checks.  On small-sweep that is gen, verify and the
 oracle on 286 instances; on cycle-ladder, gen then verify on four instances,
 with each generated document checked against the construction; on
-docs-verify, verify of 13 supplied documents and 6 gen runs.
+docs-verify, verify of 13 supplied documents and 6 gen runs; on walkers-all,
+a certificate built and replayed from every vertex of each walker instance.
 """
 
 import json
@@ -36,6 +37,8 @@ def test_small_sweep_smoke_run():
     assert smoke_run("small-sweep")["attempted"] == 286
 
 
-@pytest.mark.parametrize("workload, attempted", [("cycle-ladder", 4), ("docs-verify", 19)])
+@pytest.mark.parametrize(
+    "workload, attempted", [("cycle-ladder", 4), ("docs-verify", 19), ("walkers-all", 16452)]
+)
 def test_one_pass_smoke_run(workload, attempted):
     assert smoke_run(workload)["attempted"] == attempted
