@@ -5,13 +5,12 @@ or no cycle found, 4 incomplete tour / search budget exhausted / no path,
 5 size limit exceeded, 6 bad parameters (command-line usage errors included)
 or unreadable/misformatted input.
 
-File formats (all plain text, headers prefixed with '#'):
-
-* string format - header lines, then the cycle's symbols as space-separated
-  decimal integers on one line.
-* list format - header lines, then one object per line with comma-separated
-  symbols.  When parsing, lines may also be whitespace-separated or, for
-  single-digit symbols, packed like ``12345``.
+File formats (plain text after header lines prefixed with '#'): a string
+document's body is the cycle's symbols, space-separated, on one line; a list
+document's is one object per line, comma-separated.  When parsing, every body
+line splits at commas if it has one, else at whitespace if it has any, else
+into one symbol per character (``12345``).  A string body line is read in
+pieces of about 64 kB, and a bad symbol is reported by character and line.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
 from .core import (
@@ -36,7 +35,6 @@ from .core import (
     feasibility,
     is_valid_vertex,
     perm_count,
-    symbol_string,
     validate_params,
     vertex_count,
 )
@@ -104,63 +102,65 @@ def emit_list(tour: EulerTour) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bad_token(line: str, start: int = 0, end: int | None = None) -> DocumentError:
-    """The parse error for line[start:end]: it names the first token there
-    that int() rejects and where it starts, not the (possibly huge) line."""
-    # a token is what the parse splits the line into: the text between
-    # commas, a run of non-whitespace, or (packed) one character
+class _SplitRule(NamedTuple):
+    split: Callable[[str], list[str]]  # text to its tokens
+    separator: re.Pattern  # where a long line may be cut into pieces
+    token: re.Pattern  # one token, to locate a bad one
+
+
+# a token is the text between commas (a blank one is skipped), a run of
+# non-whitespace, or one character
+_COMMA_TOKEN = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
+_COMMA = _SplitRule(lambda t: list(filter(str.strip, t.split(","))), re.compile(","), _COMMA_TOKEN)
+_WHITESPACE = _SplitRule(str.split, re.compile(r"\s"), re.compile(r"\S+"))
+_PACKED = _SplitRule(list, re.compile(r"(?s)."), re.compile(r"(?s)."))
+
+
+def _split_rule(line: str) -> _SplitRule:
+    """A body line splits at commas if it has one, else at whitespace if it
+    has any, else into one symbol per character ("packed")."""
     if "," in line:
-        token = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
-    elif any(c.isspace() for c in line):
-        token = re.compile(r"\S+")
-    else:
-        token = re.compile(r".")
-    for m in token.finditer(line, start, len(line) if end is None else end):
+        return _COMMA
+    return _WHITESPACE if any(map(str.isspace, line)) else _PACKED
+
+
+def _bad_token(rule: _SplitRule, number: int, line: str, start: int, end: int) -> DocumentError:
+    """The parse error for line[start:end] of document line `number`: it names the
+    first token there that int() rejects and where, not the (possibly huge) line."""
+    for m in rule.token.finditer(line, start, end):
         try:
             int(m.group())
         except ValueError:
             shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
             return DocumentError(
-                f"cannot parse symbols: {shown!r} at character {m.start() + 1} of the line"
+                f"cannot parse symbols: {shown!r} at character {m.start() + 1} of line {number}"
             )
-    return DocumentError("cannot parse symbols")
+    return DocumentError(f"cannot parse symbols on line {number}")
 
 
-def _parse_symbol_line(line: str) -> tuple[int, ...]:
-    line = line.strip()
+def _word(number: int, line: str) -> Word:
+    """A list body line's symbols."""
+    rule = _split_rule(line)
     try:
-        if "," in line:
-            return tuple(int(t) for t in line.split(",") if t.strip() != "")
-        if any(c.isspace() for c in line):
-            tokens = line.split()
-            # int() once per distinct token; a long body repeats a few symbols
-            table = {t: int(t) for t in set(tokens)}
-            return tuple(map(table.__getitem__, tokens))
-        return tuple(int(c) for c in line)
+        return tuple(map(int, rule.split(line)))
     except ValueError as exc:
-        raise _bad_token(line) from exc
+        raise _bad_token(rule, number, line, 0, len(line)) from exc
 
 
-_SPACE = re.compile(r"\s")
-
-
-def _string_line(line: str) -> Iterator[SymbolString]:
-    """A string body line's symbols, as ``bytes`` pieces while every symbol
-    fits in a byte.  A whitespace-separated line is read in pieces of about
-    64 kB cut at whitespace."""
-    if "," in line or not any(c.isspace() for c in line):
-        yield symbol_string(_parse_symbol_line(line))
-        return
+def _string_line(number: int, line: str) -> Iterator[SymbolString]:
+    """A string body line's symbols, read in pieces of about 64 kB cut at a
+    separator: each piece is ``bytes`` while every symbol fits in a byte."""
+    rule = _split_rule(line)
     start = 0
     while start < len(line):
-        cut = _SPACE.search(line, start + _SPLIT_CHARS)
+        cut = rule.separator.search(line, start + _SPLIT_CHARS)
         end = cut.start() if cut else len(line)
-        tokens = line[start:end].split()
+        tokens = rule.split(line[start:end])
         try:
             # int() once per distinct token; a long body repeats a few symbols
             table = {t: int(t) for t in set(tokens)}
         except ValueError as exc:
-            raise _bad_token(line, start, end) from exc
+            raise _bad_token(rule, number, line, start, end) from exc
         try:
             piece = bytes(map(table.__getitem__, tokens))
         except ValueError:
@@ -177,26 +177,29 @@ class ParsedInput:
     words: tuple[Word, ...] | None
 
 
-def parse_text(text: str) -> ParsedInput:
+def _headers(text: str) -> tuple[dict[str, str], int]:
+    """The headers, first of each name, and the count of body lines.  Its own
+    frame, so that the last line read does not stay referenced."""
     headers: dict[str, str] = {}
-    body: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    body_lines = 0
+    for line in map(str.strip, text.splitlines()):
         if line.startswith("#"):
             parts = line[1:].strip().split(None, 1)
             if len(parts) == 2:
                 headers.setdefault(parts[0], parts[1])
-            continue
-        body.append(line)
+        elif line:
+            body_lines += 1
+    return headers, body_lines
 
+
+def parse_text(text: str) -> ParsedInput:
+    headers, body_lines = _headers(text)
     params: InstanceParams | None = None
     if {"mode", "s"} <= headers.keys():
         try:
             if headers["mode"] == Mode.MULTISET.value:
-                syms = tuple(int(t) for t in headers["multiset"].split(","))
-                params = validate_params(multiset=syms, s=int(headers["s"]))
+                multiset = _parse_multiset(headers["multiset"])
+                params = validate_params(multiset=multiset, s=int(headers["s"]))
             else:
                 params = validate_params(
                     n=int(headers["n"]), k=int(headers["k"]), s=int(headers["s"])
@@ -204,12 +207,17 @@ def parse_text(text: str) -> ParsedInput:
         except (KeyError, ValueError, ParamError) as exc:
             raise DocumentError(f"bad document header: {exc}") from exc
 
-    fmt = headers.get("format") or ("string" if len(body) == 1 else "list")
+    fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
+    # a second pass reads the body lines; it leaves no reference to a line
+    body = (
+        (number, line)
+        for number, line in enumerate(map(str.strip, text.splitlines()), 1)
+        if line and line[0] != "#"
+    )
     if fmt == "string":
-        pieces = [piece for line in body for piece in _string_line(line)]
-        del body  # the lines are read; only their pieces are joined
+        pieces = [piece for number, line in body for piece in _string_line(number, line)]
         # a lone bytes piece is its own join, and a tuple piece (a symbol
         # outside 0..255) makes the whole string a tuple
         try:
@@ -219,7 +227,7 @@ def parse_text(text: str) -> ParsedInput:
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
-    words = tuple(_parse_symbol_line(line) for line in body)
+    words = tuple(_word(number, line) for number, line in body)
     if params is not None:
         _check_declared(headers, len(words) * (params.k - params.s), len(words))
     return ParsedInput("list", params, None, words)

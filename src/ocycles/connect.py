@@ -72,9 +72,6 @@ class ReplayReport:
     violation: str | None = None
     step: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class WalkError(RuntimeError):
     """A walker's preconditions do not hold, or no path exists."""

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     InstanceParams,
     SymbolString,
-    Word,
     completions,
     min_vertex,
 )
@@ -42,12 +40,6 @@ class TourWords(Sequence):
         start = (i % count) * (k - self._params.s)
         length = len(symbols)
         return tuple(symbols[j % length] for j in range(start, start + k))
-
-    def __iter__(self) -> Iterator[Word]:
-        symbols, k, s = self._symbols, self._params.k, self._params.s
-        # repeating the first s symbols covers strings shorter than s
-        ext = symbols + (symbols[:s] * s)[:s]
-        return (tuple(ext[i : i + k]) for i in range(0, len(symbols), k - s))
 
 
 @dataclass(frozen=True)

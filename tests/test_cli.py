@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from ocycles.cli import (
     main,
     parse_text,
 )
-from ocycles.core import validate_params
+from ocycles.core import symbol_string, validate_params
 from ocycles.euler import OverlapCycle
 from conftest import DATA_DIR, guaranteed_instances
 
@@ -219,12 +220,15 @@ class TestVerifyCmd:
             ("1 2 1 3 x 3", "x", 9),  # whitespace pieces
             ("121a23", "a", 4),  # packed
             ("1,2,3\n4,y,6", "y", 3),  # a list document: the second line
+            ("# format list\n\n1,2,3\n4,y,6", "y", 3),  # headers and blanks count
         ],
     )
     def test_parse_error_names_first_bad_token(self, body, token, at):
+        # the error names the document line that holds the token
+        line = next(i for i, text in enumerate(body.split("\n"), 1) if token in text)
         with pytest.raises(DocumentError) as e:
             parse_text(body + "\n")
-        assert str(e.value) == f"cannot parse symbols: {token!r} at character {at} of the line"
+        assert str(e.value) == f"cannot parse symbols: {token!r} at character {at} of line {line}"
 
     @pytest.mark.parametrize("header", ["length", "objects"])
     def test_non_integer_count_header(self, tmp_path, capsys, header):
@@ -398,14 +402,22 @@ class TestDocumentRoundTrip:
         "body, form",
         [("1 2 1 3 2 3", bytes), ("1 2 1\n3 2 3", bytes), ("0 255", bytes),
          ("1 2 256", tuple), ("1 2\n-1 3", tuple),
-         ("10 " * 30_000 + "255", bytes), ("10 " * 30_000 + "256", tuple)],
+         ("10 " * 30_000 + "255", bytes), ("10 " * 30_000 + "256", tuple),
+         pytest.param("10," * 30_000 + "255", bytes, id="comma-90kB-bytes"),
+         pytest.param("10, " * 22_500 + "256", tuple, id="comma-90kB-tuple"),
+         pytest.param("1234567" * 13_000, bytes, id="packed-91kB-bytes")],
     )
     def test_string_body_form(self, body, form):
         # one byte per symbol when every symbol fits, one-line or multi-line;
         # the 90 kB lines are parsed in pieces, one cut inside a token
         parsed = parse_text("# format string\n" + body + "\n")
         assert type(parsed.symbols) is form
-        assert tuple(parsed.symbols) == tuple(int(t) for t in body.split())
+        tokens = [
+            t
+            for line in body.split("\n")
+            for t in (line.split(",") if "," in line else line.split() if " " in line else line)
+        ]
+        assert tuple(parsed.symbols) == tuple(map(int, tokens))
 
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)
@@ -513,3 +525,142 @@ class TestExitCodeFuzz:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (EXIT_OK, EXIT_INVALID, EXIT_INFEASIBLE, EXIT_INCOMPLETE, EXIT_LIMIT, EXIT_IOFMT)
+
+
+# A copy of the body reader from before one function decided a line's split
+# rule: three branches per line, and a whitespace-only piece loop.  The
+# reader now must give the same symbols, form and words, and the same error
+# text but for naming the line.
+def _old_bad_token(line, start=0, end=None):
+    if "," in line:
+        token = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
+    elif any(c.isspace() for c in line):
+        token = re.compile(r"\S+")
+    else:
+        token = re.compile(r".")
+    for m in token.finditer(line, start, len(line) if end is None else end):
+        try:
+            int(m.group())
+        except ValueError:
+            shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
+            return DocumentError(
+                f"cannot parse symbols: {shown!r} at character {m.start() + 1} of the line"
+            )
+    return DocumentError("cannot parse symbols")
+
+
+def _old_parse_symbol_line(line):
+    line = line.strip()
+    try:
+        if "," in line:
+            return tuple(int(t) for t in line.split(",") if t.strip() != "")
+        if any(c.isspace() for c in line):
+            tokens = line.split()
+            table = {t: int(t) for t in set(tokens)}
+            return tuple(map(table.__getitem__, tokens))
+        return tuple(int(c) for c in line)
+    except ValueError as exc:
+        raise _old_bad_token(line) from exc
+
+
+def _old_string_line(line):
+    if "," in line or not any(c.isspace() for c in line):
+        yield symbol_string(_old_parse_symbol_line(line))
+        return
+    start = 0
+    while start < len(line):
+        cut = re.compile(r"\s").search(line, start + (1 << 16))
+        end = cut.start() if cut else len(line)
+        tokens = line[start:end].split()
+        try:
+            table = {t: int(t) for t in set(tokens)}
+        except ValueError as exc:
+            raise _old_bad_token(line, start, end) from exc
+        try:
+            piece = bytes(map(table.__getitem__, tokens))
+        except ValueError:
+            piece = tuple(map(table.__getitem__, tokens))
+        yield piece
+        start = end
+
+
+def _old_read(text):
+    """(format, symbols, words) as the old reader gave them, or the error
+    text it gave with the document line of the bad token filled in."""
+    body = []
+    fmt = None
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line.startswith("# format "):
+            fmt = fmt or line.split()[2]
+        elif line and not line.startswith("#"):
+            body.append((number, line))
+    fmt = fmt or ("string" if len(body) == 1 else "list")
+    number = None
+    try:
+        if fmt == "string":
+            pieces = []
+            for number, line in body:
+                pieces.extend(_old_string_line(line))
+            try:
+                return fmt, b"".join(pieces), None
+            except TypeError:
+                return fmt, tuple(x for piece in pieces for x in piece), None
+        words = []
+        for number, line in body:
+            words.append(_old_parse_symbol_line(line))
+        return fmt, None, tuple(words)
+    except DocumentError as exc:
+        return str(exc).replace(" of the line", f" of line {number}")
+
+
+def _read(text):
+    try:
+        parsed = parse_text(text)
+    except DocumentError as exc:
+        return str(exc)
+    return parsed.fmt, parsed.symbols, parsed.words
+
+
+# short body lines split each of the three ways: digits (also non-ASCII
+# ones), signs, underscores, commas, blanks of several kinds and a bad
+# letter; long runs of digits make symbols above 255
+BODY_LINE = st.text(alphabet="0123456789\u0663 ,\t\xa0\u3000-+_x", max_size=24)
+DOCUMENT_LINES = st.lists(
+    st.one_of(BODY_LINE, BODY_LINE, st.sampled_from(["", "  ", "# note", "# n 3"])),
+    max_size=6,
+)
+FORMAT_LINE = st.sampled_from([[], ["# format string"], ["# format list"]])
+
+
+@st.composite
+def long_body_line(draw):
+    """A line of 70 to 140 kB in one split form, with perhaps a bad token at
+    or next to the first 64 kB piece cut."""
+    separator = draw(st.sampled_from([" ", ",", ", ", " ,", "\t", "  ", ""]))
+    symbols = ["0", "1", "7"] if separator == "" else ["1", "10", "255", "256", "-1", "+3", "007"]
+    unit = separator.join(draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=4)))
+    line = (unit + separator) * (draw(st.integers(70_000, 140_000)) // (len(unit) + len(separator)))
+    if draw(st.booleans()):
+        at = draw(st.integers(-4, 4)) + (1 << 16)
+        bad = draw(st.sampled_from(["x", "+", "1x"] if separator == "" else ["x", "+", "1x", "2 2"]))
+        line = line[:at] + bad + line[at:]
+    return line
+
+
+class TestSplitRuleMatchesOldReader:
+    @given(head=FORMAT_LINE, lines=DOCUMENT_LINES)
+    @settings(max_examples=400, deadline=None)
+    def test_short_bodies(self, head, lines):
+        text = "\n".join(head + lines) + "\n"
+        assert _read(text) == _old_read(text)
+
+    @given(
+        head=FORMAT_LINE,
+        long=st.lists(long_body_line(), min_size=1, max_size=2),
+        short=st.lists(BODY_LINE, max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_long_lines_and_bad_tokens_at_piece_cuts(self, head, long, short):
+        text = "\n".join(head + short + long) + "\n"
+        assert _read(text) == _old_read(text)

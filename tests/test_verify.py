@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ocycles.cli
 import ocycles.verify
 from ocycles.cli import emit_document, parse_text
 from ocycles.core import (
@@ -347,10 +348,14 @@ class TestMemoryGuard:
         assert text.rsplit("\n", 2)[1].count(" ") == 40_320 * 5 - 1
         assert peak / 40_320 < 30
 
-    def test_parse_text(self, fullperm_8_8_3):
+    @pytest.mark.parametrize("separator", [" ", ",", ""], ids=["whitespace", "comma", "packed"])
+    def test_parse_text(self, fullperm_8_8_3, separator):
+        # every string body is read in pieces, whatever splits its symbols
         p, tour = fullperm_8_8_3
         cycle = tour_to_cycle(tour)
-        parsed, peak = traced_peak(parse_text, emit_document(cycle))
+        *head, body = emit_document(cycle).splitlines()
+        text = "\n".join([*head, body.replace(" ", separator), ""])
+        parsed, peak = traced_peak(parse_text, text)
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < 45
 
@@ -480,6 +485,21 @@ def test_verifier_imports_nothing_from_the_generator():
             modules.update(a.name for a in node.names)
     assert "core" in modules  # the parse found the imports
     assert [m for m in modules if {"euler", "graph"} & set(m.split("."))] == []
+
+
+def test_one_function_decides_the_split_rule():
+    # whether a body line splits at commas, at whitespace or per character
+    # is decided once; a second copy of the rule would let the tokenizer,
+    # the piece cuts and the error locator disagree
+    tree = ast.parse(Path(ocycles.cli.__file__).read_text())
+    deciders = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "isspace"
+    }
+    assert len(deciders) == 1, deciders
 
 
 def test_only_core_enumerates():
