@@ -19,7 +19,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
@@ -124,32 +124,43 @@ def _split_rule(line: str) -> _SplitRule:
     return _WHITESPACE if any(map(str.isspace, line)) else _PACKED
 
 
-def _bad_token(rule: _SplitRule, number: int, line: str, start: int, end: int) -> DocumentError:
-    """The parse error for line[start:end] of document line `number`: it names the
-    first token there that int() rejects and where, not the (possibly huge) line."""
+def _bad_token(rule: _SplitRule, number: int, raw: str, start: int, end: int) -> DocumentError:
+    """The parse error for line[start:end] of document line `number`, where line
+    is `raw` stripped: it names the first token there that int() rejects and its
+    character in `raw`, not the (possibly huge) line."""
+    line = raw.strip()
+    lead = len(raw) - len(raw.lstrip())
     for m in rule.token.finditer(line, start, end):
         try:
             int(m.group())
         except ValueError:
             shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
             return DocumentError(
-                f"cannot parse symbols: {shown!r} at character {m.start() + 1} of line {number}"
+                f"cannot parse symbols: {shown!r} at character {lead + m.start() + 1} "
+                f"of line {number}"
             )
     return DocumentError(f"cannot parse symbols on line {number}")
 
 
-def _word(number: int, line: str) -> Word:
-    """A list body line's symbols."""
+def _word(number: int, raw: str, line: str) -> Word:
+    """A list body line's symbols; `line` is `raw` stripped."""
     rule = _split_rule(line)
+    if rule is _COMMA:
+        # int() rejects a blank field, so a line that converts has none to skip
+        try:
+            return tuple(map(int, line.split(",")))
+        except ValueError:
+            pass
     try:
         return tuple(map(int, rule.split(line)))
     except ValueError as exc:
-        raise _bad_token(rule, number, line, 0, len(line)) from exc
+        raise _bad_token(rule, number, raw, 0, len(line)) from exc
 
 
-def _string_line(number: int, line: str) -> Iterator[SymbolString]:
+def _string_line(number: int, raw: str, line: str) -> Iterator[SymbolString]:
     """A string body line's symbols, read in pieces of about 64 kB cut at a
-    separator: each piece is ``bytes`` while every symbol fits in a byte."""
+    separator: each piece is ``bytes`` while every symbol fits in a byte.
+    `line` is `raw` stripped."""
     rule = _split_rule(line)
     start = 0
     while start < len(line):
@@ -160,7 +171,7 @@ def _string_line(number: int, line: str) -> Iterator[SymbolString]:
             # int() once per distinct token; a long body repeats a few symbols
             table = {t: int(t) for t in set(tokens)}
         except ValueError as exc:
-            raise _bad_token(rule, number, line, start, end) from exc
+            raise _bad_token(rule, number, raw, start, end) from exc
         try:
             piece = bytes(map(table.__getitem__, tokens))
         except ValueError:
@@ -192,6 +203,14 @@ def _headers(text: str) -> tuple[dict[str, str], int]:
     return headers, body_lines
 
 
+def _body_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """Each body line's number, text and stripped text.  Its own frame, so
+    that no line stays referenced once the lines are read."""
+    lines = text.splitlines()
+    numbered = zip(count(1), lines, map(str.strip, lines))
+    return ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
+
+
 def parse_text(text: str) -> ParsedInput:
     headers, body_lines = _headers(text)
     params: InstanceParams | None = None
@@ -210,14 +229,10 @@ def parse_text(text: str) -> ParsedInput:
     fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
-    # a second pass reads the body lines; it leaves no reference to a line
-    body = (
-        (number, line)
-        for number, line in enumerate(map(str.strip, text.splitlines()), 1)
-        if line and line[0] != "#"
-    )
+    # a second pass reads the body lines
+    body = _body_lines(text)
     if fmt == "string":
-        pieces = [piece for number, line in body for piece in _string_line(number, line)]
+        pieces = [piece for number, raw, line in body for piece in _string_line(number, raw, line)]
         # a lone bytes piece is its own join, and a tuple piece (a symbol
         # outside 0..255) makes the whole string a tuple
         try:
@@ -227,7 +242,7 @@ def parse_text(text: str) -> ParsedInput:
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
-    words = tuple(_word(number, line) for number, line in body)
+    words = tuple(_word(number, raw, line) for number, raw, line in body)
     if params is not None:
         _check_declared(headers, len(words) * (params.k - params.s), len(words))
     return ParsedInput("list", params, None, words)

@@ -256,7 +256,7 @@ def is_valid_word(word: Sequence[int], params: InstanceParams) -> bool:
         return False
     if params.mode is Mode.KPERM:
         return len(set(word)) == params.k and 1 <= min(word) and max(word) <= params.n
-    return Counter(word) == Counter(params.multiset)
+    return tuple(sorted(word)) == params.multiset  # sorted by validate_params
 
 
 def is_valid_vertex(v: Sequence[int], params: InstanceParams) -> bool:

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, islice
 from operator import eq, itemgetter, ne, not_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     InstanceParams,
     LimitError,
     Mode,
+    SymbolString,
     Vertex,
     Word,
     enumerate_objects,
@@ -43,6 +44,12 @@ class VerificationReport:
     length_ok: bool
 
 
+# a cycle string's windows are counted this many groups of first symbols at
+# a time (at most 256: a window's group id is one byte); each group adds one
+# scan over the windows' first symbols
+_GROUPS = 4
+
+
 def _distinct_by_hashing(valid: Iterable[Word]) -> tuple[int, list[Word]]:
     """The number of distinct words and, sorted, those that repeat."""
     seen = Counter(valid)
@@ -57,28 +64,28 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
     return len(ordered) - len(repeats), list(map(tuple, dict.fromkeys(repeats)))
 
 
-def _coverage_report(
-    words: Sequence[Word],
-    violations: list[tuple[int, Vertex, Vertex]],
-    length_ok: bool,
-    params: InstanceParams,
-    distinct: Callable[[Iterable[Word]], tuple[int, list[Word]]] = _distinct_by_hashing,
-) -> VerificationReport:
-    total = object_count(params)
-    # one validity flag per word, then bulk passes split and count the words
+def _validity(words: Sequence[Word], params: InstanceParams) -> list[bool]:
+    """One validity flag per word, from bulk passes."""
     if params.mode is Mode.KPERM:
         # k symbols, all distinct and in 1..n; the length test keeps out a
         # longer word whose symbols still cover k distinct letters
         k = params.k
         alphabet = frozenset(range(1, params.n + 1))
-        flags = [len(w) == k and len(alphabet.intersection(w)) == k for w in words]
-    else:
-        target = list(params.multiset)  # sorted by validate_params
-        flags = list(map(target.__eq__, map(sorted, words)))
-    # reports hold int tuples whichever form the words were sliced from
-    invalid = list(map(tuple, compress(words, map(not_, flags))))
-    found, duplicates = distinct(compress(words, flags))
-    missing = total - found
+        return [len(w) == k and len(alphabet.intersection(w)) == k for w in words]
+    target = list(params.multiset)  # sorted by validate_params
+    return list(map(target.__eq__, map(sorted, words)))
+
+
+def _report(
+    checked: int,
+    invalid: list[Word],
+    found: int,
+    duplicates: list[Word],
+    violations: list[tuple[int, Vertex, Vertex]],
+    length_ok: bool,
+    params: InstanceParams,
+) -> VerificationReport:
+    missing = object_count(params) - found
     valid = (
         length_ok
         and not invalid
@@ -88,13 +95,40 @@ def _coverage_report(
     )
     return VerificationReport(
         valid=valid,
-        object_count=len(words),
+        object_count=checked,
         duplicates=duplicates,
         missing_count=missing,
         overlap_violations=violations,
         invalid_words=invalid,
         length_ok=length_ok,
     )
+
+
+def _coverage_report(
+    words: Sequence[Word],
+    violations: list[tuple[int, Vertex, Vertex]],
+    length_ok: bool,
+    params: InstanceParams,
+) -> VerificationReport:
+    flags = _validity(words, params)
+    # reports hold int tuples whichever form the words were sliced from
+    invalid = list(map(tuple, compress(words, map(not_, flags))))
+    found, duplicates = _distinct_by_hashing(compress(words, flags))
+    return _report(len(words), invalid, found, duplicates, violations, length_ok, params)
+
+
+def _first_symbol_groups(firsts: SymbolString, n: int) -> bytes:
+    """One group id per window, from its first symbol: symbols 1..n split into
+    ``_GROUPS`` ascending ranges, and any other symbol goes to the last group."""
+    last = _GROUPS - 1
+
+    def group(x: int) -> int:
+        return (x - 1) * _GROUPS // n if 1 <= x <= n else last
+
+    if isinstance(firsts, bytes):
+        return firsts.translate(bytes(map(group, range(256))))
+    table = {x: group(x) for x in set(firsts)}
+    return bytes(map(table.__getitem__, firsts))
 
 
 def verify_cycle_string(
@@ -108,9 +142,17 @@ def verify_cycle_string(
     bad length, out-of-family words, duplicates, and missing objects.
     The string is held as ``bytes`` when every symbol lies in 0..255, so each
     window is a k-byte slice; the report lists words as int tuples either way.
-    Distinct windows are counted by sorting them, which holds a pointer per
-    window where a ``Counter`` holds a hash-table entry and a count; a
-    string's windows come in tour order, which leaves long sorted runs.
+
+    Windows are counted one group of first symbols at a time, and only one
+    group's windows are held at once.  Two equal windows have the same first
+    symbol, so they fall in the same group: the groups' distinct counts add
+    up to the string's, and each repeat is found in its own group.  The
+    groups cover ascending symbol ranges, and a repeat is a valid window, so
+    the groups' sorted repeats join into one sorted list; invalid windows are
+    kept by offset and reported in window order.  Within a group, distinct
+    windows are counted by sorting them, which holds a pointer per window
+    where a ``Counter`` holds a hash-table entry and a count; a string's
+    windows come in tour order, which leaves long sorted runs.
     Malformed input yields an invalid report, not an error.
     """
     symbols = symbol_string(symbols)
@@ -130,8 +172,24 @@ def verify_cycle_string(
     # the wrap is the first s symbols cyclically; repeating them covers
     # strings shorter than s without copying a long string s times
     ext = symbols + (symbols[:s] * s)[:s]
-    words = [ext[i : i + k] for i in range(0, length, stride)]
-    return _coverage_report(words, [], True, params, _distinct_by_sorting)
+    starts = range(0, length, stride)
+    groups = _first_symbol_groups(symbols[::stride], params.n)
+    invalid_at: list[int] = []
+    found = 0
+    duplicates: list[Word] = []
+    for group in range(_GROUPS):
+        # one byte per window, 1 where the window is in this group
+        members = groups.translate(bytes(x == group for x in range(256)))
+        words = [ext[i : i + k] for i in compress(starts, members)]
+        flags = _validity(words, params)
+        if not all(flags):
+            invalid_at += compress(compress(starts, members), map(not_, flags))
+        distinct, repeats = _distinct_by_sorting(compress(words, flags))
+        found += distinct
+        duplicates += repeats
+        del words, flags  # before the next group's windows are sliced
+    invalid = [tuple(ext[i : i + k]) for i in sorted(invalid_at)]
+    return _report(len(starts), invalid, found, duplicates, [], True, params)
 
 
 def verify_object_list(

@@ -221,6 +221,8 @@ class TestVerifyCmd:
             ("121a23", "a", 4),  # packed
             ("1,2,3\n4,y,6", "y", 3),  # a list document: the second line
             ("# format list\n\n1,2,3\n4,y,6", "y", 3),  # headers and blanks count
+            ("# format list\n   1 x", "x", 6),  # leading blanks count
+            ("\t 1,2, 3x", "3x", 8),  # in a string body too
         ],
     )
     def test_parse_error_names_first_bad_token(self, body, token, at):
@@ -586,7 +588,8 @@ def _old_string_line(line):
 
 def _old_read(text):
     """(format, symbols, words) as the old reader gave them, or the error
-    text it gave with the document line of the bad token filled in."""
+    text it gave with the document line of the bad token filled in and its
+    character counted from the start of the unstripped line."""
     body = []
     fmt = None
     for number, raw in enumerate(text.splitlines(), 1):
@@ -594,24 +597,25 @@ def _old_read(text):
         if line.startswith("# format "):
             fmt = fmt or line.split()[2]
         elif line and not line.startswith("#"):
-            body.append((number, line))
+            body.append((number, len(raw) - len(raw.lstrip()), line))
     fmt = fmt or ("string" if len(body) == 1 else "list")
-    number = None
+    number = lead = None
     try:
         if fmt == "string":
             pieces = []
-            for number, line in body:
+            for number, lead, line in body:
                 pieces.extend(_old_string_line(line))
             try:
                 return fmt, b"".join(pieces), None
             except TypeError:
                 return fmt, tuple(x for piece in pieces for x in piece), None
         words = []
-        for number, line in body:
+        for number, lead, line in body:
             words.append(_old_parse_symbol_line(line))
         return fmt, None, tuple(words)
     except DocumentError as exc:
-        return str(exc).replace(" of the line", f" of line {number}")
+        text = re.sub(r"character (\d+)", lambda m: f"character {int(m[1]) + lead}", str(exc))
+        return text.replace(" of the line", f" of line {number}")
 
 
 def _read(text):

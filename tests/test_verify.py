@@ -303,6 +303,69 @@ class TestBothRepresentations:
         assert all(type(w) is tuple and all(type(x) is int for x in w) for w in listed)
 
 
+def group_ids(words, p):
+    """The group of each word's first symbol, as `verify_cycle_string` counts it."""
+    return list(ocycles.verify._first_symbol_groups(tuple(w[0] for w in words), p.n))
+
+
+class TestFirstSymbolGroups:
+    """Windows are counted one group of first symbols at a time; forcing many
+    groups on small strings must give the report of one count over all."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 5, 256])
+    @pytest.mark.parametrize("kwargs", DIFFERENTIAL_INSTANCES)
+    def test_duplicates_and_invalid_windows_across_groups(self, monkeypatch, groups, kwargs):
+        monkeypatch.setattr(ocycles.verify, "_GROUPS", groups)
+        p = validate_params(**kwargs)
+        symbols = tuple(tour_to_cycle(euler_tour(build_graph(p))).symbols)
+        assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+        # every window twice: repeats in every group, joined in sorted order
+        doubled = symbols * 2
+        report = verify_cycle_string(doubled, p)
+        assert report == decoded_report(doubled, p)
+        assert report.duplicates == sorted(report.duplicates)
+        assert len(set(group_ids(report.duplicates, p))) == min(groups, p.n)
+        # an unused symbol every seventh place: invalid windows of every
+        # group, reported in window order
+        marked = tuple(p.n + 1 if i % 7 == 3 else x for i, x in enumerate(symbols))
+        report = verify_cycle_string(marked, p)
+        assert report == decoded_report(marked, p)
+        ids = group_ids(report.invalid_words, p)
+        if groups > 1:
+            assert any(a > b for a, b in zip(ids, ids[1:]))
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("kwargs", [dict(n=4, k=3, s=1), dict(multiset=(1, 1, 2, 2, 3), s=2)])
+    def test_symbols_outside_the_alphabet(self, monkeypatch, groups, kwargs):
+        # 0, n + 1, 255, 256 and -1 as first symbols go to the last group
+        monkeypatch.setattr(ocycles.verify, "_GROUPS", groups)
+        p = validate_params(**kwargs)
+        symbols = tuple(tour_to_cycle(euler_tour(build_graph(p))).symbols)
+        for pos in range(len(symbols)):
+            for new in (0, p.n + 1, 255, 256, -1):
+                edited = (*symbols[:pos], new, *symbols[pos + 1 :])
+                assert verify_cycle_string(edited, p) == decoded_report(edited, p)
+
+    @pytest.mark.parametrize("groups", [3, 7])
+    def test_n300_tuple_strings(self, monkeypatch, kperm_300_cycle, groups):
+        monkeypatch.setattr(ocycles.verify, "_GROUPS", groups)
+        p, symbols = kperm_300_cycle
+        assert verify_cycle_string(symbols, p).valid
+        rng = random.Random(groups)
+        tampered = list(symbols)
+        for i in rng.sample(range(len(symbols)), 40):
+            tampered[i] = rng.choice((0, p.n + 1, 255, 256, -1, 10**6, rng.randrange(1, p.n + 1)))
+        tampered = tuple(tampered)
+        report = verify_cycle_string(tampered, p)
+        assert_same_report(report, reference_cycle_string(tampered, p))
+        assert len(set(group_ids(report.duplicates + report.invalid_words, p))) > 1
+        # a stretch of windows repeated: its repeats span several groups
+        repeated = symbols + symbols[: 2 * 3000]
+        report = verify_cycle_string(repeated, p)
+        assert_same_report(report, reference_cycle_string(repeated, p))
+        assert len(set(group_ids(report.duplicates, p))) > 1
+
+
 @pytest.fixture(scope="module")
 def fullperm_8_8_3():
     p = validate_params(n=8, k=8, s=3)
@@ -364,7 +427,7 @@ class TestMemoryGuard:
         symbols = tour_to_cycle(tour).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid
-        assert peak / 40_320 < 110
+        assert peak / 40_320 < 40
 
 
 class TestVerifyObjectList:
