@@ -49,6 +49,10 @@ class VerificationReport:
 # scan over the windows' first symbols
 _GROUPS = 4
 
+# the byte kernel checks this many windows at a time, so it holds about k
+# times this many bytes whatever the string's length
+_CHUNK = 32_768
+
 
 def _distinct_by_hashing(valid: Iterable[Word]) -> tuple[int, list[Word]]:
     """The number of distinct words and, sorted, those that repeat."""
@@ -65,7 +69,9 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
 
 
 def _validity(words: Sequence[Word], params: InstanceParams) -> list[bool]:
-    """One validity flag per word, from bulk passes."""
+    """One validity flag per word, from bulk passes: for object lists,
+    multisets and strings with symbols above 255 (a k-permutation byte
+    string is flagged by ``_kperm_invalid``)."""
     if params.mode is Mode.KPERM:
         # k symbols, all distinct and in 1..n; the length test keeps out a
         # longer word whose symbols still cover k distinct letters
@@ -74,6 +80,41 @@ def _validity(words: Sequence[Word], params: InstanceParams) -> list[bool]:
         return [len(w) == k and len(alphabet.intersection(w)) == k for w in words]
     target = list(params.multiset)  # sorted by validate_params
     return list(map(target.__eq__, map(sorted, words)))
+
+
+def _kperm_invalid(ext: bytes, windows: int, stride: int, k: int, n: int) -> bytes:
+    """One byte per window of a k-permutation byte string: 0x80 where the
+    window holds a symbol outside 1..n or a repeated symbol, else 0.
+
+    Column o holds each window's o-th symbol, one byte per window, sliced in
+    C and read as one int.  Two columns agree in a window exactly where
+    their XOR x has a zero byte.  ``((x & 0x7f..) + 0x7f..) | x`` sets the
+    high bit of every nonzero byte and leaves it clear in every zero byte:
+    a low part b & 0x7f is at most 0x7f, so the sum is at most 0xfe and no
+    carry crosses into the next byte, which makes the test exact for every
+    byte (a borrow-based test such as ``(x - 0x01..) & ~x & 0x80..`` is not:
+    its borrow out of a zero byte flags the byte above).  The windows are
+    checked ``_CHUNK`` at a time.
+    """
+    out_of_range = bytes(0 if 1 <= x <= n else 0x80 for x in range(256))
+    flags = []
+    for first in range(0, windows, _CHUNK):
+        m = min(_CHUNK, windows - first)
+        outside = 0
+        ints = []
+        for o in range(first * stride, first * stride + k):
+            col = ext[o : o + stride * (m - 1) + 1 : stride]
+            outside |= int.from_bytes(col.translate(out_of_range), "big")
+            ints.append(int.from_bytes(col, "big"))
+        high = int.from_bytes(b"\x80" * m, "big")
+        low = int.from_bytes(b"\x7f" * m, "big")
+        unequal = high  # high bit kept where every pair of columns differs
+        for o, a in enumerate(ints):
+            for b in ints[o + 1 :]:
+                x = a ^ b
+                unequal &= ((x & low) + low) | x
+        flags.append((outside | (unequal ^ high)).to_bytes(m, "big"))
+    return b"".join(flags)
 
 
 def _report(
@@ -143,6 +184,14 @@ def verify_cycle_string(
     The string is held as ``bytes`` when every symbol lies in 0..255, so each
     window is a k-byte slice; the report lists words as int tuples either way.
 
+    A k-permutation string in ``bytes`` has every window flagged at once by
+    ``_kperm_invalid``: its k columns (each window's o-th symbol, one byte
+    per window) are read as ints, a window repeats a symbol exactly where
+    the XOR of two columns has a zero byte, and ``((x & 0x7f..) + 0x7f..)
+    | x`` marks every nonzero byte of x in its high bit without a carry
+    into the next byte (0x7f + 0x7f = 0xfe), so no window's flag depends
+    on its neighbour's.  Other strings are checked one word at a time.
+
     Windows are counted one group of first symbols at a time, and only one
     group's windows are held at once.  Two equal windows have the same first
     symbol, so they fall in the same group: the groups' distinct counts add
@@ -175,16 +224,28 @@ def verify_cycle_string(
     starts = range(0, length, stride)
     groups = _first_symbol_groups(symbols[::stride], params.n)
     invalid_at: list[int] = []
+    bad = None
+    if isinstance(ext, bytes) and params.mode is Mode.KPERM:
+        bad = _kperm_invalid(ext, len(starts), stride, k, params.n)
+        if b"\x80" in bad:
+            invalid_at = list(compress(starts, bad))
     found = 0
     duplicates: list[Word] = []
     for group in range(_GROUPS):
         # one byte per window, 1 where the window is in this group
         members = groups.translate(bytes(x == group for x in range(256)))
         words = [ext[i : i + k] for i in compress(starts, members)]
-        flags = _validity(words, params)
-        if not all(flags):
-            invalid_at += compress(compress(starts, members), map(not_, flags))
-        distinct, repeats = _distinct_by_sorting(compress(words, flags))
+        if bad is None:
+            flags = _validity(words, params)
+            if not all(flags):
+                invalid_at += compress(compress(starts, members), map(not_, flags))
+        elif invalid_at:
+            flags = map(not_, compress(bad, members))
+        else:
+            flags = None  # every window is valid
+        distinct, repeats = _distinct_by_sorting(
+            words if flags is None else compress(words, flags)
+        )
         found += distinct
         duplicates += repeats
         del words, flags  # before the next group's windows are sliced
