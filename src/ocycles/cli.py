@@ -38,7 +38,10 @@ from .core import (
     validate_params,
     vertex_count,
 )
-from .euler import EulerTour, OverlapCycle, TourIncomplete, euler_tour, tour_to_cycle
+from .euler import OverlapCycle, TourIncomplete, euler_tour
+
+# not called here: perfbench/spans.py wraps this name in this module
+from .euler import tour_to_cycle
 from .graph import build_graph
 from .verify import (
     DEFAULT_ORACLE_BUDGET,
@@ -90,15 +93,15 @@ def emit_document(cycle: OverlapCycle) -> str:
     return "\n".join([*_header_lines(cycle.params, cycle.object_count, "string"), body, ""])
 
 
-def emit_list(tour: EulerTour) -> str:
-    """The list-format document: the tour's words, one per line, in tour order."""
-    p = tour.params
+def emit_list(cycle: OverlapCycle) -> str:
+    """The list-format document: the cycle's words, one per line, in tour order."""
+    p = cycle.params
     # each symbol named once; a word is a slice of the names, and the last
     # words wrap around onto the start
-    names = list(map(_symbol_names(p).__getitem__, tour.symbols))
+    names = list(map(_symbol_names(p).__getitem__, cycle.symbols))
     names += (names[: p.s] * p.s)[: p.s]
-    lines = _header_lines(p, len(tour.edges), "list")
-    lines.extend(",".join(names[i : i + p.k]) for i in range(0, len(tour.symbols), p.k - p.s))
+    lines = _header_lines(p, cycle.object_count, "list")
+    lines.extend(",".join(names[i : i + p.k]) for i in range(0, len(cycle.symbols), p.k - p.s))
     return "\n".join(lines) + "\n"
 
 
@@ -309,12 +312,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     graph = build_graph(params, limit)
     try:
-        tour = euler_tour(graph)
+        cycle = euler_tour(graph)
     except TourIncomplete as exc:
         print(f"incomplete: {exc.used} of {exc.total} edges reached", file=sys.stderr)
         return EXIT_INCOMPLETE
-    text = emit_document(tour_to_cycle(tour)) if args.format == "string" else emit_list(tour)
-    _write_output(text, args.out)
+    emit = emit_document if args.format == "string" else emit_list
+    _write_output(emit(cycle), args.out)
     return EXIT_OK
 
 

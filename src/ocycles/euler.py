@@ -43,25 +43,27 @@ class TourWords(Sequence):
 
 
 @dataclass(frozen=True)
-class EulerTour:
-    params: InstanceParams
-    # the tour's cycle string: the word at window i is the tour's i-th edge
-    symbols: SymbolString
-
-    @property
-    def edges(self) -> TourWords:
-        """The objects in tour order; each object is an edge."""
-        return TourWords(self.symbols, self.params)
-
-
-@dataclass(frozen=True)
 class OverlapCycle:
+    """An Euler tour written as its cyclic symbol string.
+
+    Each word contributes its trailing k-s symbols; cyclically the start
+    vertex's symbols (the trailing s symbols of the final word) precede the
+    first contributed block.  The linear form is aligned so that decoding
+    length-k windows at offsets 0, k-s, 2(k-s), ... returns the tour's words
+    in order.
+    """
+
     symbols: SymbolString  # bytes when every symbol fits in a byte (n <= 255)
     params: InstanceParams
 
     @property
     def object_count(self) -> int:
         return len(self.symbols) // (self.params.k - self.params.s)
+
+    @property
+    def edges(self) -> TourWords:
+        """The objects in tour order; each object is an edge."""
+        return TourWords(self.symbols, self.params)
 
 
 class TourIncomplete(RuntimeError):
@@ -71,20 +73,21 @@ class TourIncomplete(RuntimeError):
     minimum vertex's component is attached for inspection.
     """
 
-    def __init__(self, used: int, total: int, partial: EulerTour):
+    def __init__(self, used: int, total: int, partial: OverlapCycle):
         super().__init__(f"tour covered {used} of {total} edges; graph is disconnected")
         self.used = used
         self.total = total
         self.partial = partial
 
 
-def euler_tour(g: TransitionGraph) -> EulerTour:
+def euler_tour(g: TransitionGraph) -> OverlapCycle:
     """Closed tour using every edge exactly once (Hierholzer, iterative).
 
     Each object is the edge from its s-prefix to its s-suffix, so the tour is
     a sequence of words.  It starts at the minimum vertex, and every vertex
     keeps a cursor over its tails (the k-s symbols completing it to an
-    object) in lexicographic order, so the result is deterministic.
+    object) in lexicographic order, so the result is deterministic.  The
+    tour is returned as its cycle string, an ``OverlapCycle``.
 
     The tour is kept in its cycle-string form, one byte per symbol when
     n <= 255 (lists and tuples otherwise).  The open trail holds each
@@ -143,20 +146,12 @@ def euler_tour(g: TransitionGraph) -> EulerTour:
     else:
         tails = out[pos:]
         symbols = tuple(tails[-s:] + tails[:-s])
-    tour = EulerTour(params, symbols)
+    cycle = OverlapCycle(symbols, params)
     if pos:
-        raise TourIncomplete(len(tour.edges), g.edge_count, tour)
-    return tour
+        raise TourIncomplete(cycle.object_count, g.edge_count, cycle)
+    return cycle
 
 
-def tour_to_cycle(tour: EulerTour) -> OverlapCycle:
-    """The tour's cyclic symbol string.
-
-    Each word contributes its trailing k-s symbols; cyclically the start
-    vertex's symbols (the trailing s symbols of the final word) precede the
-    first contributed block.  The linear form is aligned so that decoding
-    length-k windows at offsets 0, k-s, 2(k-s), ... returns the tour's words
-    in order.  The string is ``bytes`` when every symbol fits in a byte.
-    ``euler_tour`` already writes it in this form.
-    """
-    return OverlapCycle(tour.symbols, tour.params)
+def tour_to_cycle(cycle: OverlapCycle) -> OverlapCycle:
+    """The cycle itself: ``euler_tour`` already returns the cycle string."""
+    return cycle

@@ -68,10 +68,11 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
     return len(ordered) - len(repeats), list(map(tuple, dict.fromkeys(repeats)))
 
 
-def _validity(words: Sequence[Word], params: InstanceParams) -> list[bool]:
+def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
     """One validity flag per word, from bulk passes: for object lists,
     multisets and strings with symbols above 255 (a k-permutation byte
-    string is flagged by ``_kperm_invalid``)."""
+    string is flagged by ``_kperm_invalid``).  `words` may be a generator,
+    so a string's windows need not all be sliced at once."""
     if params.mode is Mode.KPERM:
         # k symbols, all distinct and in 1..n; the length test keeps out a
         # longer word whose symbols still cover k distinct letters
@@ -190,18 +191,21 @@ def verify_cycle_string(
     the XOR of two columns has a zero byte, and ``((x & 0x7f..) + 0x7f..)
     | x`` marks every nonzero byte of x in its high bit without a carry
     into the next byte (0x7f + 0x7f = 0xfe), so no window's flag depends
-    on its neighbour's.  Other strings are checked one word at a time.
+    on its neighbour's.  Other strings are checked one word at a time by
+    ``_validity``, from a generator of windows.  Either way every window
+    gets one flag byte, nonzero where it is invalid, before any is counted,
+    so invalid windows are reported in window order.
 
     Windows are counted one group of first symbols at a time, and only one
     group's windows are held at once.  Two equal windows have the same first
     symbol, so they fall in the same group: the groups' distinct counts add
     up to the string's, and each repeat is found in its own group.  The
     groups cover ascending symbol ranges, and a repeat is a valid window, so
-    the groups' sorted repeats join into one sorted list; invalid windows are
-    kept by offset and reported in window order.  Within a group, distinct
-    windows are counted by sorting them, which holds a pointer per window
-    where a ``Counter`` holds a hash-table entry and a count; a string's
-    windows come in tour order, which leaves long sorted runs.
+    the groups' sorted repeats join into one sorted list; a group's invalid
+    windows are left out of its count.  Within a group, distinct windows
+    are counted by sorting them, which holds a pointer per window where a
+    ``Counter`` holds a hash-table entry and a count; a string's windows
+    come in tour order, which leaves long sorted runs.
     Malformed input yields an invalid report, not an error.
     """
     symbols = symbol_string(symbols)
@@ -209,47 +213,29 @@ def verify_cycle_string(
     stride = k - s
     length = len(symbols)
     if length == 0 or length % stride != 0:
-        return VerificationReport(
-            valid=False,
-            object_count=0,
-            duplicates=[],
-            missing_count=object_count(params),
-            overlap_violations=[],
-            invalid_words=[],
-            length_ok=False,
-        )
+        return _report(0, [], 0, [], [], False, params)
     # the wrap is the first s symbols cyclically; repeating them covers
     # strings shorter than s without copying a long string s times
     ext = symbols + (symbols[:s] * s)[:s]
     starts = range(0, length, stride)
-    groups = _first_symbol_groups(symbols[::stride], params.n)
-    invalid_at: list[int] = []
-    bad = None
+    # one flag byte per window, nonzero where the window is invalid
     if isinstance(ext, bytes) and params.mode is Mode.KPERM:
         bad = _kperm_invalid(ext, len(starts), stride, k, params.n)
-        if b"\x80" in bad:
-            invalid_at = list(compress(starts, bad))
+    else:
+        bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
+    invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
+    groups = _first_symbol_groups(symbols[::stride], params.n)
     found = 0
     duplicates: list[Word] = []
     for group in range(_GROUPS):
         # one byte per window, 1 where the window is in this group
         members = groups.translate(bytes(x == group for x in range(256)))
         words = [ext[i : i + k] for i in compress(starts, members)]
-        if bad is None:
-            flags = _validity(words, params)
-            if not all(flags):
-                invalid_at += compress(compress(starts, members), map(not_, flags))
-        elif invalid_at:
-            flags = map(not_, compress(bad, members))
-        else:
-            flags = None  # every window is valid
-        distinct, repeats = _distinct_by_sorting(
-            words if flags is None else compress(words, flags)
-        )
+        valid = compress(words, map(not_, compress(bad, members))) if invalid else words
+        distinct, repeats = _distinct_by_sorting(valid)
         found += distinct
         duplicates += repeats
-        del words, flags  # before the next group's windows are sliced
-    invalid = [tuple(ext[i : i + k]) for i in sorted(invalid_at)]
+        del words, valid  # before the next group's windows are sliced
     return _report(len(starts), invalid, found, duplicates, [], True, params)
 
 

@@ -421,6 +421,40 @@ class TestDocumentRoundTrip:
         ]
         assert tuple(parsed.symbols) == tuple(map(int, tokens))
 
+    def test_emitters_take_the_tour(self):
+        # what euler_tour returns goes straight to either emitter, and the
+        # bytes are gen's: the sweep pin and the n = 300 pins
+        from ocycles import build_graph, euler_tour, tour_to_cycle
+
+        instances = guaranteed_instances(7) + [
+            validate_params(n=10, k=5, s=4),
+            validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4),
+        ]
+        h = hashlib.sha256()
+        for p in instances:
+            cycle = euler_tour(build_graph(p))
+            assert tour_to_cycle(cycle) is cycle
+            h.update(emit_document(cycle).encode())
+            h.update(emit_list(cycle).encode())
+        assert h.hexdigest() == SWEEP_DOCS_DIGEST
+        cycle = euler_tour(build_graph(validate_params(n=300, k=2, s=1)))
+        for fmt, emit in (("string", emit_document), ("list", emit_list)):
+            assert hashlib.sha256(emit(cycle).encode()).hexdigest() == N300_DIGESTS[fmt]
+
+    def test_emit_partial_tour(self):
+        from ocycles import build_graph, euler_tour
+        from ocycles.euler import TourIncomplete
+
+        p = validate_params(n=4, k=4, s=2)
+        with pytest.raises(TourIncomplete) as e:
+            euler_tour(build_graph(p))
+        partial = e.value.partial
+        string, listed = parse_text(emit_document(partial)), parse_text(emit_list(partial))
+        assert string.params == listed.params == p
+        assert string.symbols == partial.symbols
+        assert list(listed.words) == list(partial.edges)
+        assert len(listed.words) == partial.object_count == e.value.used
+
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)
         cycle = OverlapCycle((1, 2, 1, 3, 2, 3), p)

@@ -34,6 +34,7 @@ from ocycles.verify import (
     verify_object_list,
 )
 from conftest import decode_cycle, decode_symbols
+from test_perfbench_contract import load_spans
 
 
 def decoded_report(symbols, p):
@@ -501,9 +502,10 @@ def traced_peak(fn, *args):
 
 
 class TestMemoryGuard:
-    """Traced peaks per object at (8,8,3), 40,320 objects.  Allocation sizes
-    are deterministic; one-byte symbols and pieces of a long body keep each
-    stage well under its bound."""
+    """Traced peaks per object at (8,8,3), 40,320 objects, and for the
+    per-word verifier at the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680
+    objects.  Allocation sizes are deterministic; one-byte symbols and
+    pieces of a long body keep each stage well under its bound."""
 
     def test_euler_tour(self, fullperm_8_8_3):
         p, _ = fullperm_8_8_3
@@ -542,6 +544,16 @@ class TestMemoryGuard:
         # one group's windows at a time reads 23.4; two groups alive at once
         # (the last group's windows kept while the next is sliced) read 32.8
         assert peak / 40_320 < 28
+
+    def test_verify_cycle_string_per_word(self):
+        # a multiset string's windows are flagged one at a time by _validity
+        p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
+        symbols = euler_tour(build_graph(p)).symbols
+        report, peak = traced_peak(verify_cycle_string, symbols, p)
+        assert report.valid and report.object_count == 22_680
+        # flagging from a generator of windows reads 35.8; slicing every
+        # window into one list first reads 64.2
+        assert peak / 22_680 < 40
 
 
 class TestVerifyObjectList:
@@ -701,3 +713,26 @@ def test_only_core_enumerates():
             assert enumerators.isdisjoint(names), path.name
             checked.append(path.stem)
     assert {"graph", "euler", "connect", "verify", "cli"} <= set(checked)
+
+
+def test_no_dead_imports():
+    # every imported name is used where it is imported, except a name that
+    # the benchmark's traced run wraps in that module's namespace
+    spans = load_spans()
+    wrapped = {(module, attr) for module, attr, _ in spans.CLI_CALLS + spans.WALKER_CALLS}
+    package = Path(ocycles.verify.__file__).parent
+    unused = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        imported, used = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        assert imported, path.name  # the parse found the imports
+        unused.update((f"ocycles.{path.stem}", name) for name in imported - used)
+    assert unused - wrapped == set()
