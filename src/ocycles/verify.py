@@ -218,13 +218,15 @@ def verify_cycle_string(
     # strings shorter than s without copying a long string s times
     ext = symbols + (symbols[:s] * s)[:s]
     starts = range(0, length, stride)
+    groups = _first_symbol_groups(symbols[::stride], params.n)
     # one flag byte per window, nonzero where the window is invalid
     if isinstance(ext, bytes) and params.mode is Mode.KPERM:
         bad = _kperm_invalid(ext, len(starts), stride, k, params.n)
     else:
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
-    invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
-    groups = _first_symbol_groups(symbols[::stride], params.n)
+    invalid = []
+    if bad != bytes(len(bad)):  # most strings have no invalid window
+        invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
     found = 0
     duplicates: list[Word] = []
     for group in range(_GROUPS):

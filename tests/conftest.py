@@ -101,7 +101,7 @@ def decode_symbols(symbols, k, s):
 
 
 def decode_cycle(cycle):
-    """The cycle's objects in order; the inverse of ``tour_to_cycle``."""
+    """The cycle's objects in order, decoded from its string."""
     yield from decode_symbols(cycle.symbols, cycle.params.k, cycle.params.s)
 
 
