@@ -11,6 +11,11 @@ document's is one object per line, comma-separated.  When parsing, every body
 line splits at commas if it has one, else at whitespace if it has any, else
 into one symbol per character (``12345``).  A string body line is read in
 pieces of about 64 kB, and a bad symbol is reported by character and line.
+
+A string body is written, and read back when its names are 1..10 between
+single spaces, in C-level byte passes with no object per symbol
+(``translate`` and slice assignment); any other body line is split into one
+token per symbol by the rule above.
 """
 
 from __future__ import annotations
@@ -78,6 +83,15 @@ def _symbol_names(p: InstanceParams) -> dict[int, str]:
     return {x: str(x) for x in range(p.n + 1)}
 
 
+def _name_columns(n: int) -> list[bytes]:
+    """``translate`` tables, one per character of a name: column j maps each
+    byte x <= n to character j of str(x) right-aligned in width len(str(n)),
+    padded with NUL."""
+    width = len(str(n))
+    names = [str(x).rjust(width, "\0").encode() if x <= n else bytes(width) for x in range(256)]
+    return [bytes(name[j] for name in names) for j in range(width)]
+
+
 # a string body is joined and parsed a piece at a time: one join or split
 # over the whole body would first list one pointer per symbol
 _JOIN_SYMBOLS = 1 << 14
@@ -85,12 +99,40 @@ _SPLIT_CHARS = 1 << 16
 
 
 def emit_document(cycle: OverlapCycle) -> str:
-    """The string-format document; every symbol must lie in 0..n (KeyError otherwise)."""
-    name = _symbol_names(cycle.params).__getitem__
-    symbols = cycle.symbols
-    pieces = range(0, len(symbols), _JOIN_SYMBOLS)
-    body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
-    return "\n".join([*_header_lines(cycle.params, cycle.object_count, "string"), body, ""])
+    """The string-format document; every symbol must lie in 0..n (KeyError otherwise).
+
+    A ``bytes`` string whose symbols all lie in 0..n is named in C, 16,384
+    symbols at a time.  A piece fills a ``bytearray`` of (w+1)-byte slots,
+    w = len(str(n)), each ending in a space: one slice assignment of
+    ``piece.translate`` per name column.  The NULs that pad names shorter
+    than w are deleted, the piece is decoded, and the last slot's space
+    becomes the final newline.  Decoding piece by piece keeps the traced
+    peak at (8,8,3) at 20.4 bytes per object; one piece for the whole string
+    reads 40.0.  A tuple string, or one with a byte above n, is joined one
+    ``str`` per symbol.
+    """
+    p, symbols = cycle.params, cycle.symbols
+    headers = _header_lines(p, cycle.object_count, "string")
+    named_bytes = bytes(range(min(p.n, 255) + 1))
+    # what is left once the bytes 0..n are deleted: a symbol with no name
+    if not isinstance(symbols, bytes) or not symbols or symbols.translate(None, named_bytes):
+        name = _symbol_names(p).__getitem__
+        pieces = range(0, len(symbols), _JOIN_SYMBOLS)
+        body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
+        return "\n".join([*headers, body, ""])
+    columns = _name_columns(p.n)
+    slot = len(columns) + 1
+    pieces = ["\n".join([*headers, ""])]
+    for i in range(0, len(symbols), _JOIN_SYMBOLS):
+        piece = symbols[i : i + _JOIN_SYMBOLS]
+        named = bytearray(b" ") * (slot * len(piece))
+        for j, column in enumerate(columns):
+            named[j::slot] = piece.translate(column)
+        if slot > 2:
+            named = named.translate(None, b"\0")
+        pieces.append(named.decode("ascii"))
+    pieces[-1] = pieces[-1][:-1] + "\n"
+    return "".join(pieces)
 
 
 def emit_list(cycle: OverlapCycle) -> str:
@@ -160,15 +202,66 @@ def _word(number: int, raw: str, line: str) -> Word:
         raise _bad_token(rule, number, raw, 0, len(line)) from exc
 
 
-def _string_line(number: int, raw: str, line: str) -> Iterator[SymbolString]:
+# a name 1..9 is its digit's byte; " 10" is folded to " " + _TEN first, and
+# _TEN reads as 10; every other byte is _MISS
+_TEN = "\x80"
+_MISS = 0xFF
+_DIGITS = bytes(x - 48 if 49 <= x <= 57 else 10 if x == ord(_TEN) else _MISS for x in range(256))
+
+
+def _spaced_digits(text: str) -> bytes | None:
+    """The symbols of `text` when it is a space and a name, repeated, each
+    name one of 1..10; None otherwise, and the caller splits `text` instead.
+
+    The test is exact.  `text` is ASCII, so a _TEN can only come from folding
+    a name 10 that follows a space.  After the fold the text must have even
+    length 2m and m spaces, and its m characters at odd places must each map
+    to 1..10; a space there is a miss.  So no space is at an odd place, and
+    the m spaces fill the m even places: the text alternates a single space
+    and a name, and reads as whitespace-split tokens would.  A 0 anywhere, a
+    longer name, a tab or a double space leaves a miss or the wrong count.
+    """
+    if not text.isascii():
+        return None
+    text = text.replace(" 10", " " + _TEN)
+    if len(text) % 2 or text.count(" ") != len(text) // 2:
+        return None
+    symbols = text[1::2].encode("latin-1").translate(_DIGITS)
+    return None if _MISS in symbols else symbols
+
+
+def _string_line(number: int, raw: str, line: str) -> Iterator[SymbolString | memoryview]:
     """A string body line's symbols, read in pieces of about 64 kB cut at a
-    separator: each piece is ``bytes`` while every symbol fits in a byte.
-    `line` is `raw` stripped."""
+    separator: each piece is bytes-like while every symbol fits in a byte.
+    `line` is `raw` stripped.
+
+    A whitespace piece of names 1..10 between single spaces is read by
+    `_spaced_digits` in a few C-level passes, into one buffer for the line;
+    any other piece is split into one token per symbol.  A piece after a cut
+    starts at the cut's separator, and the first piece is given a space in
+    front, so that each is read as (space, name) pairs.
+    """
     rule = _split_rule(line)
-    start = 0
+    spaced = None
+    start = filled = 0
     while start < len(line):
         cut = rule.separator.search(line, start + _SPLIT_CHARS)
         end = cut.start() if cut else len(line)
+        piece = None
+        if rule is _WHITESPACE:
+            piece = _spaced_digits(line[start:end] if start else " " + line[:end])
+        if piece is not None:
+            if spaced is None:
+                # one buffer holds the line's spaced pieces, at most one
+                # symbol per two characters: a bytes object per piece, made
+                # among the piece's larger temporaries, scatters them over
+                # the heap and raised a process's peak RSS by about 1 MB
+                spaced = memoryview(bytearray((len(line) + 1) // 2))
+            spaced[filled : filled + len(piece)] = piece
+            yield spaced[filled : filled + len(piece)]
+            filled += len(piece)
+            start = end
+            continue
         tokens = rule.split(line[start:end])
         try:
             # int() once per distinct token; a long body repeats a few symbols

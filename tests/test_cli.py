@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ocycles
@@ -361,6 +362,27 @@ class TestDocumentRoundTrip:
         text = emit_document(cycle)
         assert text.endswith("\n" + " ".join(str(x) for x in cycle.symbols) + "\n")
 
+    @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 254, 255])
+    @pytest.mark.parametrize("length", [1, 1 << 14, (1 << 14) + 1, (1 << 15) + 7])
+    def test_emit_columns_match_str_join(self, n, length):
+        # a bytes string is named in columns, a tuple string one str per
+        # symbol: the documents must be equal, with 0 and n at the piece cut
+        p = validate_params(multiset=(1, 1), s=1) if n == 1 else validate_params(n=n, k=2, s=1)
+        rng = random.Random(n * length)
+        symbols = bytearray(rng.randrange(n + 1) for _ in range(length))
+        for at, x in ((length // 2, n), ((1 << 14) - 1, 0), (1 << 14, n)):
+            if at < length:
+                symbols[at] = x
+        symbols = bytes(symbols)
+        text = emit_document(OverlapCycle(symbols, p))
+        assert text == emit_document(OverlapCycle(tuple(symbols), p))
+        assert text.endswith("\n" + " ".join(map(str, symbols)) + "\n")
+        if length > 1:  # a lone name of two digits reads as two packed symbols
+            assert parse_text(text).symbols == symbols
+        if n < 255:
+            with pytest.raises(KeyError):
+                emit_document(OverlapCycle(symbols[:-1] + bytes([n + 1]), p))
+
     @pytest.mark.parametrize(
         "body", ["03 +3 -1 3", "\t1  02\t+3 ", "10 010 +10 -0 0", "1_0 2 3"]
     )
@@ -686,6 +708,42 @@ def long_body_line(draw):
     return line
 
 
+# names 1..10 between single spaces is the form that a string body's spaced
+# pieces are read in without a token per symbol; these lines are that form
+# with perhaps a near miss: a name of 0, 100, 010, +1, 01, 11, 23 or 1x; 10
+# at the start of a line; a double space, a tab, a no-break or ideographic
+# space; a non-ASCII character, \x80 among them, which is what a name 10 is
+# folded to; or a blank at either end
+SPACED_NAME = st.sampled_from([*"123456789", "10", "10"])
+NEAR_NAME = st.sampled_from(
+    ["0", "100", "010", "+1", "01", "11", "23", "1x", "1 10 0", "\u0663", "\x80", "\xe9", "x"]
+)
+SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u3000"])
+
+
+@st.composite
+def near_spaced_line(draw):
+    names = st.one_of(SPACED_NAME, SPACED_NAME, SPACED_NAME, NEAR_NAME)
+    first, *rest = draw(st.lists(names, min_size=1, max_size=12))
+    spaces = draw(st.lists(SPACE, min_size=len(rest), max_size=len(rest)))
+    line = first + "".join(space + name for space, name in zip(spaces, rest))
+    return draw(st.sampled_from(["", "", " ", "\t"])) + line + draw(st.sampled_from(["", "", " ", "\t"]))
+
+
+@st.composite
+def long_spaced_line(draw):
+    """A spaced line of 70 to 140 kB with perhaps a near miss or a 10 just
+    before or just after the first 64 kB piece cut."""
+    unit = " ".join(draw(st.lists(SPACED_NAME, min_size=1, max_size=6)))
+    line = " ".join([unit] * (draw(st.integers(70_000, 140_000)) // (len(unit) + 1)))
+    if draw(st.booleans()):
+        at = line.index(" ", (1 << 16) + draw(st.integers(-4, 4)))
+        edits = [" 10", " 10 10", " 100", " 010", " 0", " +1", "  ", "\t", "\xa0", " \xe9"]
+        edit = draw(st.sampled_from(edits))
+        line = line[:at] + edit + line[at:]
+    return line
+
+
 class TestSplitRuleMatchesOldReader:
     @given(head=FORMAT_LINE, lines=DOCUMENT_LINES)
     @settings(max_examples=400, deadline=None)
@@ -701,4 +759,24 @@ class TestSplitRuleMatchesOldReader:
     @settings(max_examples=40, deadline=None)
     def test_long_lines_and_bad_tokens_at_piece_cuts(self, head, long, short):
         text = "\n".join(head + short + long) + "\n"
+        assert _read(text) == _old_read(text)
+
+    @given(head=FORMAT_LINE, lines=st.lists(near_spaced_line(), min_size=1, max_size=3))
+    @example(head=[], lines=["10"])
+    @example(head=["# format string"], lines=["1 2", "10"])
+    @example(head=[], lines=["10 1 2"])
+    @example(head=[], lines=["1 10 0"])
+    @example(head=[], lines=["1 100 2"])
+    @example(head=[], lines=["1 010 2"])
+    @example(head=[], lines=["1 100"])
+    @example(head=[], lines=["1 23"])
+    @settings(max_examples=400, deadline=None)
+    def test_spaced_bodies_near_the_fast_form(self, head, lines):
+        text = "\n".join(head + lines) + "\n"
+        assert _read(text) == _old_read(text)
+
+    @given(head=FORMAT_LINE, long=long_spaced_line(), short=st.lists(near_spaced_line(), max_size=1))
+    @settings(max_examples=40, deadline=None)
+    def test_long_spaced_lines_at_piece_cuts(self, head, long, short):
+        text = "\n".join(head + short + [long]) + "\n"
         assert _read(text) == _old_read(text)

@@ -523,18 +523,23 @@ class TestMemoryGuard:
         p, tour = fullperm_8_8_3
         text, peak = traced_peak(emit_document, tour_to_cycle(tour))
         assert text.rsplit("\n", 2)[1].count(" ") == 40_320 * 5 - 1
-        assert peak / 40_320 < 30
+        # named 16,384 symbols at a time reads 20.4; the whole string named
+        # as one piece reads 40.0
+        assert peak / 40_320 < 25
 
-    @pytest.mark.parametrize("separator", [" ", ",", ""], ids=["whitespace", "comma", "packed"])
-    def test_parse_text(self, fullperm_8_8_3, separator):
-        # every string body is read in pieces, whatever splits its symbols
+    @pytest.mark.parametrize(
+        "separator, bound", [(" ", 24), (",", 45), ("", 45)], ids=["whitespace", "comma", "packed"]
+    )
+    def test_parse_text(self, fullperm_8_8_3, separator, bound):
+        # every string body is read in pieces, whatever splits its symbols;
+        # spaced pieces read 18.4 (29.5 split into one token per symbol)
         p, tour = fullperm_8_8_3
         cycle = tour_to_cycle(tour)
         *head, body = emit_document(cycle).splitlines()
         text = "\n".join([*head, body.replace(" ", separator), ""])
         parsed, peak = traced_peak(parse_text, text)
         assert parsed.symbols == cycle.symbols
-        assert peak / 40_320 < 45
+        assert peak / 40_320 < bound
 
     def test_verify_cycle_string(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
