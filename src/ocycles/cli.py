@@ -9,8 +9,9 @@ File formats (plain text after header lines prefixed with '#'): a string
 document's body is the cycle's symbols, space-separated, on one line; a list
 document's is one object per line, comma-separated.  When parsing, every body
 line splits at commas if it has one, else at whitespace if it has any, else
-into one symbol per character (``12345``).  A string body line is read in
-pieces of about 64 kB, and a bad symbol is reported by character and line.
+into one symbol per character (``12345``) unless the header says ``length 1``.
+A string body line is read in pieces of about 64 kB, and a bad symbol is
+reported by character and line.
 
 A string body is written, and read back when its names are 1..10 between
 single spaces, in C-level byte passes with no object per symbol
@@ -161,12 +162,12 @@ _WHITESPACE = _SplitRule(str.split, re.compile(r"\s"), re.compile(r"\S+"))
 _PACKED = _SplitRule(list, re.compile(r"(?s)."), re.compile(r"(?s)."))
 
 
-def _split_rule(line: str) -> _SplitRule:
+def _split_rule(line: str, one: bool = False) -> _SplitRule:
     """A body line splits at commas if it has one, else at whitespace if it
-    has any, else into one symbol per character ("packed")."""
+    has any or is `one` symbol, else into one symbol per character ("packed")."""
     if "," in line:
         return _COMMA
-    return _WHITESPACE if any(map(str.isspace, line)) else _PACKED
+    return _WHITESPACE if one or any(map(str.isspace, line)) else _PACKED
 
 
 def _bad_token(rule: _SplitRule, number: int, raw: str, start: int, end: int) -> DocumentError:
@@ -230,10 +231,12 @@ def _spaced_digits(text: str) -> bytes | None:
     return None if _MISS in symbols else symbols
 
 
-def _string_line(number: int, raw: str, line: str) -> Iterator[SymbolString | memoryview]:
+def _string_line(
+    number: int, raw: str, line: str, one: bool
+) -> Iterator[SymbolString | memoryview]:
     """A string body line's symbols, read in pieces of about 64 kB cut at a
     separator: each piece is bytes-like while every symbol fits in a byte.
-    `line` is `raw` stripped.
+    `line` is `raw` stripped, and `one` says the document declares one symbol.
 
     A whitespace piece of names 1..10 between single spaces is read by
     `_spaced_digits` in a few C-level passes, into one buffer for the line;
@@ -241,7 +244,7 @@ def _string_line(number: int, raw: str, line: str) -> Iterator[SymbolString | me
     starts at the cut's separator, and the first piece is given a space in
     front, so that each is read as (space, name) pairs.
     """
-    rule = _split_rule(line)
+    rule = _split_rule(line, one)
     spaced = None
     start = filled = 0
     while start < len(line):
@@ -284,31 +287,27 @@ class ParsedInput:
     words: tuple[Word, ...] | None
 
 
-def _headers(text: str) -> tuple[dict[str, str], int]:
-    """The headers, first of each name, and the count of body lines.  Its own
-    frame, so that the last line read does not stay referenced."""
+def _lines(text: str) -> tuple[dict[str, str], int, Iterator[tuple[int, str, str]]]:
+    """The headers, first of each name, the count of body lines, and each body
+    line's number, text and stripped text.  The document is split once, and
+    only the body iterator keeps the lines, so none stays referenced once read."""
     headers: dict[str, str] = {}
     body_lines = 0
-    for line in map(str.strip, text.splitlines()):
+    lines = text.splitlines()
+    for line in map(str.strip, lines):
         if line.startswith("#"):
             parts = line[1:].strip().split(None, 1)
             if len(parts) == 2:
                 headers.setdefault(parts[0], parts[1])
         elif line:
             body_lines += 1
-    return headers, body_lines
-
-
-def _body_lines(text: str) -> Iterator[tuple[int, str, str]]:
-    """Each body line's number, text and stripped text.  Its own frame, so
-    that no line stays referenced once the lines are read."""
-    lines = text.splitlines()
     numbered = zip(count(1), lines, map(str.strip, lines))
-    return ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
+    body = ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
+    return headers, body_lines, body
 
 
 def parse_text(text: str) -> ParsedInput:
-    headers, body_lines = _headers(text)
+    headers, body_lines, body = _lines(text)
     params: InstanceParams | None = None
     if {"mode", "s"} <= headers.keys():
         try:
@@ -325,10 +324,9 @@ def parse_text(text: str) -> ParsedInput:
     fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
-    # a second pass reads the body lines
-    body = _body_lines(text)
     if fmt == "string":
-        pieces = [piece for number, raw, line in body for piece in _string_line(number, raw, line)]
+        one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
+        pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
         # a lone bytes piece is its own join, and a tuple piece (a symbol
         # outside 0..255) makes the whole string a tuple
         try:

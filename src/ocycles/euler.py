@@ -19,6 +19,23 @@ from .core import (
 from .graph import TransitionGraph
 
 
+TABLE_TAILS_PER_EDGE = 1 / 8
+"""The budget of ``euler_tour``'s shared tail tables, in tails per edge.
+
+A letter set gets a table while the tables built so far hold fewer than
+edge_count / 8 tails, so they hold at most that many plus one vertex's
+out-degree.  A tail in a table is a ``bytes`` object and a pointer, about
+45 B, so edge_count / 8 of them cost about 6 B per object.
+
+A table saves work only where the s! vertices of its letter set share it,
+but it holds one tail per s! edges: without the budget the tables grow with
+the edge count at s = 1 and s = 2.  Traced tour peaks in bytes per object
+(lazy cursors / budget / no budget): (9,5,1) 16.3 / 26.4 / 61.3, (12,5,2)
+15.3 / 20.9 / 36.9, (8,8,3) 20.9 / 25.8 / 27.4, and (10,5,4) 90.6 / 40.5 /
+40.5, where each vertex's ``permutations`` iterator outweighs the tables.
+"""
+
+
 class TourWords(Sequence):
     """A tour's words, read on demand from its cycle string: an index gives a
     word tuple, a slice a tuple of words."""
@@ -97,8 +114,16 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
     tail left, the stack is popped until a vertex with a tail (or the start
     alone) is on top.  The r steps popped are the last r on the trail, each
     written just before the one popped before it, so the run's tails move
-    into the output, which fills from the end, in one slice.  Memory is
-    O(vertices) plus a few bytes per edge.
+    into the output, which fills from the end, in one slice.
+
+    A vertex's tails depend only on its letter set (for a multiset, on its
+    sorted symbols), so a cursor is an iterator over one tuple of tails
+    built per letter set and shared by its s! vertices: each edge then
+    costs no ``permutations`` tuple and no ``bytes`` object of its own.  The
+    tables are kept within ``TABLE_TAILS_PER_EDGE``; once it is spent, a
+    new letter set's vertices each get a lazy cursor over ``completions``.
+    The tails come in the same order either way.  Memory is O(vertices)
+    plus a few bytes per edge.
     """
     params = g.params
     s, stride = params.s, params.k - params.s
@@ -106,8 +131,22 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
         key, trail, out = bytes, bytearray(), bytearray(g.edge_count * stride)
     else:
         key, trail, out = tuple, [], [0] * (g.edge_count * stride)
+    tables = {}
+    room = g.edge_count * TABLE_TAILS_PER_EDGE
+
+    def cursor(v):
+        nonlocal room
+        letters = key(sorted(v))
+        table = tables.get(letters)
+        if table is None:
+            if room <= 0:
+                return map(key, completions(v, stride, params))
+            table = tables[letters] = tuple(map(key, completions(v, stride, params)))
+            room -= len(table)
+        return iter(table)
+
     start = key(min_vertex(params))
-    entry = (start, map(key, completions(start, stride, params)))
+    entry = (start, cursor(start))
     cursors = {start: entry}
     stack = [entry]
     pos = len(out)
@@ -136,7 +175,7 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
         v = tail[-s:] if wide else (entry[0] + tail)[-s:]
         entry = cursors.get(v)
         if entry is None:
-            entry = cursors[v] = (v, map(key, completions(v, stride, params)))
+            entry = cursors[v] = (v, cursor(v))
         stack.append(entry)
     # the tails in tour order, rotated right by s so that window 0 is the
     # first word: cyclically the start vertex precedes the first tail

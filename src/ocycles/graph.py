@@ -4,9 +4,12 @@ Every object contributes one directed edge from its s-prefix to its s-suffix.
 The graph is never materialized and hands out words, not edge objects:
 ``core.completions(v, k - s, params)`` generates the k-s symbols that
 complete a vertex v in lexicographic order, and they serve both as tails
-(the words v + tail leave v) and as heads (the words head + v enter v), so
-traversals need only per-vertex cursors.  This module holds the edge count
-and its limit.  An ``Edge`` is a certificate step's word; its endpoints are
+(the words v + tail leave v) and as heads (the words head + v enter v), so a
+traversal needs only a cursor per vertex.  They depend only on v's letter
+set (a multiset vertex's sorted symbols), so the Euler tour's cursors share
+one table of tails per letter set, within a memory budget
+(``euler.TABLE_TAILS_PER_EDGE``).  This module holds the edge count and its
+limit.  An ``Edge`` is a certificate step's word; its endpoints are
 ``word[:s]`` and ``word[-s:]``.
 """
 

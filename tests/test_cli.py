@@ -60,6 +60,14 @@ class TestGen:
         assert main(["gen", "--n", "5", "--k", "5", "--s", "3", "--out", str(out)]) == EXIT_OK
         assert main(["verify", str(out), "--n", "5", "--k", "5", "--s", "3"]) == EXIT_OK
 
+    @pytest.mark.parametrize("multiset, s, body", [("10,10", "1", "10"), ("12,12,12", "2", "12")])
+    def test_one_symbol_document_verifies(self, tmp_path, multiset, s, body):
+        # the body is one two-digit name, which '# length 1' keeps whole
+        out = tmp_path / "cycle.txt"
+        assert main(["gen", "--multiset", multiset, "--s", s, "--out", str(out)]) == EXIT_OK
+        assert out.read_text().endswith(f"\n# length 1\n{body}\n")
+        assert main(["verify", str(out), "--multiset", multiset, "--s", s]) == EXIT_OK
+
     def test_gen_list_format(self, tmp_path):
         out = tmp_path / "cycle.txt"
         assert main([
@@ -377,8 +385,7 @@ class TestDocumentRoundTrip:
         text = emit_document(OverlapCycle(symbols, p))
         assert text == emit_document(OverlapCycle(tuple(symbols), p))
         assert text.endswith("\n" + " ".join(map(str, symbols)) + "\n")
-        if length > 1:  # a lone name of two digits reads as two packed symbols
-            assert parse_text(text).symbols == symbols
+        assert parse_text(text).symbols == symbols
         if n < 255:
             with pytest.raises(KeyError):
                 emit_document(OverlapCycle(symbols[:-1] + bytes([n + 1]), p))
@@ -476,6 +483,15 @@ class TestDocumentRoundTrip:
         assert string.symbols == partial.symbols
         assert list(listed.words) == list(partial.edges)
         assert len(listed.words) == partial.object_count == e.value.used
+
+    @pytest.mark.parametrize(
+        "text, symbols",
+        [("10\n", (1, 0)), ("# length 1\n10\n", (10,)), ("# length 2\n10\n", (1, 0)),
+         ("# length 1\n300\n", (300,)), ("# length 1\n 7 \n", (7,))],
+    )
+    def test_length_one_header_reads_one_symbol(self, text, symbols):
+        # without it a lone line of digits stays packed, one symbol per digit
+        assert tuple(parse_text(text).symbols) == symbols
 
     def test_header_count_mismatch_rejected(self):
         p = validate_params(n=3, k=2, s=1)

@@ -1,7 +1,11 @@
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ocycles import euler
 from ocycles.core import enumerate_objects, min_vertex, object_count, validate_params
 from ocycles.graph import build_graph
 from ocycles.euler import TourIncomplete, euler_tour, tour_to_cycle
@@ -136,6 +140,72 @@ class TestListBranch:
         else:
             assert (wide_error.used, wide_error.total) == (narrow_error.used, narrow_error.total)
             assert wide_error.used == len(wide_tour.edges) < wide_error.total
+
+
+# no table; tables that run out mid-tour; a table for every letter set
+BUDGETS = [0, 1 / 4, math.inf]
+
+
+@pytest.fixture(params=BUDGETS, ids=["no-table", "runs-out", "unlimited"])
+def table_budget(request, monkeypatch):
+    monkeypatch.setattr(euler, "TABLE_TAILS_PER_EDGE", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("table_budget")
+class TestReferenceTraversalAtBudgets(TestReferenceTraversal):
+    """The word-for-word checks with the tail tables' budget at each extreme
+    and spent mid-tour: shared and lazy cursors give the same tails."""
+
+
+@pytest.mark.usefixtures("table_budget")
+class TestListBranchAtBudgets(TestListBranch):
+    """The tuple-keyed tables of the list branch at the same budgets."""
+
+
+@st.composite
+def small_instances(draw):
+    """A k-permutation instance with n <= 7 or a multiset of up to 7 symbols
+    from 1..4, with any overlap; complete or disconnected."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        k = draw(st.integers(2, n))
+        return validate_params(n=n, k=k, s=draw(st.integers(1, k - 1)))
+    multiset = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=7))))
+    return validate_params(multiset=multiset, s=draw(st.integers(1, len(multiset) - 1)))
+
+
+def tour_or_partial(p, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler, "TABLE_TAILS_PER_EDGE", budget)
+        try:
+            return euler_tour(build_graph(p)), None
+        except TourIncomplete as e:
+            return e.partial, (e.used, e.total)
+
+
+class TestTableBudget:
+    def test_tables_are_shared_until_the_budget_is_spent(self, table_budget, monkeypatch):
+        # (6,4,2): 30 vertices, 15 letter sets, 12 tails each, 360 edges; a
+        # budget of 90 tails builds 8 tables, and the other 7 letter sets'
+        # vertices each get a lazy cursor
+        calls = []
+        completions = euler.completions
+
+        def counted(v, length, params):
+            calls.append(tuple(sorted(v)))
+            return completions(v, length, params)
+
+        monkeypatch.setattr(euler, "completions", counted)
+        p, t = tour_of(n=6, k=4, s=2)
+        assert list(t.edges) == reference_tour(build_graph(p))
+        assert len(set(calls)) == 15
+        assert len(calls) == {0: 30, 1 / 4: 8 + 7 * 2, math.inf: 15}[table_budget]
+
+    @given(p=small_instances(), budget=st.one_of(st.floats(0, 1), st.just(math.inf)))
+    @settings(max_examples=150, deadline=None)
+    def test_any_budget_gives_the_lazy_tour(self, p, budget):
+        assert tour_or_partial(p, budget) == tour_or_partial(p, 0)
 
 
 class TestCycleString:

@@ -502,16 +502,27 @@ def traced_peak(fn, *args):
 
 
 class TestMemoryGuard:
-    """Traced peaks per object at (8,8,3), 40,320 objects, and for the
-    per-word verifier at the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680
-    objects.  Allocation sizes are deterministic; one-byte symbols and
-    pieces of a long body keep each stage well under its bound."""
+    """Traced peaks per object at (8,8,3), 40,320 objects, for the tour's
+    tail tables also at (9,5,1) and (12,5,2), and for the per-word verifier
+    at the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680 objects.
+    Allocation sizes are deterministic; one-byte symbols and pieces of a
+    long body keep each stage well under its bound."""
 
     def test_euler_tour(self, fullperm_8_8_3):
         p, _ = fullperm_8_8_3
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert len(tour.edges) == 40_320
         assert peak / 40_320 < 35
+
+    @pytest.mark.parametrize("n, k, s, bound", [(9, 5, 1, 30), (12, 5, 2, 26)])
+    def test_euler_tour_tables_stay_in_budget(self, n, k, s, bound):
+        # a tail table serves one vertex at s = 1 and two at s = 2; within the
+        # budget the tour reads 26.4 at (9,5,1) and 20.9 at (12,5,2), a table
+        # for every letter set 61.3 and 36.9, and twice the budget 31.4 and 26.2
+        p = validate_params(n=n, k=k, s=s)
+        tour, peak = traced_peak(euler_tour, build_graph(p))
+        assert tour.object_count == object_count(p)
+        assert peak / tour.object_count < bound
 
     def test_tour_to_cycle(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
