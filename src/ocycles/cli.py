@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -97,6 +98,9 @@ def _name_columns(n: int) -> list[bytes]:
 # over the whole body would first list one pointer per symbol
 _JOIN_SYMBOLS = 1 << 14
 _SPLIT_CHARS = 1 << 16
+
+# a document is written this many characters at a time
+_WRITE_CHARS = 1 << 19
 
 
 def emit_document(cycle: OverlapCycle) -> str:
@@ -381,11 +385,12 @@ def _params_from_args(args: argparse.Namespace) -> InstanceParams:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write `text` to the file `out`, or to stdout, ``_WRITE_CHARS`` at a
+    time: the text layer encodes each slice, so it never holds a second
+    copy of the whole document."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        for i in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[i : i + _WRITE_CHARS])
 
 
 def _require_positive(flag: str, value: int) -> int:

@@ -29,10 +29,12 @@ out-degree.  A tail in a table is a ``bytes`` object and a pointer, about
 
 A table saves work only where the s! vertices of its letter set share it,
 but it holds one tail per s! edges: without the budget the tables grow with
-the edge count at s = 1 and s = 2.  Traced tour peaks in bytes per object
-(lazy cursors / budget / no budget): (9,5,1) 16.3 / 26.4 / 61.3, (12,5,2)
-15.3 / 20.9 / 36.9, (8,8,3) 20.9 / 25.8 / 27.4, and (10,5,4) 90.6 / 40.5 /
-40.5, where each vertex's ``permutations`` iterator outweighs the tables.
+the edge count at s = 2.  At s = 1 a letter set is one vertex, so no table
+is built: tables at (9,5,1) read 26.4 traced bytes per object within the
+budget and 61.3 without it, against 16.3 with lazy cursors.  Traced tour
+peaks elsewhere (lazy cursors / budget / no budget): (12,5,2) 15.3 / 20.9 /
+36.9, (8,8,3) 20.9 / 25.8 / 27.4, and (10,5,4) 90.6 / 40.5 / 40.5, where
+each vertex's ``permutations`` iterator outweighs the tables.
 """
 
 
@@ -120,8 +122,9 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
     sorted symbols), so a cursor is an iterator over one tuple of tails
     built per letter set and shared by its s! vertices: each edge then
     costs no ``permutations`` tuple and no ``bytes`` object of its own.  The
-    tables are kept within ``TABLE_TAILS_PER_EDGE``; once it is spent, a
-    new letter set's vertices each get a lazy cursor over ``completions``.
+    tables are kept within ``TABLE_TAILS_PER_EDGE``; once it is spent, and
+    at s = 1, where no two vertices share a letter set, a new letter set's
+    vertices each get a lazy cursor over ``completions``.
     The tails come in the same order either way.  Memory is O(vertices)
     plus a few bytes per edge.
     """
@@ -132,7 +135,9 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
     else:
         key, trail, out = tuple, [], [0] * (g.edge_count * stride)
     tables = {}
-    room = g.edge_count * TABLE_TAILS_PER_EDGE
+    # at s = 1 a letter set is a single vertex, so a table would serve one
+    # cursor and save nothing
+    room = g.edge_count * TABLE_TAILS_PER_EDGE if s > 1 else 0
 
     def cursor(v):
         nonlocal room

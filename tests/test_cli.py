@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ocycles
+import ocycles.cli
 from ocycles.cli import (
     DocumentError,
     EXIT_INCOMPLETE,
@@ -59,6 +60,24 @@ class TestGen:
         out = tmp_path / "cycle.txt"
         assert main(["gen", "--n", "5", "--k", "5", "--s", "3", "--out", str(out)]) == EXIT_OK
         assert main(["verify", str(out), "--n", "5", "--k", "5", "--s", "3"]) == EXIT_OK
+
+    @pytest.mark.parametrize("size", [1, 7, 50, 51])
+    def test_document_written_in_slices(self, tmp_path, capsys, monkeypatch, size):
+        # gen and verify through files and stdout, in slices that split
+        # lines, names and the last line anywhere
+        monkeypatch.setattr(ocycles.cli, "_WRITE_CHARS", size)
+        args = ["gen", "--n", "5", "--k", "4", "--s", "2"]
+        want = "".join(f"# {i}\n" + f"{i} " * i for i in range(1, 12))
+        ocycles.cli._write_output(want, str(tmp_path / "short.txt"))
+        assert (tmp_path / "short.txt").read_text() == want
+        ocycles.cli._write_output(want, None)
+        assert capsys.readouterr().out == want
+        out = tmp_path / "cycle.txt"
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+        assert main(["verify", str(out), "--n", "5", "--k", "4", "--s", "2"]) == EXIT_OK
 
     @pytest.mark.parametrize("multiset, s, body", [("10,10", "1", "10"), ("12,12,12", "2", "12")])
     def test_one_symbol_document_verifies(self, tmp_path, multiset, s, body):

@@ -3,7 +3,7 @@ import dataclasses
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -479,6 +479,104 @@ class TestByteKernel:
             assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
 
 
+class RankRecorder:
+    """Stands in for the verifier's bitmap and records each rank marked."""
+
+    def __init__(self):
+        self.ranks = []
+
+    def __setitem__(self, rank, value):
+        assert value == 1
+        self.ranks.append(rank)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls of the rank kernel and of the grouped count's
+    `_first_symbol_groups`, which runs only where the rank path falls back."""
+    counted = Counter()
+    for name in ("_kperm_ranks", "_first_symbol_groups"):
+        fn = getattr(ocycles.verify, name)
+
+        def spy(*args, _fn=fn, _name=name):
+            counted[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ocycles.verify, name, spy)
+    return counted
+
+
+class TestRankPath:
+    """A complete k-permutation byte string with no invalid window is decided
+    by ranking its windows; a repeated rank falls back to the grouped count."""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ocycles.verify, "_CHUNK", request.param)
+
+    @pytest.mark.parametrize("n, k", [(127, 2), (4, 3), (5, 5), (6, 3), (7, 4), (9, 2)])
+    def test_ranks_follow_permutations_order(self, chunk, n, k):
+        # every k-permutation once, in lexicographic order, at stride k
+        ext = bytes(x for w in permutations(range(1, n + 1), k) for x in w)
+        windows = len(ext) // k
+        seen = RankRecorder()
+        flags = ocycles.verify._kperm_invalid(ext, windows, k, k, n, seen)
+        assert flags == bytes(windows)
+        assert seen.ranks == list(range(windows))
+
+    def test_no_rank_after_an_invalid_chunk(self, monkeypatch):
+        monkeypatch.setattr(ocycles.verify, "_CHUNK", 3)
+        ext = bytes(x for w in permutations(range(1, 5), 2) for x in w)
+        ext = ext[:8] + b"\x07" + ext[9:]  # window 4 holds a symbol above n
+        seen = RankRecorder()
+        flags = ocycles.verify._kperm_invalid(ext, 12, 2, 2, 4, seen)
+        assert flags == bytes(4) + b"\x80" + bytes(7)
+        assert seen.ranks == [0, 1, 2]
+
+    @pytest.mark.parametrize("kwargs", [*KERNEL_INSTANCES, dict(n=127, k=2, s=1)])
+    def test_generated_strings_are_ranked(self, chunk, calls, kwargs):
+        p, symbols = generated_bytes(**kwargs)
+        report = verify_cycle_string(symbols, p)
+        assert report.valid and report == decoded_report(symbols, p)
+        assert calls["_kperm_ranks"] and not calls["_first_symbol_groups"]
+
+    def test_n128_falls_back_and_verifies(self, calls):
+        p, symbols = generated_bytes(n=128, k=2, s=1)
+        report = verify_cycle_string(symbols, p)
+        assert report.valid and report.object_count == 128 * 127
+        assert calls == {"_first_symbol_groups": 1}
+
+    # at (4,3,2) every symbol's windows hold all four others
+    @pytest.mark.parametrize(
+        "kwargs", [*KERNEL_INSTANCES[:2], KERNEL_INSTANCES[3], dict(n=6, k=3, s=2)]
+    )
+    def test_a_repeat_without_an_invalid_window_falls_back(self, chunk, calls, kwargs):
+        # a symbol substituted by one that no window holding it holds yet
+        # keeps every window valid and repeats one
+        p, symbols = generated_bytes(**kwargs)
+        length, k, stride = len(symbols), p.k, p.k - p.s
+        tried = 0
+        for pos in range(0, length, 5):
+            near = {
+                symbols[(i + o) % length]
+                for i in range(0, length, stride)
+                if (pos - i) % length < k
+                for o in range(k)
+            }
+            new = min(set(range(1, p.n + 1)) - near, default=None)
+            if new is None:
+                continue
+            edited = symbols[:pos] + bytes([new]) + symbols[pos + 1 :]
+            calls.clear()
+            report = verify_cycle_string(edited, p)
+            assert report == decoded_report(edited, p)
+            assert report.duplicates and not report.invalid_words
+            assert calls["_kperm_ranks"] and calls["_first_symbol_groups"] == 1
+            tried += 1
+        assert tried
+
+
 @pytest.fixture(scope="module")
 def fullperm_8_8_3():
     p = validate_params(n=8, k=8, s=3)
@@ -514,11 +612,13 @@ class TestMemoryGuard:
         assert len(tour.edges) == 40_320
         assert peak / 40_320 < 35
 
-    @pytest.mark.parametrize("n, k, s, bound", [(9, 5, 1, 30), (12, 5, 2, 26)])
+    @pytest.mark.parametrize("n, k, s, bound", [(9, 5, 1, 20), (12, 5, 2, 26)])
     def test_euler_tour_tables_stay_in_budget(self, n, k, s, bound):
-        # a tail table serves one vertex at s = 1 and two at s = 2; within the
-        # budget the tour reads 26.4 at (9,5,1) and 20.9 at (12,5,2), a table
-        # for every letter set 61.3 and 36.9, and twice the budget 31.4 and 26.2
+        # a tail table would serve one vertex at s = 1 and serves two at
+        # s = 2; the tour reads 16.4 at (9,5,1), with no table, and 20.9 at
+        # (12,5,2), within the budget.  Tables within the budget read 26.4 at
+        # (9,5,1), a table for every letter set 61.3 and 36.9, and twice the
+        # budget 31.4 and 26.2
         p = validate_params(n=n, k=k, s=s)
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert tour.object_count == object_count(p)
@@ -552,14 +652,33 @@ class TestMemoryGuard:
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < bound
 
+    def test_write_output(self, tmp_path):
+        # an 8 MB document is written 512 Ki characters at a time: a slice
+        # and its encoded copy read 1.05 MB; writing it whole reads 8.4 MB
+        text = "12 34 5 " * (1 << 20)
+        path = tmp_path / "doc.txt"
+        _, peak = traced_peak(ocycles.cli._write_output, text, str(path))
+        assert path.read_text() == text
+        assert peak < 2_000_000
+
     def test_verify_cycle_string(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
         symbols = tour_to_cycle(tour).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid
-        # one group's windows at a time reads 23.4; two groups alive at once
-        # (the last group's windows kept while the next is sliced) read 32.8
-        assert peak / 40_320 < 28
+        # ranked 8,192 windows at a time reads 14.6 (16,384 at a time 22.3,
+        # 32,768 at a time 34.4); the grouped count, one group's windows at
+        # a time, reads 23.4
+        assert peak / 40_320 < 20
+
+    def test_verify_short_string_of_a_large_instance(self):
+        # the rank bitmap holds P(n, k) bytes, so it is built only for a
+        # string of exactly P(n, k) windows: not here, where P(120, 4) is
+        # 197 million and the string has 4 windows
+        p, symbols = validate_params(n=120, k=4, s=1), bytes(range(1, 13))
+        report, peak = traced_peak(verify_cycle_string, symbols, p)
+        assert report == decoded_report(symbols, p) and report.object_count == 4
+        assert peak < 64_000
 
     def test_verify_cycle_string_per_word(self):
         # a multiset string's windows are flagged one at a time by _validity
