@@ -17,6 +17,9 @@ A string body is written, and read back when its names are 1..10 between
 single spaces, in C-level byte passes with no object per symbol
 (``translate`` and slice assignment); any other body line is split into one
 token per symbol by the rule above.
+
+The argument parser is built once per process, on the first ``main`` call,
+not at import.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -520,7 +524,11 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--multiset", help="comma-separated symbols, e.g. 1,1,2,3")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ocycles`` parser, built once per process, on the first ``main``
+    call, and reused: ``parse_args`` leaves it unchanged, and help is
+    formatted when it is printed."""
     parser = argparse.ArgumentParser(
         prog="ocycles",
         description="Generate and verify overlap cycles over k-permutations and multiset permutations.",

@@ -306,7 +306,7 @@ def verify_cycle_string(
     duplicates: list[Word] = []
     for group in range(_GROUPS):
         # one byte per window, 1 where the window is in this group
-        members = groups.translate(bytes(x == group for x in range(256)))
+        members = groups.translate(bytes(group) + b"\x01" + bytes(255 - group))
         words = [ext[i : i + k] for i in compress(starts, members)]
         valid = compress(words, map(not_, compress(bad, members))) if invalid else words
         distinct, repeats = _distinct_by_sorting(valid)

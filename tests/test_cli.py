@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -179,6 +180,66 @@ class TestUsageErrors:
     def test_help_exits_ok(self, argv, capsys):
         assert main(argv) == EXIT_OK
         assert "usage:" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """`main` builds the parser on its first call and reuses it after."""
+
+    def test_built_lazily_and_once(self):
+        # a fresh interpreter: nothing built at import, one build for many calls
+        script = textwrap.dedent(
+            """
+            import contextlib, io
+            from ocycles.cli import build_parser, main
+            print(build_parser.cache_info().currsize)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [
+                    main(["stats", "--n", "4", "--k", "3", "--s", "2"]),
+                    main(["--help"]),
+                    main(["gen", "--n", "3"]),
+                    main(["oracle", "--n", "3", "--k", "3", "--s", "2"]),
+                ]
+            print(build_parser.cache_info().misses, *codes)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ocycles.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "0", "0", str(EXIT_IOFMT), "3"]
+
+    def test_reuse_carries_no_state(self, tmp_path, monkeypatch, capsys):
+        # usage errors and help between normal calls: every call's exit code,
+        # stdout and stderr equal those with a parser built per call
+        doc = str(tmp_path / "cycle.txt")
+        params = ["--n", "5", "--k", "4", "--s", "2"]
+        calls = [
+            ["gen", *params, "--bogus"],
+            ["gen", *params, "--out", doc],
+            ["verify", doc, "--n", "5", "--k", "4"],
+            ["verify", doc, *params],
+            ["gen", *params, "--format", "xml"],
+            ["gen", *params, "--format", "list"],
+            ["--help"],
+            ["stats", *params],
+            ["path", *params, "--from", "34"],
+            ["gen", "--help"],
+            ["oracle", "--n", "4", "--k", "4", "--s", "3"],
+            ["gen", *params],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        reused = run_all()
+        with monkeypatch.context() as m:
+            m.setattr(ocycles.cli, "build_parser", ocycles.cli.build_parser.__wrapped__)
+            fresh = run_all()
+        assert [code for code, _, _ in reused] == [6, 0, 6, 0, 6, 0, 0, 0, 0, 0, 3, 0]
+        assert reused == fresh
 
 
 class TestVerifyCmd:

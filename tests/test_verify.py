@@ -652,6 +652,20 @@ class TestMemoryGuard:
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < bound
 
+    def test_parse_text_many_lines(self, fullperm_8_8_3):
+        # a string body of 40,320 lines of k - s symbols reads 467.7: the
+        # body lines are dropped before the symbols are joined.  Kept in a
+        # list until parse_text returns, they read 626.3
+        p, tour = fullperm_8_8_3
+        cycle = tour_to_cycle(tour)
+        *head, body = emit_document(cycle).splitlines()
+        names, step = body.split(" "), p.k - p.s
+        lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
+        text = "\n".join([*head, *lines, ""])
+        parsed, peak = traced_peak(parse_text, text)
+        assert parsed.symbols == cycle.symbols
+        assert peak / 40_320 < 540
+
     def test_write_output(self, tmp_path):
         # an 8 MB document is written 512 Ki characters at a time: a slice
         # and its encoded copy read 1.05 MB; writing it whole reads 8.4 MB
