@@ -25,6 +25,7 @@ not at import.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from contextlib import nullcontext
@@ -45,7 +46,6 @@ from .core import (
     Word,
     feasibility,
     is_valid_vertex,
-    perm_count,
     validate_params,
     vertex_count,
 )
@@ -472,7 +472,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"vertices: {vertex_count(params)}")
     print(f"edges: {g.edge_count}")
     if params.mode is Mode.KPERM:
-        print(f"out-degree: {perm_count(params.n - params.s, params.k - params.s)}")
+        print(f"out-degree: {math.perm(params.n - params.s, params.k - params.s)}")
     print(f"cycle-length: {(params.k - params.s) * g.edge_count}")
     print(f"feasibility: {feasibility(params).describe()}")
     return EXIT_OK
@@ -576,10 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParamError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IOFMT
-    except OSError as exc:
+    except (ParamError, DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IOFMT
 

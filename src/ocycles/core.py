@@ -164,13 +164,6 @@ def feasibility(params: InstanceParams) -> FeasibilityVerdict:
     return FeasibilityVerdict(Feasibility.UNKNOWN, Reason.OPEN_CASE)
 
 
-def perm_count(n: int, k: int) -> int:
-    """Number of k-permutations of an n-set (falling factorial)."""
-    if k < 0 or k > n:
-        return 0
-    return math.perm(n, k)
-
-
 def _arrangements(counts: Counter) -> int:
     """Number of distinct orderings of a multiset given as a Counter."""
     total = sum(counts.values())
@@ -182,7 +175,7 @@ def _arrangements(counts: Counter) -> int:
 
 def object_count(params: InstanceParams) -> int:
     if params.mode is Mode.KPERM:
-        return perm_count(params.n, params.k)
+        return math.perm(params.n, params.k)
     return _arrangements(Counter(params.multiset))
 
 
@@ -282,7 +275,7 @@ def min_vertex(params: InstanceParams) -> Vertex:
 
 def vertex_count(params: InstanceParams) -> int:
     if params.mode is Mode.KPERM:
-        return perm_count(params.n, params.s)
+        return math.perm(params.n, params.s)
     return sum(1 for _ in vertices(params))
 
 
@@ -292,7 +285,7 @@ def kperm_rank(seq: Sequence[int], pool: Sequence[int]) -> int:
     rank = 0
     for i, x in enumerate(seq):
         j = pool.index(x)
-        rank += j * perm_count(len(pool) - 1, len(seq) - i - 1)
+        rank += j * math.perm(len(pool) - 1, len(seq) - i - 1)
         pool.pop(j)
     return rank
 

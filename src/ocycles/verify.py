@@ -112,7 +112,8 @@ def _kperm_invalid(
     that holds an invalid window: its windows and those after it are left
     unmarked.
     """
-    out_of_range = bytes(0 if 1 <= x <= n else 0x80 for x in range(256))
+    top = min(n, 255)
+    out_of_range = b"\x80" + bytes(top) + b"\x80" * (255 - top)
     flags = []
     for first in range(0, windows, _CHUNK):
         m = min(_CHUNK, windows - first)
@@ -220,7 +221,9 @@ def _first_symbol_groups(firsts: SymbolString, n: int) -> bytes:
         return (x - 1) * _GROUPS // n if 1 <= x <= n else last
 
     if isinstance(firsts, bytes):
-        return firsts.translate(bytes(map(group, range(256))))
+        top = min(n, 255)
+        ids = bytes(x * _GROUPS // n for x in range(top))  # symbols 1..top
+        return firsts.translate(bytes([last]) + ids + bytes([last]) * (255 - top))
     table = {x: group(x) for x in set(firsts)}
     return bytes(map(table.__getitem__, firsts))
 
@@ -352,10 +355,6 @@ class OracleResult:
     nodes: int
 
 
-class _Found(Exception):
-    pass
-
-
 class _BudgetSpent(Exception):
     pass
 
@@ -372,8 +371,10 @@ def hamilton_oracle(
     from the path's end.  There is no exit-side twin of this rule: the
     object graph is the line graph of a balanced transition graph, and on
     every instance swept by the tests such a rule never cut a branch.
-    Returns a witness cycle, NO_CYCLE after exhaustive search, or EXHAUSTED
-    once `budget` search nodes have been expanded.  Object sets are int
+    One path serves every object count: the start may close onto itself,
+    so a single object that overlaps itself is its own cycle.  Returns a
+    witness cycle, NO_CYCLE after exhaustive search, or EXHAUSTED once
+    `budget` search nodes have been expanded.  Object sets are int
     bitmasks, so each search node costs O(degree).
     """
     m = object_count(params)
@@ -381,12 +382,6 @@ def hamilton_oracle(
         raise LimitError(m, ORACLE_OBJECT_CAP)
     objs = list(enumerate_objects(params))
     s = params.s
-    if m == 1:
-        w = objs[0]
-        if w[-s:] == w[:s]:
-            return OracleResult(OracleStatus.WITNESS, (w,), 1)
-        return OracleResult(OracleStatus.NO_CYCLE, None, 1)
-
     by_prefix: dict[Vertex, list[int]] = {}
     for i, w in enumerate(objs):
         by_prefix.setdefault(w[:s], []).append(i)
@@ -398,44 +393,43 @@ def hamilton_oracle(
             pred_mask[j] |= 1 << i
 
     start = 0
-    closing = pred_mask[start]
+    # `succ` has no self-loops; the start's own bit matters only with one object
+    closing = pred_mask[start] | (objs[start][-s:] == objs[start][:s])
     path = [start]
     nodes = 0
-    witness: tuple[Word, ...] | None = None
 
-    def dfs(v: int, unvisited: int, no_entry: int) -> None:
+    def dfs(v: int, unvisited: int, no_entry: int) -> bool:
         # `no_entry` arrives as v's parent left it (the root's parent has
         # visited nothing): the unvisited objects that no unvisited object
-        # can enter; visiting v can add to it
-        nonlocal nodes, witness
+        # can enter; visiting v can add to it.  True once `path` closes,
+        # and then `path` is left as the witness
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetSpent
         unvisited ^= 1 << v
         if not unvisited:
-            if closing >> v & 1:
-                witness = tuple(objs[i] for i in path)
-                raise _Found
-            return
+            return bool(closing >> v & 1)
         for u in succ[v]:
             if not pred_mask[u] & unvisited:
                 no_entry |= 1 << u
         no_entry &= unvisited
         # at most one object can rely on being entered from v right now
         if no_entry & (no_entry - 1) or no_entry & ~succ_mask[v]:
-            return
+            return False
         for u in succ[v]:
             if unvisited >> u & 1:
                 path.append(u)
-                dfs(u, unvisited, no_entry)
+                if dfs(u, unvisited, no_entry):
+                    return True
                 path.pop()
+        return False
 
     unvisited = (1 << m) - 1
     no_entry = sum(1 << u for u in range(m) if not pred_mask[u])
     try:
-        dfs(start, unvisited, no_entry)
-    except _Found:
-        return OracleResult(OracleStatus.WITNESS, witness, nodes)
+        if dfs(start, unvisited, no_entry):
+            return OracleResult(OracleStatus.WITNESS, tuple(objs[i] for i in path), nodes)
     except _BudgetSpent:
         return OracleResult(OracleStatus.EXHAUSTED, None, nodes)
     return OracleResult(OracleStatus.NO_CYCLE, None, nodes)

@@ -187,6 +187,19 @@ def test_criterion_7_oracle_agreement():
         validate_params(n=4, k=4, s=2),  # open case: disconnected in practice
         validate_params(n=2, k=2, s=1),  # s = k-1 but k = 2: the cycle "1 2" exists
     ]
+    # one object, which overlaps itself: the cycle is that object alone
+    one_object = [
+        validate_params(multiset=(1, 1, 1), s=1),
+        validate_params(multiset=(1, 1, 1), s=2),
+        validate_params(multiset=(2, 2), s=1),
+        validate_params(multiset=(5, 5, 5, 5), s=3),
+    ]
+    for p in one_object:
+        result = hamilton_oracle(p)
+        assert (result.status, result.cycle, result.nodes) == (
+            OracleStatus.WITNESS, (p.multiset,), 1
+        ), p
+    probes += one_object
     for p in instances + probes:
         result = hamilton_oracle(p)
         assert result.status is not OracleStatus.EXHAUSTED, p

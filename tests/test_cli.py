@@ -393,6 +393,10 @@ class TestOracle:
     def test_witness_4_3_2(self):
         assert main(["oracle", "--n", "4", "--k", "3", "--s", "2"]) == EXIT_OK
 
+    def test_one_object_witness(self, capsys):
+        assert main(["oracle", "--multiset", "1,1,1", "--s", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == "witness (1 objects, 1 nodes searched)\n1,1,1\n"
+
     def test_cap(self):
         assert main(["oracle", "--n", "5", "--k", "4", "--s", "2"]) == EXIT_LIMIT
 

@@ -10,13 +10,16 @@ from itertools import permutations
 
 import pytest
 
+from ocycles.core import validate_params
 from ocycles.verify import OracleStatus, hamilton_oracle, verify_object_list
 from conftest import brute_objects, oracle_sweep_instances
 
 SWEEP_BUDGET = 100_000
 # SHA-256 over one line "<instance> <status> <nodes> <cycle>" per sweep
 # instance, in sweep order; computed with the oracle that kept per-object
-# entry and exit counters, before its search state became bitmasks
+# entry and exit counters, before its search state became bitmasks, and
+# unchanged since the one-object case joined the search and the witness
+# came back up the recursion as a return value
 SWEEP_DIGEST = "5a06278dcd3e11da897259086ac78020b500792753dae42096e95bdefb99c805"
 BRUTE_FORCE_MAX_OBJECTS = 7
 
@@ -46,6 +49,19 @@ def test_budget_boundary(sweep_results):
         assert (short.status, short.nodes, short.cycle) == (
             OracleStatus.EXHAUSTED, r.nodes, None
         ), p
+
+
+@pytest.mark.parametrize(
+    "multiset, s", [((1, 1, 1), 1), ((1, 1, 1), 2), ((2, 2), 1), ((5, 5, 5, 5), 3)]
+)
+def test_budget_boundary_one_object(multiset, s):
+    """The same budget rule with one object, which the search decides on its
+    first node: budget 1 decides it, and budget 0 stops on that node."""
+    p = validate_params(multiset=multiset, s=s)
+    at = hamilton_oracle(p, 1)
+    assert (at.status, at.nodes, at.cycle) == (OracleStatus.WITNESS, 1, (multiset,))
+    short = hamilton_oracle(p, 0)
+    assert (short.status, short.nodes, short.cycle) == (OracleStatus.EXHAUSTED, 1, None)
 
 
 def brute_force_has_cycle(p) -> bool:

@@ -368,6 +368,23 @@ class TestFirstSymbolGroups:
         assert len(set(group_ids(report.duplicates, p))) > 1
 
 
+@pytest.mark.parametrize("groups", [1, 2, 3, 4, 5, 256])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 127, 128, 254, 255, 256, 300])
+def test_byte_tables_follow_their_rules(monkeypatch, groups, n):
+    """The 256-entry `translate` tables, built from byte runs, equal the same
+    tables built symbol by symbol from their rules."""
+    monkeypatch.setattr(ocycles.verify, "_GROUPS", groups)
+    every_byte = bytes(range(256))
+
+    def group(x):
+        return (x - 1) * groups // n if 1 <= x <= n else groups - 1
+
+    assert ocycles.verify._first_symbol_groups(every_byte, n) == bytes(map(group, range(256)))
+    # one-symbol windows: each window's flag is its symbol's range flag
+    flags = ocycles.verify._kperm_invalid(every_byte, 256, 1, 1, n)
+    assert flags == bytes(0 if 1 <= x <= n else 0x80 for x in range(256))
+
+
 def generated_bytes(**kwargs):
     p = validate_params(**kwargs)
     return p, bytes(tour_to_cycle(euler_tour(build_graph(p))).symbols)
