@@ -13,10 +13,11 @@ into one symbol per character (``12345``) unless the header says ``length 1``.
 A string body line is read in pieces of about 64 kB, and a bad symbol is
 reported by character and line.
 
-A string body is written, and read back when its names are 1..10 between
-single spaces, in C-level byte passes with no object per symbol
-(``translate`` and slice assignment); any other body line is split into one
-token per symbol by the rule above.
+A body of either format is written, and read back when its names are 1..10
+between single spaces (string) or k to a line between commas or packed
+(list), in C-level byte passes with no object per symbol (``translate`` and
+slice assignment); any other body line is split into one token per symbol by
+the rule above.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -43,6 +44,7 @@ from .core import (
     Mode,
     ParamError,
     SymbolString,
+    Windows,
     Word,
     feasibility,
     is_valid_vertex,
@@ -107,53 +109,88 @@ _SPLIT_CHARS = 1 << 16
 _WRITE_CHARS = 1 << 19
 
 
-def emit_document(cycle: OverlapCycle) -> str:
-    """The string-format document; every symbol must lie in 0..n (KeyError otherwise).
+def _nameable(symbols: SymbolString, n: int) -> bool:
+    """Whether `symbols` is a non-empty ``bytes`` string of symbols 0..n, which
+    ``_named`` names in C."""
+    return isinstance(symbols, bytes) and bool(symbols) and not symbols.translate(
+        None, bytes(range(min(n, 255) + 1))
+    )
 
-    A ``bytes`` string whose symbols all lie in 0..n is named in C, 16,384
-    symbols at a time.  A piece fills a ``bytearray`` of (w+1)-byte slots,
-    w = len(str(n)), each ending in a space: one slice assignment of
-    ``piece.translate`` per name column.  The NULs that pad names shorter
-    than w are deleted, the piece is decoded, and the last slot's space
-    becomes the final newline.  Decoding piece by piece keeps the traced
-    peak at (8,8,3) at 20.4 bytes per object; one piece for the whole string
-    reads 40.0.  A tuple string, or one with a byte above n, is joined one
-    ``str`` per symbol.
+
+def _named(symbols: bytes | bytearray, n: int, separators: bytes) -> Iterator[str]:
+    """The names of `symbols` (each in 0..n), each followed by the separator at
+    its place in `separators`, repeated; a piece of about 16,384 symbols at a
+    time, whole repeats of `separators` each.
+
+    A piece fills a ``bytearray`` of (w+1)-byte slots, w = len(str(n)), each
+    ending in its separator: one slice assignment of ``piece.translate`` per
+    name column.  The NULs that pad names shorter than w are deleted and the
+    piece is decoded.
     """
-    p, symbols = cycle.params, cycle.symbols
-    headers = _header_lines(p, cycle.object_count, "string")
-    named_bytes = bytes(range(min(p.n, 255) + 1))
-    # what is left once the bytes 0..n are deleted: a symbol with no name
-    if not isinstance(symbols, bytes) or not symbols or symbols.translate(None, named_bytes):
-        name = _symbol_names(p).__getitem__
-        pieces = range(0, len(symbols), _JOIN_SYMBOLS)
-        body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
-        return "\n".join([*headers, body, ""])
-    columns = _name_columns(p.n)
+    columns = _name_columns(n)
     slot = len(columns) + 1
-    pieces = ["\n".join([*headers, ""])]
-    for i in range(0, len(symbols), _JOIN_SYMBOLS):
-        piece = symbols[i : i + _JOIN_SYMBOLS]
-        named = bytearray(b" ") * (slot * len(piece))
+    step = max(1, _JOIN_SYMBOLS // len(separators)) * len(separators)
+    for i in range(0, len(symbols), step):
+        piece = symbols[i : i + step]
+        named = bytearray(slot * len(piece))
+        named[slot - 1 :: slot] = separators * (len(piece) // len(separators))
         for j, column in enumerate(columns):
             named[j::slot] = piece.translate(column)
         if slot > 2:
             named = named.translate(None, b"\0")
-        pieces.append(named.decode("ascii"))
+        yield named.decode("ascii")
+
+
+def emit_document(cycle: OverlapCycle) -> str:
+    """The string-format document; every symbol must lie in 0..n (KeyError otherwise).
+
+    A ``bytes`` string whose symbols all lie in 0..n is named in C by
+    ``_named``, each name followed by a space, and the last space becomes
+    the final newline.  Decoding piece by piece keeps the traced peak at
+    (8,8,3) at 20.4 bytes per object; one piece for the whole string reads
+    40.0.  A tuple string, or one with a byte above n, is joined one ``str``
+    per symbol.
+    """
+    p, symbols = cycle.params, cycle.symbols
+    headers = _header_lines(p, cycle.object_count, "string")
+    if not _nameable(symbols, p.n):
+        name = _symbol_names(p).__getitem__
+        pieces = range(0, len(symbols), _JOIN_SYMBOLS)
+        body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
+        return "\n".join([*headers, body, ""])
+    pieces = ["\n".join([*headers, ""]), *_named(symbols, p.n, b" ")]
     pieces[-1] = pieces[-1][:-1] + "\n"
     return "".join(pieces)
 
 
 def emit_list(cycle: OverlapCycle) -> str:
-    """The list-format document: the cycle's words, one per line, in tour order."""
-    p = cycle.params
-    # each symbol named once; a word is a slice of the names, and the last
-    # words wrap around onto the start
-    names = list(map(_symbol_names(p).__getitem__, cycle.symbols))
-    names += (names[: p.s] * p.s)[: p.s]
-    lines = _header_lines(p, cycle.object_count, "list")
-    lines.extend(",".join(names[i : i + p.k]) for i in range(0, len(cycle.symbols), p.k - p.s))
-    return "\n".join(lines) + "\n"
+    """The list-format document: the cycle's words, one per line, in tour order.
+
+    A ``bytes`` cycle of symbols 0..n is first laid out as one string of k
+    symbols per word: column o of it (every word's o-th symbol) is the
+    cycle's symbols r, r + k-s, ... for r = o mod (k-s), rotated on by
+    o // (k-s) words, so the last words wrap onto the start.  That string is
+    named by ``_named`` with a comma after each name but a word's last,
+    which gets a newline.  A tuple cycle, or one with a byte above n, is
+    joined one ``str`` per symbol.
+    """
+    p, symbols = cycle.params, cycle.symbols
+    k, stride = p.k, p.k - p.s
+    headers = _header_lines(p, cycle.object_count, "list")
+    if not _nameable(symbols, p.n):
+        # each symbol named once; a word is a slice of the names, and the
+        # last words wrap around onto the start
+        names = list(map(_symbol_names(p).__getitem__, symbols))
+        names += (names[: p.s] * p.s)[: p.s]
+        lines = [",".join(names[i : i + k]) for i in range(0, len(symbols), stride)]
+        return "\n".join([*headers, *lines, ""])
+    m = len(symbols) // stride
+    words = bytearray(m * k)
+    for o in range(k):
+        column = symbols[o % stride :: stride]
+        turn = o // stride % m  # the words the column is rotated on by
+        words[o::k] = column[turn:] + column[:turn]
+    return "".join(["\n".join([*headers, ""]), *_named(words, p.n, b"," * (k - 1) + b"\n")])
 
 
 class _SplitRule(NamedTuple):
@@ -292,13 +329,12 @@ class ParsedInput:
     fmt: str  # "string" | "list"
     params: InstanceParams | None
     symbols: SymbolString | None  # bytes when every symbol fits in a byte
-    words: tuple[Word, ...] | None
+    words: Sequence[Word] | None  # a Windows view, or word tuples
 
 
-def _lines(text: str) -> tuple[dict[str, str], int, Iterator[tuple[int, str, str]]]:
-    """The headers, first of each name, the count of body lines, and each body
-    line's number, text and stripped text.  The document is split once, and
-    only the body iterator keeps the lines, so none stays referenced once read."""
+def _lines(text: str) -> tuple[dict[str, str], int, list[str]]:
+    """The headers, first of each name, the count of body lines, and the
+    document's lines: the document is split once."""
     headers: dict[str, str] = {}
     body_lines = 0
     lines = text.splitlines()
@@ -309,13 +345,61 @@ def _lines(text: str) -> tuple[dict[str, str], int, Iterator[tuple[int, str, str
                 headers.setdefault(parts[0], parts[1])
         elif line:
             body_lines += 1
+    return headers, body_lines, lines
+
+
+def _body(lines: list[str]) -> Iterator[tuple[int, str, str]]:
+    """Each body line's number, text and stripped text."""
     numbered = zip(count(1), lines, map(str.strip, lines))
-    body = ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
-    return headers, body_lines, body
+    return ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
+
+
+def _list_words(lines: list[str]) -> Windows | None:
+    """The words of a list body, given its stripped lines, as a view at
+    stride k over one ``bytes`` string of k symbols per word, when every
+    line is k names 1..10 between single commas, or k digits 1..9 packed;
+    None otherwise, and each line is read by `_word` instead.
+
+    The test is exact.  The lines are joined with newlines into ASCII text.
+    Comma lines get a newline in front, and each name 10 after a comma or a
+    newline is folded to _TEN, as `_spaced_digits` folds one after a space:
+    then every line must be a newline and k - 1 commas at the even places
+    and one name at each odd place, so a separator's column is compared
+    whole.  Packed lines must have a newline at every place k, 2k + 1, ...
+    and nowhere else.  The names map to 1..10 in one `translate`, and a
+    miss (0, a sign, a blank, a longer name) sends the body to `_word`.
+    """
+    text = "\n".join(lines)
+    if not text or not text.isascii():
+        return None
+    m = len(lines)
+    if "," in lines[0]:
+        k = lines[0].count(",") + 1
+        text = ("\n" + text).replace(",10", "," + _TEN).replace("\n10", "\n" + _TEN)
+        if len(text) != 2 * k * m or text[0::2] != ("\n" + "," * (k - 1)) * m:
+            return None
+        symbols = text[1::2].encode("latin-1").translate(_DIGITS)
+    else:
+        k = len(lines[0])
+        if len(text) != (k + 1) * m - 1 or text[k :: k + 1] != "\n" * (m - 1):
+            return None
+        symbols = text.encode("latin-1").translate(_DIGITS, b"\n")
+    return None if _MISS in symbols else Windows(symbols, k, k)
 
 
 def parse_text(text: str) -> ParsedInput:
-    headers, body_lines, body = _lines(text)
+    """The document's format, instance (from its headers, if any) and body:
+    a string body's symbols, ``bytes`` when every symbol fits in a byte, or
+    a list body's words.
+
+    A list body of names 1..10, k to a line between commas or packed, is
+    read by `_list_words` into one ``bytes`` string of k symbols per word,
+    and its words are a ``Windows`` view over it at stride k, which
+    ``verify_object_list`` checks in whole-string passes.  Any other list
+    body is read a line at a time into word tuples by `_word`; the words
+    are the same either way, and so are the errors.
+    """
+    headers, body_lines, lines = _lines(text)
     params: InstanceParams | None = None
     if {"mode", "s"} <= headers.keys():
         try:
@@ -334,6 +418,8 @@ def parse_text(text: str) -> ParsedInput:
         raise DocumentError(f"unknown format {fmt!r}")
     if fmt == "string":
         one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
+        body = _body(lines)
+        del lines  # only the body iterator keeps the lines, none once read
         pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
         # a lone bytes piece is its own join, and a tuple piece (a symbol
         # outside 0..255) makes the whole string a tuple
@@ -344,7 +430,12 @@ def parse_text(text: str) -> ParsedInput:
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
-    words = tuple(_word(number, raw, line) for number, raw, line in body)
+    words = None
+    # a valid document of n > 10 has names above 10, which _list_words declines
+    if params is None or params.n <= 10:
+        words = _list_words([line for _, _, line in _body(lines)])
+    if words is None:
+        words = tuple(_word(number, raw, line) for number, raw, line in _body(lines))
     if params is not None:
         _check_declared(headers, len(words) * (params.k - params.s), len(words))
     return ParsedInput("list", params, None, words)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 Word = tuple[int, ...]
 Vertex = tuple[int, ...]
@@ -41,6 +42,40 @@ def symbol_string(symbols: Sequence[int]) -> SymbolString:
     except (ValueError, TypeError):
         return tuple(symbols)
 
+
+
+class Windows(Sequence):
+    """The length-k windows of a cyclic symbol string, one every `stride`
+    symbols, read on demand: an index gives a word tuple, a slice a tuple of
+    words.
+
+    A tour's edges are its cycle string's windows at stride k - s, the last
+    ones wrapping onto the start.  A list document's words are one string of
+    k symbols per word, read at stride k, so no window wraps.  `symbols`,
+    `k` and `stride` are public: a reader that knows the string's form may
+    check it in whole-string passes instead of word by word.
+    """
+
+    def __init__(self, symbols: SymbolString, k: int, stride: int):
+        self.symbols = symbols
+        self.k = k
+        self.stride = stride
+
+    def __len__(self) -> int:
+        return len(self.symbols) // self.stride
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        count = len(self)
+        if not -count <= i < count:
+            raise IndexError("window index out of range")
+        symbols, k = self.symbols, self.k
+        start = (i % count) * self.stride
+        length = len(symbols)
+        if start + k <= length:
+            return tuple(symbols[start : start + k])
+        return tuple(symbols[j % length] for j in range(start, start + k))
 
 class Mode(Enum):
     KPERM = "kperm"

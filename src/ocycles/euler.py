@@ -7,12 +7,12 @@ shared overlap produces the cyclic string form.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (
     InstanceParams,
     SymbolString,
+    Windows,
     completions,
     min_vertex,
 )
@@ -38,29 +38,6 @@ each vertex's ``permutations`` iterator outweighs the tables.
 """
 
 
-class TourWords(Sequence):
-    """A tour's words, read on demand from its cycle string: an index gives a
-    word tuple, a slice a tuple of words."""
-
-    def __init__(self, symbols: SymbolString, params: InstanceParams):
-        self._symbols = symbols
-        self._params = params
-
-    def __len__(self) -> int:
-        return len(self._symbols) // (self._params.k - self._params.s)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        count = len(self)
-        if not -count <= i < count:
-            raise IndexError("tour index out of range")
-        symbols, k = self._symbols, self._params.k
-        start = (i % count) * (k - self._params.s)
-        length = len(symbols)
-        return tuple(symbols[j % length] for j in range(start, start + k))
-
-
 @dataclass(frozen=True)
 class OverlapCycle:
     """An Euler tour written as its cyclic symbol string.
@@ -80,9 +57,9 @@ class OverlapCycle:
         return len(self.symbols) // (self.params.k - self.params.s)
 
     @property
-    def edges(self) -> TourWords:
+    def edges(self) -> Windows:
         """The objects in tour order; each object is an edge."""
-        return TourWords(self.symbols, self.params)
+        return Windows(self.symbols, self.params.k, self.params.k - self.params.s)
 
 
 class TourIncomplete(RuntimeError):

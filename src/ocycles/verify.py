@@ -25,6 +25,7 @@ from .core import (
     Mode,
     SymbolString,
     Vertex,
+    Windows,
     Word,
     enumerate_objects,
     object_count,
@@ -77,10 +78,10 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
 
 
 def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
-    """One validity flag per word, from bulk passes: for object lists,
-    multisets and strings with symbols above 255 (a k-permutation byte
-    string is flagged by ``_kperm_invalid``).  `words` may be a generator,
-    so a string's windows need not all be sliced at once."""
+    """One validity flag per word, from bulk passes: for lists of word
+    tuples and strings with symbols above 255 (a byte string is flagged by
+    ``_byte_flags``).  `words` may be a generator, so a string's windows need
+    not all be sliced at once."""
     if params.mode is Mode.KPERM:
         # k symbols, all distinct and in 1..n; the length test keeps out a
         # longer word whose symbols still cover k distinct letters
@@ -139,6 +140,71 @@ def _kperm_invalid(
                 deque(map(setitem, repeat(seen), ranks, repeat(1)), 0)
         flags.append(flag.to_bytes(m, "big"))
     return b"".join(flags)
+
+
+def _multiset_invalid(
+    ext: bytes, windows: int, stride: int, k: int, multiset: Sequence[int]
+) -> bytes:
+    """One byte per window of a multiset byte string with k <= 255: 0x80
+    where the window is not an arrangement of the multiset, else 0.
+
+    For each distinct symbol x of the multiset, each column (the windows'
+    o-th symbols, sliced as in ``_kperm_invalid``) is translated to 1 where
+    it holds x and 0 elsewhere, and read as one int.  The k columns' sum
+    counts x in every window at once, one byte per window: a count is at
+    most k <= 255, so no byte carries into the next.  A window is an
+    arrangement exactly where each symbol's count equals its count in the
+    multiset: those counts add up to k, so then no other symbol fits in the
+    window.  The XOR of the counts with the multiset's has a zero byte
+    exactly where they agree, and ``((x & 0x7f..) + 0x7f..) | x`` marks the
+    other bytes in their high bit, as in ``_kperm_invalid``.
+    """
+    counts = Counter(multiset)
+    flags = []
+    for first in range(0, windows, _CHUNK):
+        m = min(_CHUNK, windows - first)
+        start = first * stride
+        cols = [ext[o : o + stride * (m - 1) + 1 : stride] for o in range(start, start + k)]
+        high = int.from_bytes(b"\x80" * m, "big")
+        low = int.from_bytes(b"\x7f" * m, "big")
+        ones = high >> 7
+        unequal = 0  # high bit set where some symbol's count is off
+        for x, c in counts.items():
+            one_hot = bytes(x) + b"\x01" + bytes(255 - x)
+            x_count = sum(int.from_bytes(col.translate(one_hot), "big") for col in cols)
+            d = x_count ^ (c * ones)
+            unequal |= ((d & low) + low) | d
+        flags.append((unequal & high).to_bytes(m, "big"))
+    return b"".join(flags)
+
+
+def _bytewise(symbols: SymbolString, params: InstanceParams) -> bool:
+    """Whether ``_byte_flags`` can flag this string's windows: it is ``bytes``,
+    and a multiset's symbols and counts fit in a byte."""
+    if params.mode is Mode.MULTISET and max(params.k, params.n) > 255:
+        return False
+    return isinstance(symbols, bytes)
+
+
+def _byte_flags(ext: bytes, windows: int, stride: int, params: InstanceParams) -> bytes | None:
+    """One flag byte per window of a byte string, nonzero where the window
+    is invalid, from ``_kperm_invalid`` or ``_multiset_invalid``; or None
+    when the windows are P(n, k) valid k-permutations with distinct ranks,
+    which is every object once.
+
+    A k-permutation string of exactly P(n, k) windows, with n <= 127 and
+    P(n, k) < 2**32, is ranked: each window's rank marks one byte of a
+    P(n, k)-byte bitmap, and a bitmap without a zero byte means no window is
+    invalid or repeated.  The window-count gate bounds the bitmap by the
+    string's own length.
+    """
+    if params.mode is Mode.MULTISET:
+        return _multiset_invalid(ext, windows, stride, params.k, params.multiset)
+    total = object_count(params)
+    ranked = windows == total and params.n <= 127 and total < 1 << 32
+    seen = bytearray(total) if ranked else None
+    bad = _kperm_invalid(ext, windows, stride, params.k, params.n, seen)
+    return None if seen is not None and 0 not in seen else bad
 
 
 def _kperm_ranks(cols: list[int], m: int, n: int) -> memoryview:
@@ -246,8 +312,11 @@ def verify_cycle_string(
     the XOR of two columns has a zero byte, and ``((x & 0x7f..) + 0x7f..)
     | x`` marks every nonzero byte of x in its high bit without a carry
     into the next byte (0x7f + 0x7f = 0xfe), so no window's flag depends
-    on its neighbour's.  Other strings are checked one word at a time by
-    ``_validity``, from a generator of windows.  Either way every window
+    on its neighbour's.  A multiset string in ``bytes`` (k <= 255) is
+    flagged from the same columns by ``_multiset_invalid``, which counts each
+    symbol of the multiset in every window at once.  Tuple strings (a symbol
+    above 255) are checked one word at a time by ``_validity``, from a
+    generator of windows.  Either way every window
     gets one flag byte, nonzero where it is invalid, before any is counted,
     so invalid windows are reported in window order.
 
@@ -290,15 +359,11 @@ def verify_cycle_string(
     starts = range(0, length, stride)
     windows = len(starts)
     # one flag byte per window, nonzero where the window is invalid
-    if isinstance(ext, bytes) and params.mode is Mode.KPERM:
-        total = object_count(params)
-        ranked = windows == total and params.n <= 127 and total < 1 << 32
-        seen = bytearray(total) if ranked else None
-        bad = _kperm_invalid(ext, windows, stride, k, params.n, seen)
-        if seen is not None and 0 not in seen:
+    if _bytewise(ext, params):
+        bad = _byte_flags(ext, windows, stride, params)
+        if bad is None:
             # every window valid and ranked, and all P(n, k) ranks distinct
             return _report(windows, [], windows, [], [], True, params)
-        del seen  # before the grouped count slices its windows
     else:
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
     groups = _first_symbol_groups(symbols[::stride], params.n)
@@ -324,10 +389,24 @@ def verify_object_list(
 ) -> VerificationReport:
     """Check the list form: adjacent (and wrap-around) overlaps plus coverage.
 
+    A ``Windows`` view at stride k = params.k over ``bytes`` (what
+    ``parse_text`` gives for a list body of names 1..10) is checked as one
+    string of k symbols per word by ``_verify_word_string``, with no tuple
+    per word.  Any other sequence is copied into word tuples and checked one
+    word at a time.  Both give the same report.
+
     Distinct words are counted with a ``Counter``: a list's words need not
     come in tour order, and on shuffled words hashing is about three times
     faster than sorting.
     """
+    if (
+        isinstance(words, Windows)
+        and words.stride == words.k == params.k
+        and len(words)
+        and len(words.symbols) % params.k == 0  # no symbols past the last word
+        and _bytewise(words.symbols, params)
+    ):
+        return _verify_word_string(words.symbols, params)
     words = [tuple(w) for w in words]
     s = params.s
     length_ok = bool(words) and all(len(w) == params.k for w in words)
@@ -340,6 +419,44 @@ def verify_object_list(
         bad = compress(count(), map(ne, suffixes, prefixes))
         violations = [(i, words[i][-s:], nxt[i][:s]) for i in bad]
     return _coverage_report(words, violations, length_ok, params)
+
+
+def _verify_word_string(b: bytes, params: InstanceParams) -> VerificationReport:
+    """``verify_object_list`` of the words b[0:k], b[k:2k], ...: a byte string
+    read at stride k, checked in whole-string passes.
+
+    Word i's last s symbols match word i+1's first s exactly where, for each
+    o < s, column k-s+o (every word's symbol k-s+o, one byte per word) and
+    column o shifted on by one word, the first word's byte moved to the end
+    for the last word, XOR to a zero byte; the zero-byte test of
+    ``_kperm_invalid`` marks the others.  Validity and, for a complete
+    k-permutation list, ranks come from ``_byte_flags`` at stride k.  Only
+    flagged words are built as tuples for the report; distinct valid words
+    are counted by hashing their k-byte slices.
+    """
+    k, s = params.k, params.s
+    length = len(b)
+    m = length // k
+    starts, ends = range(0, length, k), range(k, length + k, k)
+    high = int.from_bytes(b"\x80" * m, "big")
+    low = int.from_bytes(b"\x7f" * m, "big")
+    differ = 0  # high bit set where word i's suffix is not word i+1's prefix
+    for o in range(s):
+        suffix = int.from_bytes(b[k - s + o :: k], "big")
+        x = suffix ^ int.from_bytes(b[k + o :: k] + b[o : o + 1], "big")
+        differ |= ((x & low) + low) | x
+    # a flagged word ends at j, and the next word starts at j (or at 0)
+    violations = [
+        (j // k - 1, tuple(b[j - s : j]), tuple(b[j % length : j % length + s]))
+        for j in compress(ends, (differ & high).to_bytes(m, "big"))
+    ]
+    bad = _byte_flags(b, m, k, params)
+    if bad is None:
+        return _report(m, [], m, [], violations, True, params)
+    invalid = [tuple(b[i : i + k]) for i in compress(starts, bad)]
+    words = map(b.__getitem__, map(slice, starts, ends))
+    found, duplicates = _distinct_by_hashing(compress(words, map(not_, bad)))
+    return _report(m, invalid, found, duplicates, violations, True, params)
 
 
 class OracleStatus(Enum):

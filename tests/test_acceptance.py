@@ -11,6 +11,7 @@ from collections import Counter
 
 from ocycles.core import (
     Feasibility,
+    Windows,
     feasibility,
     object_count,
     validate_params,
@@ -21,7 +22,7 @@ from ocycles.graph import build_graph
 from ocycles.euler import TourIncomplete, euler_tour, tour_to_cycle
 from ocycles.connect import find_path, replay_certificate, step_cap
 from ocycles.verify import OracleStatus, hamilton_oracle, verify_cycle_string, verify_object_list
-from ocycles.cli import main as cli_main
+from ocycles.cli import main as cli_main, parse_text
 from conftest import (
     MULTISET_BATTERY,
     check_balance,
@@ -237,3 +238,25 @@ def test_criterion_8_determinism(tmp_path):
         outputs.append(blobs)
     assert outputs[0] == outputs[1]
     _report("criterion 8", f"{len(outputs[0])} documents byte-identical across runs")
+
+
+def test_criterion_9_list_documents_read_as_bytes(tmp_path):
+    """Every instance of criteria 2-4's `gen --format list` document is read
+    into one byte string of k symbols per word and verifies valid from it,
+    with the report its cycle string gets; its words are the tour's."""
+    out = tmp_path / "list.txt"
+    instances = guaranteed_instances(max_n=7)
+    for p in instances:
+        if p.multiset is None:
+            argv = ["--n", str(p.n), "--k", str(p.k), "--s", str(p.s)]
+        else:
+            argv = ["--multiset", ",".join(map(str, p.multiset)), "--s", str(p.s)]
+        assert cli_main(["gen", *argv, "--format", "list", "--out", str(out)]) == 0
+        words = parse_text(out.read_text()).words
+        assert isinstance(words, Windows) and isinstance(words.symbols, bytes), p
+        assert words.k == words.stride == p.k, p
+        cycle = euler_tour(build_graph(p))
+        report = verify_object_list(words, p)
+        assert report.valid and report == verify_cycle_string(cycle.symbols, p), p
+        assert list(words) == list(cycle.edges), p
+    _report("criterion 9", f"{len(instances)} list documents verified from one byte string each")

@@ -474,6 +474,45 @@ class TestDocumentRoundTrip:
             with pytest.raises(KeyError):
                 emit_document(OverlapCycle(symbols[:-1] + bytes([n + 1]), p))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_emit_list_columns_match_str_join(self, data):
+        # a bytes cycle's words are laid out by columns and named in C, a
+        # tuple cycle's joined one str per symbol: the documents must be
+        # equal, also for short strings whose last words wrap more than once
+        n = data.draw(st.sampled_from([2, 9, 10, 11, 99, 100, 255]))
+        k = data.draw(st.integers(2, min(n, 6)))
+        p = validate_params(n=n, k=k, s=data.draw(st.integers(1, k - 1)))
+        size = data.draw(st.integers(1, 8)) * (p.k - p.s)
+        symbols = bytes(data.draw(st.lists(st.integers(0, n), min_size=size, max_size=size)))
+        text = emit_list(OverlapCycle(symbols, p))
+        assert text == emit_list(OverlapCycle(tuple(symbols), p))
+        words = OverlapCycle(symbols, p).edges
+        assert text.endswith("".join(",".join(map(str, w)) + "\n" for w in words))
+
+    @pytest.mark.parametrize("k, s", [(2, 1), (5, 4), (6, 3), (6, 1), (5, 2)])
+    def test_emit_list_of_short_cycles(self, k, s):
+        # the last words wrap onto the start, more than once where the
+        # string is shorter than a word
+        p = validate_params(n=9, k=k, s=s)
+        for windows in range(1, 6):
+            symbols = bytes(i % 10 for i in range(windows * (k - s)))
+            text = emit_list(OverlapCycle(symbols, p))
+            assert text == emit_list(OverlapCycle(tuple(symbols), p))
+
+    @pytest.mark.parametrize("n, k, s", [(100, 3, 1), (9, 7, 2), (255, 2, 1)])
+    def test_emit_list_in_blocks_matches_str_join(self, n, k, s):
+        # more than one block of about 16,384 symbols, with 0 and n in it
+        p = validate_params(n=n, k=k, s=s)
+        rng = random.Random(n * k)
+        size = ((1 << 15) + 7) * (k - s)
+        symbols = bytes([0, n]) + bytes(rng.randrange(n + 1) for _ in range(size - 2))
+        text = emit_list(OverlapCycle(symbols, p))
+        assert text == emit_list(OverlapCycle(tuple(symbols), p))
+        if n < 255:
+            with pytest.raises(KeyError):
+                emit_list(OverlapCycle(symbols[:-1] + bytes([n + 1]), p))
+
     @pytest.mark.parametrize(
         "body", ["03 +3 -1 3", "\t1  02\t+3 ", "10 010 +10 -0 0", "1_0 2 3"]
     )
@@ -779,7 +818,9 @@ def _read(text):
         parsed = parse_text(text)
     except DocumentError as exc:
         return str(exc)
-    return parsed.fmt, parsed.symbols, parsed.words
+    # list words may be a view over one byte string; compare them as tuples
+    words = None if parsed.words is None else tuple(parsed.words)
+    return parsed.fmt, parsed.symbols, words
 
 
 # short body lines split each of the three ways: digits (also non-ASCII

@@ -13,6 +13,7 @@ from ocycles.core import (
     Mode,
     ParamError,
     Reason,
+    Windows,
     completions,
     enumerate_objects,
     feasibility,
@@ -47,6 +48,32 @@ class TestSymbolString:
         # bytes() of an array('H') copies two bytes of raw memory per item
         assert symbol_string(array("H", [1, 2, 255])) == b"\x01\x02\xff"
         assert symbol_string(array("H", [1, 300])) == (1, 300)
+
+
+class TestWindows:
+    @given(
+        symbols=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+        k=st.integers(1, 5),
+        stride=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_read_cyclically(self, symbols, k, stride):
+        # window i is the k symbols from i * stride on, the string read as a
+        # cycle; indexes and slices behave as a tuple of those windows would
+        symbols = symbol_string(symbols)
+        length = len(symbols)
+        expected = tuple(
+            tuple(symbols[j % length] for j in range(i, i + k)) for i in range(0, length - stride + 1, stride)
+        )
+        windows = Windows(symbols, k, stride)
+        assert len(windows) == len(expected) == length // stride
+        assert tuple(windows) == expected
+        assert windows[::-1] == expected[::-1] and windows[1:3] == expected[1:3]
+        for i in range(-len(expected), len(expected)):
+            assert windows[i] == expected[i]
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                windows[i]
 
 
 class TestValidateParams:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import ocycles.cli
 import ocycles.verify
-from ocycles.cli import emit_document, parse_text
+from ocycles.cli import emit_document, emit_list, parse_text
 from ocycles.core import (
     Feasibility,
     LimitError,
+    Windows,
     feasibility,
     is_valid_word,
     object_count,
@@ -496,6 +497,179 @@ class TestByteKernel:
             assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
 
 
+class TestMultisetKernel:
+    """A multiset byte string's windows are flagged by per-symbol counts in
+    byte lanes, `_CHUNK` windows at a time; the per-window test in
+    `decoded_report` must give the same report however the chunks fall."""
+
+    @pytest.fixture(params=[1, 3, None], ids=["chunk1", "chunk3", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ocycles.verify, "_CHUNK", request.param)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(multiset=(1, 1, 2, 2, 3), s=2), dict(multiset=(1, 1, 1, 2, 2, 2), s=2),
+         dict(multiset=(1, 2, 3, 3), s=1), dict(multiset=(5, 5, 5, 5), s=3),
+         dict(multiset=(1, 2, 255), s=1)],
+    )
+    def test_every_substitution(self, chunk, kwargs):
+        p, symbols = generated_bytes(**kwargs)
+        assert verify_cycle_string(symbols, p).valid
+        for pos in range(len(symbols)):
+            for new in {0, *p.multiset, min(p.n + 1, 255), 255}:
+                edited = symbols[:pos] + bytes([new]) + symbols[pos + 1 :]
+                assert verify_cycle_string(edited, p) == decoded_report(edited, p)
+
+    def test_counts_up_to_255_do_not_carry(self, chunk):
+        # k = 255: a window holds up to 255 copies of a symbol, a full lane
+        p, symbols = generated_bytes(multiset=(1,) * 254 + (2,), s=1)
+        assert verify_cycle_string(symbols, p).valid
+        for edited in (symbols.replace(b"\x02", b"\x01", 1), symbols.replace(b"\x01", b"\x02", 1)):
+            report = verify_cycle_string(edited, p)
+            assert report == decoded_report(edited, p) and report.invalid_words
+
+    @pytest.mark.parametrize(
+        "kwargs, symbols",
+        [(dict(multiset=(1,) * 255 + (2,), s=255), b"\x01" * 4),  # a count of 256
+         (dict(multiset=(1,) * 255 + (2,), s=255), b"\x01\x02"),
+         (dict(multiset=(1, 300), s=1), b"\x01\x01")],  # a symbol past a byte
+    )
+    def test_wide_multisets_are_checked_per_word(self, kwargs, symbols):
+        p = validate_params(**kwargs)
+        assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_short_random_strings(self, data):
+        multiset = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+        p = validate_params(multiset=multiset, s=data.draw(st.integers(1, len(multiset) - 1)))
+        values = st.one_of(st.sampled_from(p.multiset), st.sampled_from([0, 5, 255]))
+        size = data.draw(st.integers(1, 12)) * (p.k - p.s)
+        symbols = bytes(data.draw(st.lists(values, min_size=size, max_size=size)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ocycles.verify, "_CHUNK", data.draw(st.sampled_from([1, 2, 3, 32_768])))
+            assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+
+
+def both_list_paths(words, p):
+    """verify_object_list of `words` as one byte string at stride k, which
+    must equal the report on the same words as tuples."""
+    words = [tuple(w) for w in words]
+    report = verify_object_list(Windows(bytes(x for w in words for x in w), p.k, p.k), p)
+    assert report == verify_object_list(words, p)
+    return report
+
+
+# a kperm list, full permutations, a one-window-per-chunk case, multisets
+# (one with a symbol 10)
+WORD_STRING_INSTANCES = [
+    dict(n=5, k=3, s=1),
+    dict(n=4, k=4, s=1),
+    dict(n=4, k=2, s=1),
+    dict(multiset=(1, 1, 2, 2, 3), s=2),
+    dict(multiset=(1, 2, 10, 10), s=1),
+]
+
+
+class TestWordStringPath:
+    """A list document's words, read as one byte string at stride k, are
+    checked in whole-string passes; every report equals the one the same
+    words get as tuples, one word at a time."""
+
+    @pytest.fixture(params=[1, 3, None], ids=["chunk1", "chunk3", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ocycles.verify, "_CHUNK", request.param)
+
+    @pytest.mark.parametrize("kwargs", WORD_STRING_INSTANCES)
+    def test_every_symbol_edit(self, chunk, kwargs):
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        assert both_list_paths(words, p).valid
+        for i, w in enumerate(words):
+            for o in range(p.k):
+                for new in {0, p.n + 1, 255, *range(1, p.n + 1)} - {w[o]}:
+                    edited = words[:i] + [w[:o] + (new,) + w[o + 1 :]] + words[i + 1 :]
+                    report = both_list_paths(edited, p)
+                    assert not report.valid
+
+    @pytest.mark.parametrize("kwargs", WORD_STRING_INSTANCES)
+    def test_word_edits(self, chunk, kwargs):
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        for i in range(len(words)):
+            j = (i + 1) % len(words)
+            swapped = list(words)
+            swapped[i], swapped[j] = words[j], words[i]
+            for edited in (words[:i] + words[i + 1 :], words[:i] + [words[j]] + words[i:], swapped):
+                both_list_paths(edited, p)
+            # a cycle read from any word on is still valid
+            assert both_list_paths(words[i:] + words[:i], p).valid
+
+    def test_lexicographic_listing(self, chunk):
+        # every object once, so every rank is marked, but few overlaps chain
+        p = validate_params(n=5, k=3, s=2)
+        report = both_list_paths(permutations(range(1, 6), 3), p)
+        assert report.missing_count == 0 and report.duplicates == [] and not report.valid
+        assert len(report.overlap_violations) == 60
+
+    def test_fixture_transpositions(self, perm5_fixture_words):
+        p = validate_params(n=5, k=5, s=3)
+        words = perm5_fixture_words
+        assert both_list_paths(words, p).valid
+        rng = random.Random(5)
+        for i, j in [(i, i + 1) for i in range(119)] + [rng.sample(range(120), 2) for _ in range(200)]:
+            swapped = list(words)
+            swapped[i], swapped[j] = words[j], words[i]
+            assert both_list_paths(swapped, p).overlap_violations
+
+    def test_one_word(self):
+        # the word's suffix against its own prefix
+        p = validate_params(multiset=(1, 1, 1), s=2)
+        assert both_list_paths([(1, 1, 1)], p).valid
+        p = validate_params(n=3, k=2, s=1)
+        assert both_list_paths([(1, 2)], p).overlap_violations == [(0, (2,), (1,))]
+
+    def test_other_sequences_take_the_per_word_path(self, kperm_300_cycle):
+        # a view at another stride or width, and tuple symbols, are read as
+        # word tuples
+        p = validate_params(n=4, k=3, s=1)
+        cycle = euler_tour(build_graph(p))
+        tuples = list(cycle.edges)
+        assert verify_object_list(cycle.edges, p) == verify_object_list(tuples, p)
+        flat = bytes(x for w in tuples for x in w)
+        q = validate_params(n=4, k=2, s=1)
+        assert verify_object_list(Windows(flat, 3, 3), q) == verify_object_list(tuples, q)
+        p, symbols = kperm_300_cycle
+        words = Windows(symbols, 2, 1)
+        assert verify_object_list(words, p).valid
+        # symbols past the last whole word are not read
+        p = validate_params(n=3, k=2, s=1)
+        words = Windows(bytes([1, 2, 2, 1, 3]), 2, 2)
+        assert verify_object_list(words, p) == verify_object_list([(1, 2), (2, 1)], p)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_short_random_lists(self, data):
+        if data.draw(st.booleans()):
+            n = data.draw(st.sampled_from([2, 3, 4, 5, 10]))
+            k = data.draw(st.integers(2, min(n, 5)))
+            p = validate_params(n=n, k=k, s=data.draw(st.integers(1, k - 1)))
+            alphabet = list(range(1, n + 1))
+        else:
+            multiset = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+            p = validate_params(multiset=multiset, s=data.draw(st.integers(1, len(multiset) - 1)))
+            alphabet = sorted(set(p.multiset))
+        # few symbols make repeats, chained overlaps and duplicate words likely
+        values = st.one_of(st.sampled_from(alphabet[:3]), st.sampled_from([0, p.n + 1, 255]))
+        word = st.lists(values, min_size=p.k, max_size=p.k).map(tuple)
+        words = data.draw(st.lists(word, min_size=1, max_size=10))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ocycles.verify, "_CHUNK", data.draw(st.sampled_from([1, 2, 3, 32_768])))
+            both_list_paths(words, p)
+
+
 class RankRecorder:
     """Stands in for the verifier's bitmap and records each rank marked."""
 
@@ -712,14 +886,34 @@ class TestMemoryGuard:
         assert peak < 64_000
 
     def test_verify_cycle_string_per_word(self):
-        # a multiset string's windows are flagged one at a time by _validity
+        # a multiset string's windows are flagged by _multiset_invalid and
+        # counted one group at a time, 35.8 (flagged one at a time by
+        # _validity from a generator of windows it read 35.8 too; slicing
+        # every window into one list first read 64.2)
         p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
         symbols = euler_tour(build_graph(p)).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid and report.object_count == 22_680
-        # flagging from a generator of windows reads 35.8; slicing every
-        # window into one list first reads 64.2
         assert peak / 22_680 < 40
+
+    def test_verify_tuple_string_per_word(self, kperm_300_cycle):
+        # a tuple string's windows are flagged one at a time by _validity,
+        # from a generator of windows: 30.2; slicing every window into one
+        # list first reads 81.6
+        p, symbols = kperm_300_cycle
+        report, peak = traced_peak(verify_cycle_string, symbols, p)
+        assert report.valid and report.object_count == 89_700
+        assert peak / 89_700 < 40
+
+    def test_parse_and_verify_list(self, fullperm_8_8_3):
+        # a list body of names 1..10 is read into one byte string and checked
+        # at stride k: 113.5, most of it the document's 40,320 lines; read
+        # into word tuples and checked one word at a time it was 186.2
+        p, tour = fullperm_8_8_3
+        text = emit_list(tour)
+        report, peak = traced_peak(lambda: verify_object_list(parse_text(text).words, p))
+        assert report.valid and report.object_count == 40_320
+        assert peak / 40_320 < 130
 
 
 class TestVerifyObjectList:
