@@ -13,11 +13,13 @@ into one symbol per character (``12345``) unless the header says ``length 1``.
 A string body line is read in pieces of about 64 kB, and a bad symbol is
 reported by character and line.
 
-A body of either format is written, and read back when its names are 1..10
-between single spaces (string) or k to a line between commas or packed
-(list), in C-level byte passes with no object per symbol (``translate`` and
-slice assignment); any other body line is split into one token per symbol by
-the rule above.
+Both formats share one writer and one reader.  ``_named`` writes either
+body: in C-level byte passes (``translate`` and slice assignment) when its
+symbols are bytes 0..n, else one ``str`` per symbol.  ``_separated_names``
+reads names 1..10 between single separators, spaces in a string piece and
+k to a line between commas in a list body, in the same kind of passes with
+no object per symbol; packed list lines take one more such pass, and any
+other body line is split into one token per symbol by the rule above.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -86,11 +88,6 @@ def _header_lines(p: InstanceParams, objects: int, fmt: str) -> list[str]:
     return lines
 
 
-def _symbol_names(p: InstanceParams) -> dict[int, str]:
-    # one name per symbol value, looked up per symbol: far cheaper than str()
-    return {x: str(x) for x in range(p.n + 1)}
-
-
 def _name_columns(n: int) -> list[bytes]:
     """``translate`` tables, one per character of a name: column j maps each
     byte x <= n to character j of str(x) right-aligned in width len(str(n)),
@@ -109,29 +106,37 @@ _SPLIT_CHARS = 1 << 16
 _WRITE_CHARS = 1 << 19
 
 
-def _nameable(symbols: SymbolString, n: int) -> bool:
-    """Whether `symbols` is a non-empty ``bytes`` string of symbols 0..n, which
-    ``_named`` names in C."""
-    return isinstance(symbols, bytes) and bool(symbols) and not symbols.translate(
-        None, bytes(range(min(n, 255) + 1))
-    )
+def _named(
+    symbols: SymbolString | bytearray | list[int], n: int, separators: bytes
+) -> Iterator[str]:
+    """The names of `symbols`, each followed by the separator at its place in
+    `separators`, repeated; a piece of about 16,384 symbols at a time, whole
+    repeats of `separators` each.  A symbol outside 0..n raises KeyError.
 
-
-def _named(symbols: bytes | bytearray, n: int, separators: bytes) -> Iterator[str]:
-    """The names of `symbols` (each in 0..n), each followed by the separator at
-    its place in `separators`, repeated; a piece of about 16,384 symbols at a
-    time, whole repeats of `separators` each.
-
-    A piece fills a ``bytearray`` of (w+1)-byte slots, w = len(str(n)), each
-    ending in its separator: one slice assignment of ``piece.translate`` per
-    name column.  The NULs that pad names shorter than w are deleted and the
-    piece is decoded.
+    A ``bytes`` or ``bytearray`` string of symbols 0..n is named in C: a
+    piece fills a ``bytearray`` of (w+1)-byte slots, w = len(str(n)), each
+    ending in its separator, by one slice assignment of ``piece.translate``
+    per name column.  The NULs that pad names shorter than w are deleted and
+    the piece is decoded.  Any other string is joined one ``str`` per
+    symbol, from tables of the names of the symbols that occur in the piece,
+    each with a separator: a table of every value 0..n would grow with n,
+    which for a multiset is its largest symbol, not its size.
     """
+    step = max(1, _JOIN_SYMBOLS // len(separators)) * len(separators)
+    pieces = (symbols[i : i + step] for i in range(0, len(symbols), step))
+    in_range = bytes(range(min(n, 255) + 1))
+    if not isinstance(symbols, (bytes, bytearray)) or symbols.translate(None, in_range):
+        ends = separators.decode("ascii")
+        for piece in pieces:
+            occurring = [x for x in set(piece) if 0 <= x <= n]
+            # each symbol's name with each separator, one table per place
+            tables = {end: {x: str(x) + end for x in occurring} for end in set(ends)}
+            places = [tables[end] for end in ends] * (len(piece) // len(ends))
+            yield "".join(map(dict.__getitem__, places, piece))
+        return
     columns = _name_columns(n)
     slot = len(columns) + 1
-    step = max(1, _JOIN_SYMBOLS // len(separators)) * len(separators)
-    for i in range(0, len(symbols), step):
-        piece = symbols[i : i + step]
+    for piece in pieces:
         named = bytearray(slot * len(piece))
         named[slot - 1 :: slot] = separators * (len(piece) // len(separators))
         for j, column in enumerate(columns):
@@ -144,52 +149,37 @@ def _named(symbols: bytes | bytearray, n: int, separators: bytes) -> Iterator[st
 def emit_document(cycle: OverlapCycle) -> str:
     """The string-format document; every symbol must lie in 0..n (KeyError otherwise).
 
-    A ``bytes`` string whose symbols all lie in 0..n is named in C by
-    ``_named``, each name followed by a space, and the last space becomes
-    the final newline.  Decoding piece by piece keeps the traced peak at
-    (8,8,3) at 20.4 bytes per object; one piece for the whole string reads
-    40.0.  A tuple string, or one with a byte above n, is joined one ``str``
-    per symbol.
+    The symbols are named by ``_named``, each followed by a space, and the
+    last space gives way to the final newline.  Decoding piece by piece
+    keeps the traced peak at (8,8,3) at 20.4 bytes per object; one piece
+    for the whole string reads 40.0.
     """
-    p, symbols = cycle.params, cycle.symbols
-    headers = _header_lines(p, cycle.object_count, "string")
-    if not _nameable(symbols, p.n):
-        name = _symbol_names(p).__getitem__
-        pieces = range(0, len(symbols), _JOIN_SYMBOLS)
-        body = " ".join([" ".join(map(name, symbols[i : i + _JOIN_SYMBOLS])) for i in pieces])
-        return "\n".join([*headers, body, ""])
-    pieces = ["\n".join([*headers, ""]), *_named(symbols, p.n, b" ")]
-    pieces[-1] = pieces[-1][:-1] + "\n"
-    return "".join(pieces)
+    p = cycle.params
+    pieces = ["\n".join([*_header_lines(p, cycle.object_count, "string"), ""])]
+    pieces += _named(cycle.symbols, p.n, b" ")
+    pieces[-1] = pieces[-1].removesuffix(" ")  # the last name's separator
+    return "".join([*pieces, "\n"])
 
 
 def emit_list(cycle: OverlapCycle) -> str:
     """The list-format document: the cycle's words, one per line, in tour order.
 
-    A ``bytes`` cycle of symbols 0..n is first laid out as one string of k
-    symbols per word: column o of it (every word's o-th symbol) is the
-    cycle's symbols r, r + k-s, ... for r = o mod (k-s), rotated on by
-    o // (k-s) words, so the last words wrap onto the start.  That string is
-    named by ``_named`` with a comma after each name but a word's last,
-    which gets a newline.  A tuple cycle, or one with a byte above n, is
-    joined one ``str`` per symbol.
+    The cycle is first laid out as one string of k symbols per word, a
+    ``bytearray`` for a ``bytes`` cycle and a list otherwise: column o of it
+    (every word's o-th symbol) is the cycle's symbols r, r + k-s, ... for
+    r = o mod (k-s), rotated on by o // (k-s) words, so the last words wrap
+    onto the start.  That string is named by ``_named`` with a comma after
+    each name but a word's last, which gets a newline.
     """
     p, symbols = cycle.params, cycle.symbols
     k, stride = p.k, p.k - p.s
-    headers = _header_lines(p, cycle.object_count, "list")
-    if not _nameable(symbols, p.n):
-        # each symbol named once; a word is a slice of the names, and the
-        # last words wrap around onto the start
-        names = list(map(_symbol_names(p).__getitem__, symbols))
-        names += (names[: p.s] * p.s)[: p.s]
-        lines = [",".join(names[i : i + k]) for i in range(0, len(symbols), stride)]
-        return "\n".join([*headers, *lines, ""])
     m = len(symbols) // stride
-    words = bytearray(m * k)
+    words = bytearray(m * k) if isinstance(symbols, bytes) else [0] * (m * k)
     for o in range(k):
         column = symbols[o % stride :: stride]
-        turn = o // stride % m  # the words the column is rotated on by
+        turn = o // stride % max(m, 1)  # the words the column is rotated on by
         words[o::k] = column[turn:] + column[:turn]
+    headers = _header_lines(p, cycle.object_count, "list")
     return "".join(["\n".join([*headers, ""]), *_named(words, p.n, b"," * (k - 1) + b"\n")])
 
 
@@ -248,29 +238,33 @@ def _word(number: int, raw: str, line: str) -> Word:
         raise _bad_token(rule, number, raw, 0, len(line)) from exc
 
 
-# a name 1..9 is its digit's byte; " 10" is folded to " " + _TEN first, and
-# _TEN reads as 10; every other byte is _MISS
+# a name 1..9 is its digit's byte; a name 10 after a separator is folded to
+# the separator and _TEN first, and _TEN reads as 10; every other byte is _MISS
 _TEN = "\x80"
 _MISS = 0xFF
 _DIGITS = bytes(x - 48 if 49 <= x <= 57 else 10 if x == ord(_TEN) else _MISS for x in range(256))
 
 
-def _spaced_digits(text: str) -> bytes | None:
-    """The symbols of `text` when it is a space and a name, repeated, each
-    name one of 1..10; None otherwise, and the caller splits `text` instead.
+def _separated_names(text: str, separators: str) -> bytes | None:
+    """The symbols of `text` when it is the characters of `separators`, each
+    followed by one name 1..10, repeated; None otherwise, and the caller
+    splits `text` instead.  A string body piece has separators ``" "``, and
+    a list body, with a newline in front, a newline and k - 1 commas.
 
-    The test is exact.  `text` is ASCII, so a _TEN can only come from folding
-    a name 10 that follows a space.  After the fold the text must have even
-    length 2m and m spaces, and its m characters at odd places must each map
-    to 1..10; a space there is a miss.  So no space is at an odd place, and
-    the m spaces fill the m even places: the text alternates a single space
-    and a name, and reads as whitespace-split tokens would.  A 0 anywhere, a
-    longer name, a tab or a double space leaves a miss or the wrong count.
+    The test is exact.  `text` is ASCII, so a _TEN can only come from
+    folding a name 10 that follows a separator.  After the fold, the
+    characters at even places must be `separators` repeated, and each
+    character at an odd place must map to 1..10, which no separator does.
+    So the text alternates one separator and one name, and reads as a split
+    at the separators would.  A 0, a sign, a longer name, a blank field, a
+    tab or a doubled separator leaves a miss or a separator out of place.
     """
     if not text.isascii():
         return None
-    text = text.replace(" 10", " " + _TEN)
-    if len(text) % 2 or text.count(" ") != len(text) // 2:
+    for separator in dict.fromkeys(separators):
+        text = text.replace(separator + "10", separator + _TEN)
+    m, rest = divmod(len(text), 2 * len(separators))
+    if rest or text[0::2] != separators * m:
         return None
     symbols = text[1::2].encode("latin-1").translate(_DIGITS)
     return None if _MISS in symbols else symbols
@@ -284,7 +278,7 @@ def _string_line(
     `line` is `raw` stripped, and `one` says the document declares one symbol.
 
     A whitespace piece of names 1..10 between single spaces is read by
-    `_spaced_digits` in a few C-level passes, into one buffer for the line;
+    `_separated_names` in a few C-level passes, into one buffer for the line;
     any other piece is split into one token per symbol.  A piece after a cut
     starts at the cut's separator, and the first piece is given a space in
     front, so that each is read as (space, name) pairs.
@@ -297,7 +291,7 @@ def _string_line(
         end = cut.start() if cut else len(line)
         piece = None
         if rule is _WHITESPACE:
-            piece = _spaced_digits(line[start:end] if start else " " + line[:end])
+            piece = _separated_names(line[start:end] if start else " " + line[:end], " ")
         if piece is not None:
             if spaced is None:
                 # one buffer holds the line's spaced pieces, at most one
@@ -360,31 +354,26 @@ def _list_words(lines: list[str]) -> Windows | None:
     line is k names 1..10 between single commas, or k digits 1..9 packed;
     None otherwise, and each line is read by `_word` instead.
 
-    The test is exact.  The lines are joined with newlines into ASCII text.
-    Comma lines get a newline in front, and each name 10 after a comma or a
-    newline is folded to _TEN, as `_spaced_digits` folds one after a space:
-    then every line must be a newline and k - 1 commas at the even places
-    and one name at each odd place, so a separator's column is compared
-    whole.  Packed lines must have a newline at every place k, 2k + 1, ...
-    and nowhere else.  The names map to 1..10 in one `translate`, and a
-    miss (0, a sign, a blank, a longer name) sends the body to `_word`.
+    The lines are joined with newlines.  Comma lines, with a newline in
+    front, are read by `_separated_names` with the separators a newline and
+    k - 1 commas.  Packed lines must be ASCII with a newline at every place
+    k, 2k + 1, ... and nowhere else, and their digits map to 1..9 in one
+    ``translate``.  A miss (0, a sign, a blank, a longer name) sends the
+    body to `_word`.
     """
-    text = "\n".join(lines)
-    if not text or not text.isascii():
+    if not lines:
         return None
-    m = len(lines)
+    text = "\n".join(lines)
     if "," in lines[0]:
         k = lines[0].count(",") + 1
-        text = ("\n" + text).replace(",10", "," + _TEN).replace("\n10", "\n" + _TEN)
-        if len(text) != 2 * k * m or text[0::2] != ("\n" + "," * (k - 1)) * m:
-            return None
-        symbols = text[1::2].encode("latin-1").translate(_DIGITS)
+        symbols = _separated_names("\n" + text, "\n" + "," * (k - 1))
     else:
-        k = len(lines[0])
-        if len(text) != (k + 1) * m - 1 or text[k :: k + 1] != "\n" * (m - 1):
+        k, m = len(lines[0]), len(lines)
+        packed = text.isascii() and len(text) == (k + 1) * m - 1
+        if not packed or text[k :: k + 1] != "\n" * (m - 1):
             return None
         symbols = text.encode("latin-1").translate(_DIGITS, b"\n")
-    return None if _MISS in symbols else Windows(symbols, k, k)
+    return None if symbols is None or _MISS in symbols else Windows(symbols, k, k)
 
 
 def parse_text(text: str) -> ParsedInput:

@@ -294,48 +294,24 @@ def _first_symbol_groups(firsts: SymbolString, n: int) -> bytes:
     return bytes(map(table.__getitem__, firsts))
 
 
-def verify_cycle_string(
-    symbols: Sequence[int], params: InstanceParams
+def _windows_report(
+    ext: SymbolString,
+    windows: int,
+    stride: int,
+    violations: list[tuple[int, Vertex, Vertex]],
+    params: InstanceParams,
 ) -> VerificationReport:
-    """Check a cyclic symbol string: read windows at stride k-s, test coverage.
+    """The report on the k-symbol windows of `ext` that start at 0, `stride`,
+    ... (`windows` of them, each whole in `ext`), given the overlap
+    `violations` the caller found.
 
-    Windows are sliced from the string extended cyclically by its first s
-    symbols, so the last windows wrap around onto the start.  Consecutive
-    windows overlap by construction, so the defects a string can exhibit are
-    bad length, out-of-family words, duplicates, and missing objects.
-    The string is held as ``bytes`` when every symbol lies in 0..255, so each
-    window is a k-byte slice; the report lists words as int tuples either way.
+    Every window first gets one flag byte, nonzero where it is invalid: a
+    ``bytes`` string from ``_byte_flags`` in whole-column passes, which may
+    also decide a complete k-permutation string by rank, and a tuple string
+    (a symbol above 255) one window at a time from ``_validity``, over a
+    generator of windows.  Invalid windows are reported in window order.
 
-    A k-permutation string in ``bytes`` has every window flagged at once by
-    ``_kperm_invalid``: its k columns (each window's o-th symbol, one byte
-    per window) are read as ints, a window repeats a symbol exactly where
-    the XOR of two columns has a zero byte, and ``((x & 0x7f..) + 0x7f..)
-    | x`` marks every nonzero byte of x in its high bit without a carry
-    into the next byte (0x7f + 0x7f = 0xfe), so no window's flag depends
-    on its neighbour's.  A multiset string in ``bytes`` (k <= 255) is
-    flagged from the same columns by ``_multiset_invalid``, which counts each
-    symbol of the multiset in every window at once.  Tuple strings (a symbol
-    above 255) are checked one word at a time by ``_validity``, from a
-    generator of windows.  Either way every window
-    gets one flag byte, nonzero where it is invalid, before any is counted,
-    so invalid windows are reported in window order.
-
-    A k-permutation byte string of exactly P(n, k) windows, with n <= 127
-    and P(n, k) < 2**32, is decided by rank.  ``_kperm_ranks`` reads each
-    window's lexicographic rank from the same columns: its Lehmer digits
-    d_o = c_o - 1 - #{p < o : c_p < c_o} count smaller symbols by lane
-    compares ``((C_o | 0x80..) - C_p) & 0x80..``, exact because no valid
-    symbol exceeds 0x7f, so no byte borrows from the next; the weighted sum
-    of the digits widened to 4-byte lanes is every rank at once, since a
-    rank below P(n, k) < 2**32 carries into no other lane.  Each rank marks
-    one byte of a P(n, k)-byte bitmap.  With every window valid and P(n, k)
-    of them, no repeat means every object is covered, so a bitmap without
-    a zero byte is a valid report.  The window-count gate also bounds the
-    bitmap by the string's own length: a short string of a large instance
-    builds none.  An invalid window or a repeated rank leaves a zero byte,
-    and the string is counted as below.
-
-    Otherwise windows are counted one group of first symbols at a time, and
+    The windows are then counted one group of first symbols at a time, and
     only one group's windows are held at once.  Two equal windows have the
     same first symbol, so they fall in the same group: the groups' distinct
     counts add up to the string's, and each repeat is found in its own
@@ -343,30 +319,18 @@ def verify_cycle_string(
     valid window, so the groups' sorted repeats join into one sorted list;
     a group's invalid windows are left out of its count.  Within a group,
     distinct windows are counted by sorting them, which holds a pointer per
-    window where a ``Counter`` holds a hash-table entry and a count; a
-    string's windows come in tour order, which leaves long sorted runs.
-    Malformed input yields an invalid report, not an error.
+    window where a ``Counter`` holds a hash-table entry and a count.
     """
-    symbols = symbol_string(symbols)
-    k, s = params.k, params.s
-    stride = k - s
-    length = len(symbols)
-    if length == 0 or length % stride != 0:
-        return _report(0, [], 0, [], [], False, params)
-    # the wrap is the first s symbols cyclically; repeating them covers
-    # strings shorter than s without copying a long string s times
-    ext = symbols + (symbols[:s] * s)[:s]
-    starts = range(0, length, stride)
-    windows = len(starts)
-    # one flag byte per window, nonzero where the window is invalid
+    k = params.k
+    starts = range(0, windows * stride, stride)
     if _bytewise(ext, params):
         bad = _byte_flags(ext, windows, stride, params)
         if bad is None:
             # every window valid and ranked, and all P(n, k) ranks distinct
-            return _report(windows, [], windows, [], [], True, params)
+            return _report(windows, [], windows, [], violations, True, params)
     else:
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
-    groups = _first_symbol_groups(symbols[::stride], params.n)
+    groups = _first_symbol_groups(ext[: windows * stride : stride], params.n)
     invalid = []
     if bad != bytes(len(bad)):  # most strings have no invalid window
         invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
@@ -381,7 +345,33 @@ def verify_cycle_string(
         found += distinct
         duplicates += repeats
         del words, valid  # before the next group's windows are sliced
-    return _report(windows, invalid, found, duplicates, [], True, params)
+    return _report(windows, invalid, found, duplicates, violations, True, params)
+
+
+def verify_cycle_string(
+    symbols: Sequence[int], params: InstanceParams
+) -> VerificationReport:
+    """Check a cyclic symbol string: read windows at stride k-s, test coverage.
+
+    Windows are sliced from the string extended cyclically by its first s
+    symbols, so the last windows wrap around onto the start.  Consecutive
+    windows overlap by construction, so the defects a string can exhibit are
+    bad length, out-of-family words, duplicates, and missing objects.
+    The string is held as ``bytes`` when every symbol lies in 0..255, so each
+    window is a k-byte slice; the report lists words as int tuples either way.
+    The windows are flagged and counted by ``_windows_report``.  Malformed
+    input yields an invalid report, not an error.
+    """
+    symbols = symbol_string(symbols)
+    k, s = params.k, params.s
+    stride = k - s
+    length = len(symbols)
+    if length == 0 or length % stride != 0:
+        return _report(0, [], 0, [], [], False, params)
+    # the wrap is the first s symbols cyclically; repeating them covers
+    # strings shorter than s without copying a long string s times
+    ext = symbols + (symbols[:s] * s)[:s]
+    return _windows_report(ext, length // stride, stride, [], params)
 
 
 def verify_object_list(
@@ -391,13 +381,11 @@ def verify_object_list(
 
     A ``Windows`` view at stride k = params.k over ``bytes`` (what
     ``parse_text`` gives for a list body of names 1..10) is checked as one
-    string of k symbols per word by ``_verify_word_string``, with no tuple
-    per word.  Any other sequence is copied into word tuples and checked one
-    word at a time.  Both give the same report.
-
-    Distinct words are counted with a ``Counter``: a list's words need not
-    come in tour order, and on shuffled words hashing is about three times
-    faster than sorting.
+    string of k symbols per word by ``_verify_word_string``: its words are
+    flagged and counted by ``_windows_report`` at stride k, as a cycle
+    string's windows are at stride k - s, with no tuple per word.  Any other
+    sequence is copied into word tuples, checked one word at a time and
+    counted by hashing.  Both give the same report.
     """
     if (
         isinstance(words, Windows)
@@ -423,21 +411,18 @@ def verify_object_list(
 
 def _verify_word_string(b: bytes, params: InstanceParams) -> VerificationReport:
     """``verify_object_list`` of the words b[0:k], b[k:2k], ...: a byte string
-    read at stride k, checked in whole-string passes.
+    read at stride k, its overlaps checked in whole-column passes.
 
     Word i's last s symbols match word i+1's first s exactly where, for each
     o < s, column k-s+o (every word's symbol k-s+o, one byte per word) and
     column o shifted on by one word, the first word's byte moved to the end
     for the last word, XOR to a zero byte; the zero-byte test of
-    ``_kperm_invalid`` marks the others.  Validity and, for a complete
-    k-permutation list, ranks come from ``_byte_flags`` at stride k.  Only
-    flagged words are built as tuples for the report; distinct valid words
-    are counted by hashing their k-byte slices.
+    ``_kperm_invalid`` marks the others.  The words themselves are checked
+    by ``_windows_report`` at stride k.
     """
     k, s = params.k, params.s
     length = len(b)
     m = length // k
-    starts, ends = range(0, length, k), range(k, length + k, k)
     high = int.from_bytes(b"\x80" * m, "big")
     low = int.from_bytes(b"\x7f" * m, "big")
     differ = 0  # high bit set where word i's suffix is not word i+1's prefix
@@ -448,15 +433,9 @@ def _verify_word_string(b: bytes, params: InstanceParams) -> VerificationReport:
     # a flagged word ends at j, and the next word starts at j (or at 0)
     violations = [
         (j // k - 1, tuple(b[j - s : j]), tuple(b[j % length : j % length + s]))
-        for j in compress(ends, (differ & high).to_bytes(m, "big"))
+        for j in compress(range(k, length + k, k), (differ & high).to_bytes(m, "big"))
     ]
-    bad = _byte_flags(b, m, k, params)
-    if bad is None:
-        return _report(m, [], m, [], violations, True, params)
-    invalid = [tuple(b[i : i + k]) for i in compress(starts, bad)]
-    words = map(b.__getitem__, map(slice, starts, ends))
-    found, duplicates = _distinct_by_hashing(compress(words, map(not_, bad)))
-    return _report(m, invalid, found, duplicates, violations, True, params)
+    return _windows_report(b, m, k, violations, params)
 
 
 class OracleStatus(Enum):

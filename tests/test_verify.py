@@ -3,7 +3,7 @@ import dataclasses
 import random
 import tracemalloc
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
@@ -313,7 +313,8 @@ def group_ids(words, p):
 
 class TestFirstSymbolGroups:
     """Windows are counted one group of first symbols at a time; forcing many
-    groups on small strings must give the report of one count over all."""
+    groups on small strings and lists must give the report of one count over
+    all."""
 
     @pytest.mark.parametrize("groups", [1, 2, 3, 5, 256])
     @pytest.mark.parametrize("kwargs", DIFFERENTIAL_INSTANCES)
@@ -322,10 +323,13 @@ class TestFirstSymbolGroups:
         p = validate_params(**kwargs)
         symbols = tuple(tour_to_cycle(euler_tour(build_graph(p))).symbols)
         assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
-        # every window twice: repeats in every group, joined in sorted order
+        # every window twice: repeats in every group, joined in sorted order.
+        # The same windows as a list, one byte string at stride k, overlap
+        # in a chain and are counted by the same groups
         doubled = symbols * 2
         report = verify_cycle_string(doubled, p)
         assert report == decoded_report(doubled, p)
+        assert both_list_paths(decode_symbols(doubled, p.k, p.s), p) == report
         assert report.duplicates == sorted(report.duplicates)
         assert len(set(group_ids(report.duplicates, p))) == min(groups, p.n)
         # an unused symbol every seventh place: invalid windows of every
@@ -333,6 +337,7 @@ class TestFirstSymbolGroups:
         marked = tuple(p.n + 1 if i % 7 == 3 else x for i, x in enumerate(symbols))
         report = verify_cycle_string(marked, p)
         assert report == decoded_report(marked, p)
+        assert both_list_paths(decode_symbols(marked, p.k, p.s), p) == report
         ids = group_ids(report.invalid_words, p)
         if groups > 1:
             assert any(a > b for a, b in zip(ids, ids[1:]))
@@ -905,6 +910,29 @@ class TestMemoryGuard:
         assert report.valid and report.object_count == 89_700
         assert peak / 89_700 < 40
 
+    def test_verify_multiset_list(self):
+        # a multiset list's words, one byte string at stride k, are counted
+        # one group of first symbols at a time, as a string's windows are:
+        # 35.0; hashed into a Counter they read 129.6
+        p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
+        words = Windows(bytes(chain.from_iterable(euler_tour(build_graph(p)).edges)), p.k, p.k)
+        report, peak = traced_peak(verify_object_list, words, p)
+        assert report.valid and report.object_count == 22_680
+        assert peak / 22_680 < 45
+
+    def test_emit_names_only_the_symbols_that_occur(self):
+        # a multiset's n is its largest symbol, which its object count does
+        # not bound: the two documents of 1,1000000's 2 objects read
+        # 2.3 and 3.1 kB; a name for every value 0..n read 128.8 MB
+        p = validate_params(multiset=(1, 10**6), s=1)
+        cycle = euler_tour(build_graph(p))
+        text, peak = traced_peak(emit_document, cycle)
+        assert text.endswith("\n" + " ".join(map(str, cycle.symbols)) + "\n")
+        assert peak < 1_000_000
+        text, peak = traced_peak(emit_list, cycle)
+        assert text.endswith("".join(",".join(map(str, w)) + "\n" for w in cycle.edges))
+        assert peak < 1_000_000
+
     def test_parse_and_verify_list(self, fullperm_8_8_3):
         # a list body of names 1..10 is read into one byte string and checked
         # at stride k: 113.5, most of it the document's 40,320 lines; read
@@ -1077,22 +1105,44 @@ def test_only_core_enumerates():
 
 def test_no_dead_imports():
     # every imported name is used where it is imported, except a name that
-    # the benchmark's traced run wraps in that module's namespace
+    # the benchmark's traced run wraps in that module's namespace; and every
+    # module-level private function, class or constant is referenced by some
+    # module of the package, so that no helper outlives its last caller
     spans = load_spans()
     wrapped = {(module, attr) for module, attr, _ in spans.CLI_CALLS + spans.WALKER_CALLS}
     package = Path(ocycles.verify.__file__).parent
-    unused = set()
+    unused, private, referenced = set(), set(), set()
     for path in sorted(package.glob("*.py")):
         if path.stem == "__init__":
             continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            private.update(
+                (f"ocycles.{path.stem}", name)
+                for name in defined
+                if name.startswith("_") and not name.startswith("__")
+            )
         imported, used = set(), set()
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported.update(a.asname or a.name for a in node.names)
             elif isinstance(node, ast.Import):
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
             elif isinstance(node, ast.Name):
                 used.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
         assert imported, path.name  # the parse found the imports
         unused.update((f"ocycles.{path.stem}", name) for name in imported - used)
     assert unused - wrapped == set()
+    assert private, "the parse found the private names"
+    assert {(module, name) for module, name in private if name not in referenced} == set()
