@@ -31,10 +31,14 @@ def symbol_string(symbols: Sequence[int]) -> SymbolString:
     Either form indexes and iterates as ints and slices to its own type, and
     equal-length slices of one form sort in the same order, so the string's
     readers need not know which form they hold.  A ``bytes`` argument is
-    returned as it is, not copied.
+    returned as it is, not copied.  A one-shot iterator is read into a tuple
+    first: ``bytes()`` would consume it up to the first symbol above 255,
+    and the tuple form would then miss those symbols.
     """
     if isinstance(symbols, bytes):
         return symbols
+    if iter(symbols) is symbols:
+        symbols = tuple(symbols)
     try:
         # bytes() of an iterator reads its items; bytes() of a buffer such
         # as an array('H') would copy the buffer's raw memory instead

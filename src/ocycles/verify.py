@@ -14,9 +14,9 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import perm
-from operator import eq, itemgetter, ne, not_, setitem
+from operator import eq, not_, setitem
 from typing import Iterable, Sequence
 
 from .core import (
@@ -63,25 +63,21 @@ _CHUNK = 8_192
 _LANE_LOW = 0 if sys.byteorder == "little" else 3
 
 
-def _distinct_by_hashing(valid: Iterable[Word]) -> tuple[int, list[Word]]:
-    """The number of distinct words and, sorted, those that repeat."""
-    seen = Counter(valid)
-    return len(seen), sorted(tuple(w) for w, c in seen.items() if c > 1)
-
-
 def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
-    """As ``_distinct_by_hashing``, from one sorted list of the words: a
-    pointer per word in place of a hash-table entry and a count."""
+    """The number of distinct words and, sorted, those that repeat, from one
+    sorted list of the words: a pointer per word, where a ``Counter`` would
+    hold a hash-table entry and a count."""
     ordered = sorted(valid)
     repeats = list(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
     return len(ordered) - len(repeats), list(map(tuple, dict.fromkeys(repeats)))
 
 
 def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
-    """One validity flag per word, from bulk passes: for lists of word
-    tuples and strings with symbols above 255 (a byte string is flagged by
-    ``_byte_flags``).  `words` may be a generator, so a string's windows need
-    not all be sliced at once."""
+    """One validity flag per word, from bulk passes: for the windows of
+    strings ``_byte_flags`` cannot flag (a symbol above 255, or a multiset
+    wider than a byte) and for the words ``_coverage_report`` takes.
+    `words` may be a generator, so a string's windows need not all be sliced
+    at once."""
     if params.mode is Mode.KPERM:
         # k symbols, all distinct and in 1..n; the length test keeps out a
         # longer word whose symbols still cover k distinct letters
@@ -271,10 +267,15 @@ def _coverage_report(
     length_ok: bool,
     params: InstanceParams,
 ) -> VerificationReport:
+    """The report on `words`, flagged by ``_validity`` and counted by
+    ``_distinct_by_sorting`` all at once, given the overlap `violations`.
+    ``verify_object_list`` takes it for a list it cannot read as one string
+    at stride k: no words, or a word of another length.  The tests take it
+    as the reference for the grouped count of ``_windows_report``."""
     flags = _validity(words, params)
     # reports hold int tuples whichever form the words were sliced from
     invalid = list(map(tuple, compress(words, map(not_, flags))))
-    found, duplicates = _distinct_by_hashing(compress(words, flags))
+    found, duplicates = _distinct_by_sorting(compress(words, flags))
     return _report(len(words), invalid, found, duplicates, violations, length_ok, params)
 
 
@@ -379,61 +380,54 @@ def verify_object_list(
 ) -> VerificationReport:
     """Check the list form: adjacent (and wrap-around) overlaps plus coverage.
 
-    A ``Windows`` view at stride k = params.k over ``bytes`` (what
-    ``parse_text`` gives for a list body of names 1..10) is checked as one
-    string of k symbols per word by ``_verify_word_string``: its words are
-    flagged and counted by ``_windows_report`` at stride k, as a cycle
-    string's windows are at stride k - s, with no tuple per word.  Any other
-    sequence is copied into word tuples, checked one word at a time and
-    counted by hashing.  Both give the same report.
-    """
-    if (
-        isinstance(words, Windows)
-        and words.stride == words.k == params.k
-        and len(words)
-        and len(words.symbols) % params.k == 0  # no symbols past the last word
-        and _bytewise(words.symbols, params)
-    ):
-        return _verify_word_string(words.symbols, params)
-    words = [tuple(w) for w in words]
-    s = params.s
-    length_ok = bool(words) and all(len(w) == params.k for w in words)
-    violations: list[tuple[int, Vertex, Vertex]] = []
-    if length_ok:
-        # each word against the next, the last against the first
-        nxt = words[1:] + words[:1]
-        suffixes = map(itemgetter(slice(-s, None)), words)
-        prefixes = map(itemgetter(slice(s)), nxt)
-        bad = compress(count(), map(ne, suffixes, prefixes))
-        violations = [(i, words[i][-s:], nxt[i][:s]) for i in bad]
-    return _coverage_report(words, violations, length_ok, params)
+    Every list whose words all have length k is checked as one string of k
+    symbols per word: a ``Windows`` view at stride k = params.k (what
+    ``parse_text`` gives for a list body of names 1..10) by its own string,
+    any other sequence copied to word tuples once and joined into ``bytes``,
+    or into a tuple when a symbol lies outside 0..255.  A list with no
+    words, or with a word of another length, goes to ``_coverage_report``
+    with no overlap check.
 
-
-def _verify_word_string(b: bytes, params: InstanceParams) -> VerificationReport:
-    """``verify_object_list`` of the words b[0:k], b[k:2k], ...: a byte string
-    read at stride k, its overlaps checked in whole-column passes.
-
-    Word i's last s symbols match word i+1's first s exactly where, for each
-    o < s, column k-s+o (every word's symbol k-s+o, one byte per word) and
-    column o shifted on by one word, the first word's byte moved to the end
-    for the last word, XOR to a zero byte; the zero-byte test of
-    ``_kperm_invalid`` marks the others.  The words themselves are checked
-    by ``_windows_report`` at stride k.
+    Word i's last s symbols must equal word i+1's first s, and the last
+    word's the first word's.  In a byte string, for each o < s, column
+    k-s+o (every word's symbol k-s+o, one byte per word) XOR column o moved
+    on by one word has a zero byte exactly where they agree, and the
+    zero-byte test of ``_kperm_invalid`` marks the others; a tuple string
+    compares the two slices word by word.  Only flagged words become tuples
+    for the report.  The words are flagged and counted by ``_windows_report``
+    at stride k, as a cycle string's windows are at stride k - s.
     """
     k, s = params.k, params.s
+    if isinstance(words, Windows) and words.stride == words.k == k:
+        b = words.symbols[: len(words) * k]  # no symbols past the last word
+    else:
+        words = [tuple(w) for w in words]
+        if any(map(k.__ne__, map(len, words))):
+            return _coverage_report(words, [], False, params)
+        try:
+            b = bytes(chain.from_iterable(words))
+        except (ValueError, TypeError):  # a symbol outside 0..255
+            b = tuple(chain.from_iterable(words))
+        del words  # the string holds every symbol
     length = len(b)
     m = length // k
-    high = int.from_bytes(b"\x80" * m, "big")
-    low = int.from_bytes(b"\x7f" * m, "big")
-    differ = 0  # high bit set where word i's suffix is not word i+1's prefix
-    for o in range(s):
-        suffix = int.from_bytes(b[k - s + o :: k], "big")
-        x = suffix ^ int.from_bytes(b[k + o :: k] + b[o : o + 1], "big")
-        differ |= ((x & low) + low) | x
-    # a flagged word ends at j, and the next word starts at j (or at 0)
+    if not m:
+        return _coverage_report([], [], False, params)
+    # word i ends at ends[i], where word i+1 starts (word 0, at 0, after the last)
+    ends = range(k, length + k, k)
+    if isinstance(b, bytes):
+        high = int.from_bytes(b"\x80" * m, "big")
+        low = int.from_bytes(b"\x7f" * m, "big")
+        differ = 0  # high bit set where word i's suffix is not word i+1's prefix
+        for o in range(s):
+            suffix = int.from_bytes(b[k - s + o :: k], "big")
+            x = suffix ^ int.from_bytes(b[k + o :: k] + b[o : o + 1], "big")
+            differ |= ((x & low) + low) | x
+        flagged = compress(ends, (differ & high).to_bytes(m, "big"))
+    else:
+        flagged = (j for j in ends if b[j - s : j] != b[j % length : j % length + s])
     violations = [
-        (j // k - 1, tuple(b[j - s : j]), tuple(b[j % length : j % length + s]))
-        for j in compress(range(k, length + k, k), (differ & high).to_bytes(m, "big"))
+        (j // k - 1, tuple(b[j - s : j]), tuple(b[j % length : j % length + s])) for j in flagged
     ]
     return _windows_report(b, m, k, violations, params)
 

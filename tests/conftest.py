@@ -12,11 +12,13 @@ from ocycles.core import (
     InstanceParams,
     Mode,
     enumerate_objects,
+    is_valid_word,
     min_vertex,
     object_count,
     validate_params,
 )
 from ocycles.connect import Direction
+from ocycles.verify import VerificationReport
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -87,6 +89,36 @@ def perm5_fixture_words() -> list[tuple[int, ...]]:
     """120 permutations of {1..5} arranged in a 3-overlap cycle (known-good)."""
     text = (DATA_DIR / "perm5_s3_cycle.txt").read_text()
     return [tuple(int(c) for c in line) for line in text.split()]
+
+
+def reference_coverage(words, violations, length_ok, p):
+    """The per-word reference: one `is_valid_word` call and Counter update per word."""
+    seen = Counter()
+    invalid = []
+    for w in words:
+        if is_valid_word(w, p):
+            seen[w] += 1
+        else:
+            invalid.append(w)
+    duplicates = sorted(w for w, c in seen.items() if c > 1)
+    missing = object_count(p) - len(seen)
+    valid = length_ok and not invalid and not duplicates and not violations and missing == 0
+    return VerificationReport(
+        valid, len(words), duplicates, missing, violations, invalid, length_ok
+    )
+
+
+def reference_object_list(words, p):
+    words = [tuple(w) for w in words]
+    s = p.s
+    length_ok = bool(words) and all(len(w) == p.k for w in words)
+    violations = []
+    if length_ok:
+        for i, a in enumerate(words):
+            b = words[(i + 1) % len(words)]
+            if a[-s:] != b[:s]:
+                violations.append((i, a[-s:], b[:s]))
+    return reference_coverage(words, violations, length_ok, p)
 
 
 def decode_symbols(symbols, k, s):

@@ -39,6 +39,9 @@ class TestSymbolString:
     def test_tuple_once_a_symbol_leaves_the_byte_range(self, symbols):
         got = symbol_string(list(symbols))
         assert type(got) is tuple and got == symbols
+        # a one-shot iterator keeps the symbols bytes() read before failing
+        got = symbol_string(iter(symbols))
+        assert type(got) is tuple and got == symbols
 
     def test_bytes_are_returned_unchanged(self):
         symbols = bytes(range(1, 10)) * 1000

@@ -1,12 +1,13 @@
-"""The byte path for list documents against the per-word path.
+"""The byte reader for list documents against the per-word reader.
 
 A list body of names 1..10 is read into one byte string of k symbols per
-word and checked in whole-string passes; every other body is read a line at
-a time into word tuples.  On every document here both paths must give the
-same words, the same report, the same ``verify`` output and exit code, and
-the same parse error.  The per-word path is forced by making
-``cli._list_words`` decline every body, and by handing
-``verify_object_list`` the words as a list of tuples.
+word; every other body is read a line at a time into word tuples.  On every
+document here both readers must give the same words, the same report, the
+same ``verify`` output and exit code, and the same parse error.  The
+per-word reader is forced by making ``cli._list_words`` decline every body.
+``verify_object_list`` checks either form as one string at stride k, so its
+report on the words, also handed over as a list of tuples, is compared with
+the per-word reference ``reference_object_list`` too.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ from ocycles.core import Windows, validate_params
 from ocycles.euler import euler_tour
 from ocycles.graph import build_graph
 from ocycles.verify import verify_object_list
+from conftest import reference_object_list
 
 
 def _argv(p):
@@ -167,6 +169,7 @@ def check_both_paths(monkeypatch, p, text, folder):
     assert not isinstance(per_word_parsed.words, Windows)
     tuples = [tuple(w) for w in parsed.words]
     assert verify_object_list(parsed.words, p) == verify_object_list(tuples, p)
+    assert verify_object_list(tuples, p) == reference_object_list(tuples, p)
     return isinstance(parsed.words, Windows)
 
 

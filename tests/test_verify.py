@@ -18,7 +18,6 @@ from ocycles.core import (
     LimitError,
     Windows,
     feasibility,
-    is_valid_word,
     object_count,
     validate_params,
 )
@@ -34,7 +33,7 @@ from ocycles.verify import (
     verify_cycle_string,
     verify_object_list,
 )
-from conftest import decode_cycle, decode_symbols
+from conftest import decode_cycle, decode_symbols, reference_coverage, reference_object_list
 from test_perfbench_contract import load_spans
 
 
@@ -108,11 +107,15 @@ class TestSlicedWindows:
             (dict(n=3, k=2, s=1), (1, 2)),
             (dict(n=3, k=2, s=1), (1, 2, 1, 2, 1, 2)),
             (dict(n=4, k=3, s=2), (1, 2, 3, 4)),
+            (dict(n=3, k=2, s=1), (1, 2, 3, -1)),
         ],
     )
     def test_short_strings_match_decoded_windows(self, kwargs, symbols):
         p = validate_params(**kwargs)
-        assert verify_cycle_string(symbols, p) == decoded_report(symbols, p)
+        report = verify_cycle_string(symbols, p)
+        assert report == decoded_report(symbols, p)
+        # a one-shot iterator of the symbols is read once, whole
+        assert verify_cycle_string(iter(symbols), p) == report
 
     def test_single_object_cycle_shorter_than_overlap(self):
         p = validate_params(multiset=(1, 1, 1), s=2)
@@ -134,23 +137,6 @@ class TestSlicedWindows:
                 assert verify_cycle_string(tampered, p) == decoded_report(tampered, p)
 
 
-def reference_coverage(words, violations, length_ok, p):
-    """The per-word reference: one `is_valid_word` call and Counter update per word."""
-    seen = Counter()
-    invalid = []
-    for w in words:
-        if is_valid_word(w, p):
-            seen[w] += 1
-        else:
-            invalid.append(w)
-    duplicates = sorted(w for w, c in seen.items() if c > 1)
-    missing = object_count(p) - len(seen)
-    valid = length_ok and not invalid and not duplicates and not violations and missing == 0
-    return VerificationReport(
-        valid, len(words), duplicates, missing, violations, invalid, length_ok
-    )
-
-
 def reference_cycle_string(symbols, p):
     symbols = tuple(symbols)
     stride = p.k - p.s
@@ -159,19 +145,6 @@ def reference_cycle_string(symbols, p):
     ext = symbols + (symbols[: p.s] * p.s)[: p.s]
     windows = [ext[i : i + p.k] for i in range(0, len(symbols), stride)]
     return reference_coverage(windows, [], True, p)
-
-
-def reference_object_list(words, p):
-    words = [tuple(w) for w in words]
-    s = p.s
-    length_ok = bool(words) and all(len(w) == p.k for w in words)
-    violations = []
-    if length_ok:
-        for i, a in enumerate(words):
-            b = words[(i + 1) % len(words)]
-            if a[-s:] != b[:s]:
-                violations.append((i, a[-s:], b[:s]))
-    return reference_coverage(words, violations, length_ok, p)
 
 
 def assert_same_report(got, want):
@@ -282,6 +255,7 @@ class TestBothRepresentations:
         report = verify_cycle_string(symbols, p)
         assert report.valid
         assert_same_report(report, reference_cycle_string(symbols, p))
+        assert_same_report(verify_cycle_string(iter(symbols), p), report)
         rng = random.Random(300)
         for _ in range(5):
             i = rng.randrange(len(symbols) - 1)
@@ -291,6 +265,24 @@ class TestBothRepresentations:
                 symbols[:i] + (symbols[i + 1], symbols[i]) + symbols[i + 2 :],
             ):
                 assert_same_report(verify_cycle_string(tampered, p), reference_cycle_string(tampered, p))
+
+    def test_n300_word_tuples_and_tamperings(self, kperm_300_cycle):
+        # a list of words with symbols above 255 is joined into one tuple
+        # string, whose overlaps are compared slice by slice
+        p, symbols = kperm_300_cycle
+        words = list(Windows(symbols, p.k, p.k - p.s))
+        assert_same_report(verify_object_list(words, p), reference_object_list(words, p))
+        rng = random.Random(301)
+        for _ in range(2):
+            i, j = rng.sample(range(len(words)), 2)
+            swapped = list(words)
+            swapped[i], swapped[j] = words[j], words[i]
+            edited = list(words)
+            edited[i] = (edited[i][0], rng.choice((0, p.n + 1, 255, 256, -1)))
+            for tampered in (swapped, edited, words[:i] + words[i + 1 :], words[i:] + words[:i]):
+                report = verify_object_list(tampered, p)
+                assert_same_report(report, reference_object_list(tampered, p))
+        assert report.valid  # the last, a rotation
 
     @pytest.mark.parametrize("kwargs", [dict(n=4, k=3, s=1), dict(multiset=(1, 1, 2, 2, 3), s=2)])
     def test_symbols_on_both_sides_of_the_byte_range(self, kwargs):
@@ -559,10 +551,12 @@ class TestMultisetKernel:
 
 def both_list_paths(words, p):
     """verify_object_list of `words` as one byte string at stride k, which
-    must equal the report on the same words as tuples."""
+    must equal the report on the same words as tuples and the per-word
+    reference's."""
     words = [tuple(w) for w in words]
     report = verify_object_list(Windows(bytes(x for w in words for x in w), p.k, p.k), p)
     assert report == verify_object_list(words, p)
+    assert report == reference_object_list(words, p)
     return report
 
 
@@ -637,22 +631,26 @@ class TestWordStringPath:
         assert both_list_paths([(1, 2)], p).overlap_violations == [(0, (2,), (1,))]
 
     def test_other_sequences_take_the_per_word_path(self, kperm_300_cycle):
-        # a view at another stride or width, and tuple symbols, are read as
-        # word tuples
+        # a view at another stride or width, and tuple symbols, are copied
+        # to word tuples and joined into one string at stride k
         p = validate_params(n=4, k=3, s=1)
         cycle = euler_tour(build_graph(p))
         tuples = list(cycle.edges)
         assert verify_object_list(cycle.edges, p) == verify_object_list(tuples, p)
+        assert verify_object_list(tuples, p) == reference_object_list(tuples, p)
         flat = bytes(x for w in tuples for x in w)
         q = validate_params(n=4, k=2, s=1)
         assert verify_object_list(Windows(flat, 3, 3), q) == verify_object_list(tuples, q)
+        assert verify_object_list(tuples, q) == reference_object_list(tuples, q)
         p, symbols = kperm_300_cycle
         words = Windows(symbols, 2, 1)
         assert verify_object_list(words, p).valid
+        assert verify_object_list(words, p) == reference_object_list(words, p)
         # symbols past the last whole word are not read
         p = validate_params(n=3, k=2, s=1)
         words = Windows(bytes([1, 2, 2, 1, 3]), 2, 2)
         assert verify_object_list(words, p) == verify_object_list([(1, 2), (2, 1)], p)
+        assert verify_object_list(words, p) == reference_object_list([(1, 2), (2, 1)], p)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -797,8 +795,8 @@ def traced_peak(fn, *args):
 
 class TestMemoryGuard:
     """Traced peaks per object at (8,8,3), 40,320 objects, for the tour's
-    tail tables also at (9,5,1) and (12,5,2), and for the per-word verifier
-    at the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680 objects.
+    tail tables also at (9,5,1) and (12,5,2), and for the verifier also at
+    the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680 objects.
     Allocation sizes are deterministic; one-byte symbols and pieces of a
     long body keep each stage well under its bound."""
 
@@ -909,6 +907,22 @@ class TestMemoryGuard:
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid and report.object_count == 89_700
         assert peak / 89_700 < 40
+
+    @pytest.mark.parametrize(
+        "kwargs, bound",
+        [(dict(n=8, k=8, s=3), 45), (dict(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4), 70)],
+        ids=["8-8-3", "multiset"],
+    )
+    def test_verify_word_tuples(self, kwargs, bound):
+        # a list of word tuples is joined into one byte string and checked
+        # at stride k as a list document's is: 22.9 at (8,8,3) and 45.0 for
+        # the multiset; checked one tuple at a time and counted by hashing
+        # they read 72.7 and 109.0
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        report, peak = traced_peak(verify_object_list, words, p)
+        assert report.valid and report.object_count == len(words)
+        assert peak / len(words) < bound
 
     def test_verify_multiset_list(self):
         # a multiset list's words, one byte string at stride k, are counted
