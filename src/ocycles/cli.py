@@ -20,6 +20,9 @@ reads names 1..10 between single separators, spaces in a string piece and
 k to a line between commas in a list body, in the same kind of passes with
 no object per symbol; packed list lines take one more such pass, and any
 other body line is split into one token per symbol by the rule above.
+The header block is found by one pattern match in place, and a list body
+of bare lines after it is read as one slice, with no object per line; any
+other document is split into lines.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -34,7 +37,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
@@ -326,17 +329,46 @@ class ParsedInput:
     words: Sequence[Word] | None  # a Windows view, or word tuples
 
 
-def _lines(text: str) -> tuple[dict[str, str], int, list[str]]:
-    """The headers, first of each name, the count of body lines, and the
-    document's lines: the document is split once."""
+# where ``str.splitlines`` breaks a line
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# the leading blank and header lines, each with its line break
+_HEAD_BLOCK = re.compile(rf"(?:[^\S{_BREAKS}]*(?:#[^{_BREAKS}]*)?(?:[{_BREAKS}]|\Z))*")
+
+
+def _add_header(headers: dict[str, str], line: str) -> None:
+    """Record the header `line` (stripped, after its ``#``) unless its name
+    came earlier."""
+    parts = line[1:].strip().split(None, 1)
+    if len(parts) == 2:
+        headers.setdefault(parts[0], parts[1])
+
+
+def _header_block(text: str) -> tuple[dict[str, str], int, int]:
+    """The headers of the document's leading blank and header lines, where
+    the first other line starts, and how many lines come before it.  The
+    block is found by one match in place, and only it is sliced: the first
+    body line may be a whole string body."""
+    start = _HEAD_BLOCK.match(text).end()
+    lines = text[:start].splitlines()
     headers: dict[str, str] = {}
+    for line in map(str.strip, lines):
+        if line:
+            _add_header(headers, line)
+    return headers, start, len(lines)
+
+
+def _lines(
+    text: str, headers: dict[str, str], skip: int
+) -> tuple[dict[str, str], int, list[str]]:
+    """The headers, first of each name, the count of body lines, and the
+    document's lines, given the `headers` of its first `skip` lines (the
+    header block): the document is split once."""
+    headers = dict(headers)
     body_lines = 0
     lines = text.splitlines()
-    for line in map(str.strip, lines):
+    for line in map(str.strip, islice(lines, skip, None)):
         if line.startswith("#"):
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2:
-                headers.setdefault(parts[0], parts[1])
+            _add_header(headers, line)
         elif line:
             body_lines += 1
     return headers, body_lines, lines
@@ -348,32 +380,81 @@ def _body(lines: list[str]) -> Iterator[tuple[int, str, str]]:
     return ((number, raw, line) for number, raw, line in numbered if line and line[0] != "#")
 
 
-def _list_words(lines: list[str]) -> Windows | None:
-    """The words of a list body, given its stripped lines, as a view at
-    stride k over one ``bytes`` string of k symbols per word, when every
-    line is k names 1..10 between single commas, or k digits 1..9 packed;
-    None otherwise, and each line is read by `_word` instead.
+def _list_words(text: str) -> Windows | None:
+    """The words of a list body, given as its lines each after a newline,
+    as a view at stride k over one ``bytes`` string of k symbols per word,
+    when every line is k names 1..10 between single commas, or k digits
+    1..9 packed; None otherwise.  The first line sets k.
 
-    The lines are joined with newlines.  Comma lines, with a newline in
-    front, are read by `_separated_names` with the separators a newline and
-    k - 1 commas.  Packed lines must be ASCII with a newline at every place
-    k, 2k + 1, ... and nowhere else, and their digits map to 1..9 in one
-    ``translate``.  A miss (0, a sign, a blank, a longer name) sends the
-    body to `_word`.
+    Comma lines are read by `_separated_names` with the separators a
+    newline and k - 1 commas.  Packed lines must be ASCII with a newline at
+    every place 0, k + 1, 2k + 2, ... and nowhere else, and their digits
+    map to 1..9 in one ``translate``.  A miss (0, a sign, a blank, a longer
+    name, a line break other than a newline) declines the body.
     """
-    if not lines:
+    first = text.find("\n", 1)  # where the first line ends
+    if first < 0:
+        first = len(text)
+    if first < 2:  # no line, or a blank one
         return None
-    text = "\n".join(lines)
-    if "," in lines[0]:
-        k = lines[0].count(",") + 1
-        symbols = _separated_names("\n" + text, "\n" + "," * (k - 1))
+    if text.find(",", 1, first) >= 0:
+        k = text.count(",", 1, first) + 1
+        symbols = _separated_names(text, "\n" + "," * (k - 1))
     else:
-        k, m = len(lines[0]), len(lines)
-        packed = text.isascii() and len(text) == (k + 1) * m - 1
-        if not packed or text[k :: k + 1] != "\n" * (m - 1):
+        k = first - 1
+        m, rest = divmod(len(text), k + 1)
+        if rest or not text.isascii() or text[:: k + 1] != "\n" * m:
             return None
         symbols = text.encode("latin-1").translate(_DIGITS, b"\n")
+        if len(symbols) != m * k:  # a newline off its place
+            return None
     return None if symbols is None or _MISS in symbols else Windows(symbols, k, k)
+
+
+def _params(headers: dict[str, str]) -> InstanceParams | None:
+    """The instance the headers declare, if they name a mode and s."""
+    if not {"mode", "s"} <= headers.keys():
+        return None
+    try:
+        if headers["mode"] == Mode.MULTISET.value:
+            multiset = _parse_multiset(headers["multiset"])
+            return validate_params(multiset=multiset, s=int(headers["s"]))
+        return validate_params(n=int(headers["n"]), k=int(headers["k"]), s=int(headers["s"]))
+    except (KeyError, ValueError, ParamError) as exc:
+        raise DocumentError(f"bad document header: {exc}") from exc
+
+
+def _text_list(text: str, headers: dict[str, str], start: int) -> ParsedInput | None:
+    """The list document whose body, from `start` to the end, `_list_words`
+    reads as one slice, given the `headers` of the header block before it;
+    None where the body is not a list or the slice is declined.
+
+    A body the slice reads is only names, commas and newlines, so it holds
+    no header, blank or comment line and no other line break: the headers
+    are the whole document's, and its lines are the body lines the line
+    reader would strip and join.  The body is sliced only once the headers
+    say list, or say no format and a newline follows the first body line
+    (a one-line body is a string), so a string body is never copied.
+    """
+    fmt = headers.get("format")
+    end = len(text) - text.endswith("\n")
+    if fmt != "list" and (fmt is not None or text.find("\n", start, end) < 0):
+        return None
+    try:
+        params = _params(headers)
+    except DocumentError:
+        return None  # the line reader raises it, unless a later header mends it
+    # a valid document of n > 10 has names above 10, which _list_words declines
+    if params is not None and params.n > 10:
+        return None
+    # the newline that ends the header block leads the slice, if there is one
+    before = start > 0 and text[start - 1] == "\n"
+    words = _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
+    if words is None:
+        return None
+    if params is not None:
+        _check_declared(headers, len(words) * (params.k - params.s), len(words))
+    return ParsedInput("list", params, None, words)
 
 
 def parse_text(text: str) -> ParsedInput:
@@ -381,27 +462,23 @@ def parse_text(text: str) -> ParsedInput:
     a string body's symbols, ``bytes`` when every symbol fits in a byte, or
     a list body's words.
 
-    A list body of names 1..10, k to a line between commas or packed, is
-    read by `_list_words` into one ``bytes`` string of k symbols per word,
-    and its words are a ``Windows`` view over it at stride k, which
-    ``verify_object_list`` checks in whole-string passes.  Any other list
-    body is read a line at a time into word tuples by `_word`; the words
-    are the same either way, and so are the errors.
+    The header block is found first.  A list body of names 1..10, k to a
+    line between commas or packed, is then read by `_text_list` as one
+    slice into one ``bytes`` string of k symbols per word, and its words are
+    a ``Windows`` view over it at stride k, which ``verify_object_list``
+    checks in whole-string passes.  Any other document is split into lines.
+    A list body with blank, comment or padded lines, or other line breaks,
+    is read by `_list_words` from its stripped lines joined by newlines, and
+    where that declines too (a name above 10, a blank field, a line of
+    another length) a line at a time into word tuples by `_word`.  The
+    words are the same every way, and so are the errors.
     """
-    headers, body_lines, lines = _lines(text)
-    params: InstanceParams | None = None
-    if {"mode", "s"} <= headers.keys():
-        try:
-            if headers["mode"] == Mode.MULTISET.value:
-                multiset = _parse_multiset(headers["multiset"])
-                params = validate_params(multiset=multiset, s=int(headers["s"]))
-            else:
-                params = validate_params(
-                    n=int(headers["n"]), k=int(headers["k"]), s=int(headers["s"])
-                )
-        except (KeyError, ValueError, ParamError) as exc:
-            raise DocumentError(f"bad document header: {exc}") from exc
-
+    headers, start, skip = _header_block(text)
+    parsed = _text_list(text, headers, start)
+    if parsed is not None:
+        return parsed
+    headers, body_lines, lines = _lines(text, headers, skip)
+    params = _params(headers)
     fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     if fmt not in ("string", "list"):
         raise DocumentError(f"unknown format {fmt!r}")
@@ -420,9 +497,8 @@ def parse_text(text: str) -> ParsedInput:
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
     words = None
-    # a valid document of n > 10 has names above 10, which _list_words declines
     if params is None or params.n <= 10:
-        words = _list_words([line for _, _, line in _body(lines)])
+        words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
     if words is None:
         words = tuple(_word(number, raw, line) for number, raw, line in _body(lines))
     if params is not None:

@@ -375,6 +375,14 @@ def verify_cycle_string(
     return _windows_report(ext, length // stride, stride, [], params)
 
 
+class _Tuples(dict):
+    """A tuple of each slice looked up, made on its first lookup."""
+
+    def __missing__(self, key: SymbolString) -> Vertex:
+        self[key] = value = tuple(key)
+        return value
+
+
 def verify_object_list(
     words: Sequence[Sequence[int]], params: InstanceParams
 ) -> VerificationReport:
@@ -393,9 +401,11 @@ def verify_object_list(
     k-s+o (every word's symbol k-s+o, one byte per word) XOR column o moved
     on by one word has a zero byte exactly where they agree, and the
     zero-byte test of ``_kperm_invalid`` marks the others; a tuple string
-    compares the two slices word by word.  Only flagged words become tuples
-    for the report.  The words are flagged and counted by ``_windows_report``
-    at stride k, as a cycle string's windows are at stride k - s.
+    compares the two slices word by word.  A violation holds the two
+    slices as tuples, one tuple per distinct slice, shared by every
+    violation that holds it.  The words are flagged and counted by
+    ``_windows_report`` at stride k, as a cycle string's windows are at
+    stride k - s.
     """
     k, s = params.k, params.s
     if isinstance(words, Windows) and words.stride == words.k == k:
@@ -413,7 +423,8 @@ def verify_object_list(
     m = length // k
     if not m:
         return _coverage_report([], [], False, params)
-    # word i ends at ends[i], where word i+1 starts (word 0, at 0, after the last)
+    # word i ends at ends[i], where word i+1 starts (word 0, at 0, after the
+    # last: a slice past the end is empty, and then word 0's is taken)
     ends = range(k, length + k, k)
     if isinstance(b, bytes):
         high = int.from_bytes(b"\x80" * m, "big")
@@ -423,12 +434,19 @@ def verify_object_list(
             suffix = int.from_bytes(b[k - s + o :: k], "big")
             x = suffix ^ int.from_bytes(b[k + o :: k] + b[o : o + 1], "big")
             differ |= ((x & low) + low) | x
-        flagged = compress(ends, (differ & high).to_bytes(m, "big"))
+        flags = (differ & high).to_bytes(m, "big")
     else:
-        flagged = (j for j in ends if b[j - s : j] != b[j % length : j % length + s])
-    violations = [
-        (j // k - 1, tuple(b[j - s : j]), tuple(b[j % length : j % length + s])) for j in flagged
-    ]
+        flags = bytes(b[j - s : j] != (b[j : j + s] or b[:s]) for j in ends)
+    # one tuple per distinct s-symbol slice, shared by every violation that
+    # holds it: a list out of tour order repeats a few vertices many times
+    vertices = _Tuples()
+    violations = list(
+        zip(
+            compress(range(m), flags),
+            map(vertices.__getitem__, (b[j - s : j] for j in compress(ends, flags))),
+            map(vertices.__getitem__, (b[j : j + s] or b[:s] for j in compress(ends, flags))),
+        )
+    )
     return _windows_report(b, m, k, violations, params)
 
 

@@ -1,10 +1,14 @@
-"""The byte reader for list documents against the per-word reader.
+"""The three readers of a list document against each other.
 
 A list body of names 1..10 is read into one byte string of k symbols per
-word; every other body is read a line at a time into word tuples.  On every
-document here both readers must give the same words, the same report, the
-same ``verify`` output and exit code, and the same parse error.  The
-per-word reader is forced by making ``cli._list_words`` decline every body.
+word: as one slice of the document after its header block (the text pass,
+``cli._text_list``), or, where that declines, from its stripped lines
+joined by newlines (the joined-lines pass).  Every other body is read a
+line at a time into word tuples by ``cli._word``.  On every document here
+each reader must give the same parse, the same report, the same ``verify``
+output and exit code, and the same parse error.  The joined-lines pass is
+forced by making ``_text_list`` decline every document, and the per-word
+reader by making ``_list_words`` decline every body as well.
 ``verify_object_list`` checks either form as one string at stride k, so its
 report on the words, also handed over as a list of tuples, is compared with
 the per-word reference ``reference_object_list`` too.
@@ -62,18 +66,24 @@ GENERATED = [
 ]
 
 
+# the line breaks of str.splitlines other than a newline
+BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def _tampered(p, text, rng):
-    """Edits of one generated list document, each (label, text, whether the
-    byte path reads it).  The edits that change the word count drop the
-    count headers, but for one, which the reader rejects."""
+    """Edits of one generated list document, each (label, text, reader):
+    the reader that reads it, "text" or "lines", or None where neither byte
+    pass does (it is read per word, or fails to parse).  The edits that
+    change the word count drop the count headers, but for one, which the
+    reader rejects."""
     head, body = _split(text)
     uncounted = [x for x in head if not x.startswith(("# objects", "# length"))]
     i, j = rng.sample(range(len(body)), 2)
-    wide = p.n > 10  # a name above 10: never the byte path
+    wide = p.n > 10  # a name above 10: never a byte pass
     out = []
 
-    def edit(label, lines, by_bytes=True, h=head, end="\n"):
-        out.append((label, _join(h, lines, end), by_bytes and not wide))
+    def edit(label, lines, reader="text", h=head, end="\n"):
+        out.append((label, _join(h, lines, end), None if wide else reader))
 
     dup = list(body)
     dup[j] = body[i]
@@ -82,54 +92,126 @@ def _tampered(p, text, rng):
     swapped[i], swapped[j] = body[j], body[i]
     edit("swap", swapped)
     edit("missing", body[:i] + body[i + 1 :], h=uncounted)
-    edit("missing, counted", body[:i] + body[i + 1 :], False)
+    edit("missing, counted", body[:i] + body[i + 1 :], None)
     edit("extra", body[:i] + [body[j]] + body[i:], h=uncounted)
-    edit("k+1 names", body[:i] + [body[i] + ",1"] + body[i + 1 :], False, uncounted)
-    edit("k-1 names", body[:i] + [body[i].rsplit(",", 1)[0]] + body[i + 1 :], False, uncounted)
+    edit("k+1 names", body[:i] + [body[i] + ",1"] + body[i + 1 :], None, uncounted)
+    edit("k-1 names", body[:i] + [body[i].rsplit(",", 1)[0]] + body[i + 1 :], None, uncounted)
     for symbol in (0, p.n + 1, 10, 255):
         names = body[i].split(",")
         names[rng.randrange(len(names))] = str(symbol)
-        edit(f"symbol {symbol}", body[:i] + [",".join(names)] + body[i + 1 :], 1 <= symbol <= 10)
+        reader = "text" if 1 <= symbol <= 10 else None
+        edit(f"symbol {symbol}", body[:i] + [",".join(names)] + body[i + 1 :], reader)
     # the same names and separators, the third line's first name moved onto
     # the second line (the first line sets how many names a line has)
     first, rest = body[2].split(",", 1)
-    edit("a name moved up", [body[0], f"{body[1]},{first}", rest, *body[3:]], False, uncounted)
-    edit("crlf", body, end="\r\n")
-    edit("blank lines", body[:i] + ["", "   "] + body[i:] + [""])
-    edit("padded lines", [f" \t{line}  " for line in body])
-    edit("comment inside", body[:i] + ["# a note"] + body[i:])
+    edit("a name moved up", [body[0], f"{body[1]},{first}", rest, *body[3:]], None, uncounted)
+    edit("crlf", body, "lines", end="\r\n")
+    edit("blank lines", body[:i] + ["", "   "] + body[i:] + [""], "lines")
+    edit("padded lines", [f" \t{line}  " for line in body], "lines")
+    edit("comment inside", body[:i] + ["# a note"] + body[i:], "lines")
     edit("no headers", body, h=[])
-    edit("blank field", body[:i] + [body[i].replace(",", ",,", 1)] + body[i + 1 :], False)
-    edit("spaced field", body[:i] + [body[i].replace(",", ", ", 1)] + body[i + 1 :], False)
-    edit("leading zero", body[:i] + ["0" + body[i]] + body[i + 1 :], False)
-    edit("bad token", body[:i] + [body[i] + "x"] + body[i + 1 :], False)
-    edit("spaced names", body[:i] + [body[i].replace(",", " ")] + body[i + 1 :], False)
-    edit("all spaced", [line.replace(",", " ") for line in body], False, [])
+    edit("blank field", body[:i] + [body[i].replace(",", ",,", 1)] + body[i + 1 :], None)
+    edit("spaced field", body[:i] + [body[i].replace(",", ", ", 1)] + body[i + 1 :], None)
+    edit("leading zero", body[:i] + ["0" + body[i]] + body[i + 1 :], None)
+    edit("bad token", body[:i] + [body[i] + "x"] + body[i + 1 :], None)
+    edit("spaced names", body[:i] + [body[i].replace(",", " ")] + body[i + 1 :], None)
+    edit("all spaced", [line.replace(",", " ") for line in body], None, [])
     if p.n <= 9:
         packed = [line.replace(",", "") for line in body]
         edit("packed", packed)
         moved = [packed[0], packed[1] + packed[2][0], packed[2][1:], *packed[3:]]
-        edit("packed, a name moved up", moved, False, uncounted)
-        edit("packed, one comma line", packed[:-1] + body[-1:], False)
+        edit("packed, a name moved up", moved, None, uncounted)
+        edit("packed, one comma line", packed[:-1] + body[-1:], None)
+        # as many characters, but one line is cut in two by a newline
+        split = [*packed[:i], packed[i][:1], packed[i][2:], *packed[i + 1 :]]
+        edit("packed, a line cut in two", split, None, uncounted)
+    return out
+
+
+def _layout_edits(p, text, rng):
+    """Edits of one generated list document that move its lines, blanks,
+    breaks and headers about, each (label, text, reader) as in
+    `_tampered`: the text pass reads only a body of bare lines, each ended
+    by a newline (the last one's may be missing), after any header block."""
+    head, body = _split(text)
+    i = rng.randrange(1, len(body) - 1)
+    wide = p.n > 10
+    out = []
+
+    def edit(label, doc, reader="text"):
+        out.append((label, doc, None if wide else reader))
+
+    edit("blank line after the body", _join(head, body + [""]), "lines")
+    edit("comment after the body", _join(head, body + ["# the end"]), "lines")
+    edit("headers after the body", _join([], body + head), "lines")
+    edit("a header after the body", _join(head, body + ["# n 99"]), "lines")
+    edit("blank lines before the body", _join(head + ["", " \t"], body))
+    # blanks, as str.strip takes them: also a no-break and an ideographic space
+    edit("padded headers", _join([f" \t\xa0{x}\u3000 " for x in head], body))
+    edit("headers ended by cr", "".join(x + "\r" for x in head) + _join([], body))
+    edit("leading blanks", _join(head, body[:i] + [" \t" + body[i]] + body[i + 1 :]), "lines")
+    edit("trailing blanks", _join(head, body[:i] + [body[i] + "\t "] + body[i + 1 :]), "lines")
+    edit("first line padded", _join(head, [" " + body[0]] + body[1:]), "lines")
+    edit("no final newline", _join(head, body).removesuffix("\n"))
+    edit("no final newline, no headers", _join([], body).removesuffix("\n"))
+    for mark in BREAKS:
+        after = body[:i] + [body[i] + mark + body[i + 1]] + body[i + 2 :]
+        edit(f"break {mark!r}", _join(head, after), "lines")
+        edit(f"headers broken by {mark!r}", mark.join([*head, ""]) + _join([], body))
+    edit("final break \\x85", _join(head, body).removesuffix("\n") + "\x85", "lines")
+    edit("a # inside a line", _join(head, body[:i] + [body[i] + "#"] + body[i + 1 :]), None)
+    # a line that starts with # is a comment, so its word is dropped
+    uncounted = [x for x in head if not x.startswith(("# objects", "# length"))]
+    commented = body[:i] + ["#" + body[i]] + body[i + 1 :]
+    edit("a # starting a line", _join(uncounted, commented), "lines")
+    length_1 = [x if not x.startswith("# length") else "# length 1" for x in head]
+    edit("length 1", _join(length_1, body), None)
+    names = body[i].split(",")
+    names[0] = "10"
+    edit("10 at a line start", _join(head, body[:i] + [",".join(names)] + body[i + 1 :]))
+    names[0] = "11"
+    edit("11 at a line start", _join(head, body[:i] + [",".join(names)] + body[i + 1 :]), None)
     return out
 
 
 def _corpus():
-    """(label, params, text, whether the byte path reads it): generated list
-    documents, their edits, and plain packed listings."""
+    """(label, params, text, reader as in `_tampered`): generated list
+    documents, their edits, plain packed listings and a few small ones."""
     rng = random.Random(2203)
     docs = []
     for p in GENERATED:
         text = emit_list(euler_tour(build_graph(p)))
-        docs.append((f"{p.describe()} generated", p, text, p.n <= 10))
+        docs.append((f"{p.describe()} generated", p, text, "text" if p.n <= 10 else None))
         docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in _tampered(p, text, rng)]
+    for p in GENERATED[0], GENERATED[2], GENERATED[7], GENERATED[8]:
+        text = emit_list(euler_tour(build_graph(p)))
+        edits = _layout_edits(p, text, rng)
+        docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in edits]
     p = validate_params(n=5, k=3, s=2)
     listing = "".join("".join(map(str, w)) + "\n" for w in permutations(range(1, 6), 3))
-    docs.append(("packed lexicographic listing", p, listing, True))
-    docs.append(("packed listing, a 0", p, listing.replace("345", "305"), False))
-    docs.append(("packed listing, a 4-digit line", p, listing.replace("345", "3456"), False))
-    docs.append(("one line", validate_params(n=3, k=2, s=1), "# format list\n1,2\n", True))
-    docs.append(("one packed line", validate_params(n=3, k=2, s=1), "# format list\n12\n", True))
+    docs.append(("packed lexicographic listing", p, listing, "text"))
+    docs.append(("packed listing, a 0", p, listing.replace("345", "305"), None))
+    docs.append(("packed listing, a 4-digit line", p, listing.replace("345", "3456"), None))
+    docs.append(("packed listing, a blank line", p, listing.replace("345\n", "345\n\n"), "lines"))
+    docs.append(("packed listing, a break", p, listing.replace("345\n", "345\u2028"), "lines"))
+    docs.append(("packed listing, a 10", p, listing.replace("\n345", "\n105"), None))
+    p3 = validate_params(n=3, k=2, s=1)
+    docs.append(("one line", p3, "# format list\n1,2\n", "text"))
+    docs.append(("one packed line", p3, "# format list\n12\n", "text"))
+    # without a format header one body line is a string, and more are a list
+    docs.append(("one line, no format", p3, "# mode kperm\n# n 3\n# k 2\n# s 1\n1,2\n", None))
+    docs.append(("one line, no headers", p3, "1,2,2,1,1,3\n", None))
+    docs.append(("one line and a comment, no headers", p3, "1,2\n# 2,1\n", None))
+    docs.append(("two lines, no headers", p3, "1,2\n2,1", "text"))
+    p10 = validate_params(n=10, k=2, s=1)
+    docs.append(("10 first, no headers", p10, "10,1\n1,10\n", "text"))
+    docs.append(("names 0, 10 and 11", p10, "# format list\n0,10\n10,11\n", None))
+    # a document of n > 10 is read per word, even where its names are 1..10
+    p11 = validate_params(n=11, k=2, s=1)
+    narrow = "# mode kperm\n# n 11\n# k 2\n# s 1\n1,2\n2,1\n"
+    docs.append(("n = 11, names 1..10", p11, narrow, None))
+    docs.append(("no body", p3, "# format list\n# mode kperm\n", None))
+    docs.append(("empty", p3, "", None))
     return docs
 
 
@@ -151,32 +233,55 @@ def _verify(path, p):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_both_paths(monkeypatch, p, text, folder):
-    """Both paths give the same parse, report and verify output; returns
-    whether the byte path read the words."""
+def check_every_reader(monkeypatch, p, text, folder):
+    """The text pass, the joined-lines pass and the per-word reader, each
+    forced in turn, give the same parse, errors, report and verify output;
+    returns the reader of the list words as in `_tampered`."""
     path = Path(folder) / "doc.txt"
     path.write_text(text, newline="")
-    read, parsed = _read(text)
-    run = _verify(path, p)
+    took = []  # whether the text pass read the document, per parse
+    text_list = ocycles.cli._text_list
+
+    def spy(*args):
+        parsed = text_list(*args)
+        took.append(parsed is not None)
+        return parsed
+
     with monkeypatch.context() as patched:
-        patched.setattr(ocycles.cli, "_list_words", lambda lines: None)
-        per_word_read, per_word_parsed = _read(text)
-        per_word_run = _verify(path, p)
-    assert read == per_word_read
-    assert run == per_word_run
-    if parsed is None:
-        return False
-    assert not isinstance(per_word_parsed.words, Windows)
+        patched.setattr(ocycles.cli, "_text_list", spy)
+        results = [(_read(text), _verify(path, p))]
+        by_text = took[0] if took else False
+        patched.setattr(ocycles.cli, "_text_list", lambda *args: None)
+        results.append((_read(text), _verify(path, p)))
+        by_lines = isinstance(results[-1][0][1] and results[-1][0][1].words, Windows)
+        patched.setattr(ocycles.cli, "_list_words", lambda text: None)
+        results.append((_read(text), _verify(path, p)))
+    (read, parsed), run = results[0]
+    for (other, _), other_run in results[1:]:
+        assert other == read
+        assert other_run == run
+    if parsed is None or parsed.fmt == "string":
+        return None
+    # one word per body line, as str.splitlines cuts the document
+    stripped = map(str.strip, text.splitlines())
+    assert len(parsed.words) == sum(1 for x in stripped if x and x[0] != "#")
+    assert not isinstance(results[-1][0][1].words, Windows)
     tuples = [tuple(w) for w in parsed.words]
     assert verify_object_list(parsed.words, p) == verify_object_list(tuples, p)
     assert verify_object_list(tuples, p) == reference_object_list(tuples, p)
-    return isinstance(parsed.words, Windows)
+    return "text" if by_text else "lines" if by_lines else None
 
 
-@pytest.mark.parametrize("label, p, text, by_bytes", CORPUS, ids=[doc[0] for doc in CORPUS])
-def test_corpus(monkeypatch, tmp_path, label, p, text, by_bytes):
-    # the forms the byte path reads do take it, and the others do not
-    assert check_both_paths(monkeypatch, p, text, tmp_path) == by_bytes
+@pytest.mark.parametrize("label, p, text, reader", CORPUS, ids=[doc[0] for doc in CORPUS])
+def test_corpus(monkeypatch, tmp_path, label, p, text, reader):
+    # the forms each byte pass reads do take it, and the others do not
+    assert check_every_reader(monkeypatch, p, text, tmp_path) == reader
+
+
+def test_one_body_line_without_format_is_a_string():
+    parsed = parse_text("# mode kperm\n# n 3\n# k 2\n# s 1\n1,2\n")
+    assert (parsed.fmt, parsed.symbols) == ("string", b"\x01\x02")
+    assert parse_text("1,2\n2,1\n").fmt == "list"
 
 
 # edits of a body line (picked by a number), or of the whole document
@@ -225,4 +330,53 @@ def test_edited_corpus(doc, edits, counted):
         else:
             body[i] = f" {body[i]}\t"
     with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as folder:
-        check_both_paths(monkeypatch, p, _join(head, body, end), folder)
+        check_every_reader(monkeypatch, p, _join(head, body, end), folder)
+
+
+# edits of where a generated list document's lines, blanks, breaks and
+# headers fall, and of its names; each picks a body line by a number
+LAYOUT_EDITS = st.sampled_from(
+    ["break", "blank", "comment", "header", "pad", "final", "name", "hash", "ten"]
+)
+GENERATED_LISTS = [(p, emit_list(euler_tour(build_graph(p)))) for p in GENERATED]
+
+
+@given(
+    doc=st.sampled_from(GENERATED_LISTS),
+    edits=st.lists(st.tuples(LAYOUT_EDITS, st.integers(0, 10**6), st.integers(0, 20)), max_size=4),
+    counted=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_layout_edited_documents(doc, edits, counted):
+    p, text = doc
+    head, body = _split(text)
+    if not counted:
+        head = [x for x in head if not x.startswith(("# objects", "# length"))]
+    lines = [[x, "\n"] for x in head + body]  # each line and the break after it
+    final = True
+    for edit, at, pick in edits:
+        i = len(head) + at % len(body)
+        line = lines[i]
+        if edit == "break":
+            line[1] = (BREAKS + ["\r\n", "\n"])[pick % (len(BREAKS) + 2)]
+        elif edit in ("blank", "comment", "header"):
+            extra = {"blank": " \t"[: pick % 3], "comment": "# a note", "header": "# n 99"}[edit]
+            lines.insert(i + pick % 2, [extra, "\n"])
+        elif edit == "pad":
+            pad = " \t"[pick % 2] * (1 + pick % 3)
+            line[0] = pad + line[0] if pick % 4 < 2 else line[0] + pad
+        elif edit == "final":
+            final = False
+        elif edit in ("name", "ten") and line[0] and not line[0].startswith("#"):
+            names = line[0].split(",")
+            value = "10" if edit == "ten" else ("0", "10", "11")[pick % 3]
+            names[0 if edit == "ten" else pick % len(names)] = value
+            line[0] = ",".join(names)
+        elif edit == "hash":
+            cut = pick % (len(line[0]) + 1)
+            line[0] = line[0][:cut] + "#" + line[0][cut:]
+    edited = "".join(x + end for x, end in lines)
+    if not final:
+        edited = edited[: -len(lines[-1][1])]
+    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as folder:
+        check_every_reader(monkeypatch, p, edited, folder)

@@ -949,13 +949,35 @@ class TestMemoryGuard:
 
     def test_parse_and_verify_list(self, fullperm_8_8_3):
         # a list body of names 1..10 is read into one byte string and checked
-        # at stride k: 113.5, most of it the document's 40,320 lines; read
-        # into word tuples and checked one word at a time it was 186.2
+        # at stride k: 32.0, the parse's peak; split into the document's
+        # 40,320 lines first it read 113.5, and read into word tuples and
+        # checked one word at a time 186.2
         p, tour = fullperm_8_8_3
         text = emit_list(tour)
         report, peak = traced_peak(lambda: verify_object_list(parse_text(text).words, p))
         assert report.valid and report.object_count == 40_320
         assert peak / 40_320 < 130
+
+    def test_parse_list_text(self, fullperm_8_8_3):
+        # the body after the header block is read as one slice: 32.0; split
+        # into one str per line and joined again it read 129.5
+        p, tour = fullperm_8_8_3
+        text = emit_list(tour)
+        parsed, peak = traced_peak(parse_text, text)
+        assert isinstance(parsed.words, Windows) and len(parsed.words) == 40_320
+        assert peak / 40_320 < 45
+
+    def test_verify_listing_violations(self):
+        # the (9,6,3) listing in lexicographic order breaks the overlap after
+        # every one of its 60,480 words; the violations share one tuple per
+        # distinct s-symbol slice: 118.4, where two new tuples per violation
+        # read 245.3
+        p = validate_params(n=9, k=6, s=3)
+        words = Windows(bytes(chain.from_iterable(permutations(range(1, 10), 6))), 6, 6)
+        report, peak = traced_peak(verify_object_list, words, p)
+        assert len(report.overlap_violations) == report.object_count == 60_480
+        assert peak / 60_480 < 150
+        assert len({id(v) for _, *pair in report.overlap_violations for v in pair}) == 504
 
 
 class TestVerifyObjectList:
