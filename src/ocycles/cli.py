@@ -597,11 +597,15 @@ def _print_report(report: VerificationReport) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    stdin = args.input == "-"
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        # stdin is read from its descriptor, as UTF-8 with universal
+        # newlines like a file, and left open
+        source = sys.stdin.fileno() if stdin else args.input
+        with open(source, encoding="utf-8", closefd=not stdin) as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise DocumentError(f"{args.input} is not UTF-8 text: {exc}") from exc
+        raise DocumentError(f"{'stdin' if stdin else args.input} is not UTF-8 text: {exc}") from exc
     parsed = parse_text(text)
     del text  # the document is parsed; verifying needs only its symbols
     if parsed.params is not None and parsed.params != params:
@@ -699,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("verify", help="verify a cycle file")
-    p.add_argument("input", help="path to a cycle document or object list")
+    p.add_argument("input", help="path to a cycle document or object list, or - for stdin")
     _add_params(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -8,6 +8,8 @@ shared overlap produces the cyclic string form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 
 from .core import (
     InstanceParams,
@@ -88,12 +90,16 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
     The tour is kept in its cycle-string form, one byte per symbol when
     n <= 255 (lists and tuples otherwise).  The open trail holds each
     step's tail, and a stack holds the cursor entry of the vertex each step
-    reached, one pointer per step, so a pop needs no slice to find its
-    vertex.  Finished steps are popped a run at a time: when a vertex has no
-    tail left, the stack is popped until a vertex with a tail (or the start
-    alone) is on top.  The r steps popped are the last r on the trail, each
-    written just before the one popped before it, so the run's tails move
-    into the output, which fills from the end, in one slice.
+    reached, one pointer per step, so no slice is needed to find a vertex.
+    When the walk reaches a vertex with no tail left, the steps it finishes
+    are the last r on the trail, and their tails move into the output,
+    which fills from the end, in one slice.  If every edge is taken, which
+    the lengths of the trail and the output tell, that run is the whole
+    trail.  Otherwise one C-level pass over the stack, from the top down,
+    finds the topmost vertex with a tail left, and the r entries above it
+    are deleted in one slice; with none left, the whole trail is the run.
+    Where the walk ends the stack is cleared, not sliced: deleting a slice
+    holds a buffer of the deleted pointers, and all of them there.
 
     A vertex's tails depend only on its letter set (for a multiset, on its
     sorted symbols), so a cursor is an iterator over one tuple of tails
@@ -137,22 +143,27 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
         tail = next(entry[1], None)
         if tail is None:
             # the step into this vertex is finished, and so is each step
-            # before it whose vertex has no tail left: pop that whole run,
-            # then move its tails, the last on the trail, in one slice
-            run = 0
-            while len(stack) > 1:
-                stack.pop()
-                run += stride
-                entry = stack[-1]
-                tail = next(entry[1], None)
-                if tail is not None:
-                    break
-            if run:  # trail[-0:] would be the whole trail
-                out[pos - run : pos] = trail[-run:]
-                del trail[-run:]
-                pos -= run
-            if tail is None:
+            # before it down to the topmost vertex with a tail left; when
+            # every edge is taken, that is the whole trail
+            found = None
+            if len(trail) < pos:  # an edge is left
+                below = reversed(stack)
+                next(below)  # the top, which has no tail
+                tails = map(next, map(itemgetter(1), below), repeat(None))
+                found = next(filter(itemgetter(1), zip(count(1), tails)), None)
+            if found is None:  # the walk ends: the whole trail is finished
+                out[pos - len(trail) : pos] = trail
+                pos -= len(trail)
+                trail.clear()
+                stack.clear()
                 break
+            depth, tail = found
+            entry = stack[-1 - depth]
+            del stack[-depth:]
+            run = depth * stride
+            out[pos - run : pos] = trail[-run:]
+            del trail[-run:]
+            pos -= run
         trail += tail
         v = tail[-s:] if wide else (entry[0] + tail)[-s:]
         entry = cursors.get(v)

@@ -665,6 +665,53 @@ def test_console_entry_point_runs():
     assert "edges: 24" in proc.stdout
 
 
+
+class TestVerifyStdin:
+    """``verify -`` reads the document from stdin, with the report and exit
+    code it gives from a file.  pytest's captured stdin raises on read, so
+    the CLI runs in subprocesses here."""
+
+    PARAMS = ["--n", "6", "--k", "4", "--s", "2"]
+
+    def cli(self, *args, stdin=None):
+        env = {**os.environ, "PYTHONPATH": str(Path(ocycles.__file__).parents[1])}
+        command = [sys.executable, "-m", "ocycles.cli", *args, *self.PARAMS]
+        return subprocess.Popen(command, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+    def verify(self, source, data=None):
+        proc = self.cli("verify", source, stdin=None if data is None else subprocess.PIPE)
+        out, err = proc.communicate(data)
+        return proc.returncode, out, err
+
+    def test_gen_piped_into_verify(self, tmp_path):
+        gen = self.cli("gen")
+        verify = self.cli("verify", "-", stdin=gen.stdout)
+        gen.stdout.close()  # verify holds the read end
+        out, err = verify.communicate()
+        assert gen.wait() == EXIT_OK and verify.returncode == EXIT_OK, err
+        doc = tmp_path / "cycle.txt"
+        doc.write_bytes(self.cli("gen").communicate()[0])
+        assert out.decode().startswith("valid: yes\nobjects: 360\n")
+        assert self.verify(str(doc)) == (EXIT_OK, out, b"")
+
+    def test_tampered_document(self, tmp_path):
+        lines = self.cli("gen").communicate()[0].decode().splitlines()
+        body = lines[-1].split(" ")
+        body[3], body[40] = body[40], body[3]
+        text = "\r\n".join([*lines[:-1], " ".join(body), ""])  # newlines read as in a file
+        doc = tmp_path / "bad.txt"
+        doc.write_bytes(text.encode())
+        code, out, _ = self.verify("-", text.encode())
+        assert code == EXIT_INVALID and out.startswith(b"valid: no\n")
+        assert b"invalid-words: 3\n" in out
+        assert self.verify(str(doc)) == (code, out, b"")
+
+    def test_non_utf8_input(self):
+        code, out, err = self.verify("-", "1 2 1 3 2 3\n".encode("utf-16"))
+        assert (code, out) == (EXIT_IOFMT, b"")
+        assert err.startswith(b"error: stdin is not UTF-8 text")
+
+
 SMALL_INT = st.integers(min_value=-2, max_value=8).map(str)
 INT_LIST = st.lists(st.integers(min_value=-2, max_value=8), max_size=7).map(
     lambda xs: ",".join(map(str, xs))

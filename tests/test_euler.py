@@ -105,6 +105,16 @@ class TestReferenceTraversal:
             euler_tour(g)
         assert list(e.value.partial.edges) == reference_tour(g)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=10, k=5, s=4), dict(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4), dict(n=9, k=6, s=3)],
+    )
+    def test_tours_that_backtrack_mid_tour_match(self, kwargs):
+        # the walk gets stuck 56, 16 and 20 times, each time with edges
+        # left but for the last, and backs down a run of finished steps
+        g = build_graph(validate_params(**kwargs))
+        assert list(euler_tour(g).edges) == reference_tour(g)
+
 
 class TestListBranch:
     """Above n = 255 the tour runs over lists and tuple keys.  Relabelling

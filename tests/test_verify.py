@@ -818,6 +818,16 @@ class TestMemoryGuard:
         assert tour.object_count == object_count(p)
         assert peak / tour.object_count < bound
 
+    def test_euler_tour_that_backtracks(self):
+        # the multiset walk gets stuck 15 times with edges left and backs
+        # down a run of steps each time; it reads 22.7.  Deleting all but
+        # the start of the stack as one slice when the walk ends, rather
+        # than clearing it, adds a buffer of the deleted pointers: 25.4
+        p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
+        tour, peak = traced_peak(euler_tour, build_graph(p))
+        assert tour.object_count == 22_680
+        assert peak / tour.object_count < 25
+
     def test_tour_to_cycle(self, fullperm_8_8_3):
         p, tour = fullperm_8_8_3
         cycle, peak = traced_peak(tour_to_cycle, tour)
