@@ -18,8 +18,9 @@ body: in C-level byte passes (``translate`` and slice assignment) when its
 symbols are bytes 0..n, else one ``str`` per symbol.  ``_separated_names``
 reads names 1..10 between single separators, spaces in a string piece and
 k to a line between commas in a list body, in the same kind of passes with
-no object per symbol; packed list lines take one more such pass, and any
-other body line is split into one token per symbol by the rule above.
+no object per symbol; packed list lines take one more such pass, and
+``_string_line`` reads every other body a line at a time (a list body of
+decimal names as one comma line), one token per symbol by the rule above.
 The header block is found by one pattern match in place, and a list body
 of bare lines after it is read as one slice, with no object per line; any
 other document is split into lines.
@@ -226,21 +227,6 @@ def _bad_token(rule: _SplitRule, number: int, raw: str, start: int, end: int) ->
     return DocumentError(f"cannot parse symbols on line {number}")
 
 
-def _word(number: int, raw: str, line: str) -> Word:
-    """A list body line's symbols; `line` is `raw` stripped."""
-    rule = _split_rule(line)
-    if rule is _COMMA:
-        # int() rejects a blank field, so a line that converts has none to skip
-        try:
-            return tuple(map(int, line.split(",")))
-        except ValueError:
-            pass
-    try:
-        return tuple(map(int, rule.split(line)))
-    except ValueError as exc:
-        raise _bad_token(rule, number, raw, 0, len(line)) from exc
-
-
 # a name 1..9 is its digit's byte; a name 10 after a separator is folded to
 # the separator and _TEN first, and _TEN reads as 10; every other byte is _MISS
 _TEN = "\x80"
@@ -276,9 +262,10 @@ def _separated_names(text: str, separators: str) -> bytes | None:
 def _string_line(
     number: int, raw: str, line: str, one: bool
 ) -> Iterator[SymbolString | memoryview]:
-    """A string body line's symbols, read in pieces of about 64 kB cut at a
-    separator: each piece is bytes-like while every symbol fits in a byte.
-    `line` is `raw` stripped, and `one` says the document declares one symbol.
+    """A body line's symbols (a list body of decimal names may be given as
+    one comma line), read in pieces of about 64 kB cut at a separator: each
+    piece is bytes-like while every symbol fits in a byte.  `line` is `raw`
+    stripped, and `one` says the document declares one symbol.
 
     A whitespace piece of names 1..10 between single spaces is read by
     `_separated_names` in a few C-level passes, into one buffer for the line;
@@ -319,6 +306,15 @@ def _string_line(
             piece = tuple(map(table.__getitem__, tokens))
         yield piece
         start = end
+
+
+def _joined(pieces: list[SymbolString | memoryview]) -> SymbolString:
+    """`pieces` joined: ``bytes``, or a tuple if a piece is one (a symbol
+    outside 0..255).  A lone bytes piece is its own join."""
+    try:
+        return b"".join(pieces)
+    except TypeError:
+        return tuple(chain.from_iterable(pieces))
 
 
 @dataclass(frozen=True)
@@ -382,33 +378,44 @@ def _body(lines: list[str]) -> Iterator[tuple[int, str, str]]:
 
 def _list_words(text: str) -> Windows | None:
     """The words of a list body, given as its lines each after a newline,
-    as a view at stride k over one ``bytes`` string of k symbols per word,
-    when every line is k names 1..10 between single commas, or k digits
-    1..9 packed; None otherwise.  The first line sets k.
+    as a view at stride k over one string of k symbols per word, when every
+    line is k decimal names between single commas, or k digits 1..9 packed;
+    None otherwise.  The first line sets k.
 
-    Comma lines are read by `_separated_names` with the separators a
-    newline and k - 1 commas.  Packed lines must be ASCII with a newline at
-    every place 0, k + 1, 2k + 2, ... and nowhere else, and their digits
-    map to 1..9 in one ``translate``.  A miss (0, a sign, a blank, a longer
-    name, a line break other than a newline) declines the body.
+    Comma lines of names 1..10 are read by `_separated_names` with the
+    separators a newline and k - 1 commas; others, if their non-digits are
+    just those separators, by `_string_line` as one comma line, which must
+    give k names a line (it drops blank fields) and int() every name.
+    Packed lines must be ASCII with a newline at every place 0, k + 1,
+    2k + 2, ... and nowhere else, and their digits map to 1..9 in one
+    ``translate``.  Any other character declines the body.
     """
     first = text.find("\n", 1)  # where the first line ends
     if first < 0:
         first = len(text)
     if first < 2:  # no line, or a blank one
         return None
-    if text.find(",", 1, first) >= 0:
-        k = text.count(",", 1, first) + 1
-        symbols = _separated_names(text, "\n" + "," * (k - 1))
-    else:
+    if text.find(",", 1, first) < 0:
         k = first - 1
         m, rest = divmod(len(text), k + 1)
         if rest or not text.isascii() or text[:: k + 1] != "\n" * m:
             return None
         symbols = text.encode("latin-1").translate(_DIGITS, b"\n")
-        if len(symbols) != m * k:  # a newline off its place
-            return None
-    return None if symbols is None or _MISS in symbols else Windows(symbols, k, k)
+        # no newline off its place, and no miss
+        return Windows(symbols, k, k) if len(symbols) == m * k and _MISS not in symbols else None
+    k = text.count(",", 1, first) + 1
+    symbols = _separated_names(text, "\n" + "," * (k - 1))
+    if symbols is not None:
+        return Windows(symbols, k, k)
+    m, separators = text.count("\n"), b"\n" + b"," * (k - 1)
+    if not text.isascii() or text.encode().translate(None, b"0123456789") != separators * m:
+        return None
+    line = text.replace("\n", ",")
+    try:
+        symbols = _joined(list(_string_line(1, line, line, False)))
+    except DocumentError:  # a name int() rejects: the line reader reports where
+        return None
+    return Windows(symbols, k, k) if len(symbols) == m * k else None
 
 
 def _params(headers: dict[str, str]) -> InstanceParams | None:
@@ -429,7 +436,7 @@ def _text_list(text: str, headers: dict[str, str], start: int) -> ParsedInput | 
     reads as one slice, given the `headers` of the header block before it;
     None where the body is not a list or the slice is declined.
 
-    A body the slice reads is only names, commas and newlines, so it holds
+    A body the slice reads is only digits, commas and newlines, so it holds
     no header, blank or comment line and no other line break: the headers
     are the whole document's, and its lines are the body lines the line
     reader would strip and join.  The body is sliced only once the headers
@@ -444,9 +451,6 @@ def _text_list(text: str, headers: dict[str, str], start: int) -> ParsedInput | 
         params = _params(headers)
     except DocumentError:
         return None  # the line reader raises it, unless a later header mends it
-    # a valid document of n > 10 has names above 10, which _list_words declines
-    if params is not None and params.n > 10:
-        return None
     # the newline that ends the header block leads the slice, if there is one
     before = start > 0 and text[start - 1] == "\n"
     words = _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
@@ -462,16 +466,17 @@ def parse_text(text: str) -> ParsedInput:
     a string body's symbols, ``bytes`` when every symbol fits in a byte, or
     a list body's words.
 
-    The header block is found first.  A list body of names 1..10, k to a
-    line between commas or packed, is then read by `_text_list` as one
-    slice into one ``bytes`` string of k symbols per word, and its words are
-    a ``Windows`` view over it at stride k, which ``verify_object_list``
-    checks in whole-string passes.  Any other document is split into lines.
-    A list body with blank, comment or padded lines, or other line breaks,
-    is read by `_list_words` from its stripped lines joined by newlines, and
-    where that declines too (a name above 10, a blank field, a line of
-    another length) a line at a time into word tuples by `_word`.  The
-    words are the same every way, and so are the errors.
+    The header block is found first.  A list body of decimal names, k to a
+    line between commas, or of digits 1..9 packed, is then read by
+    `_text_list` as one slice into one string of k symbols per word, and
+    its words are a ``Windows`` view over it at stride k, which
+    ``verify_object_list`` checks in whole-string passes.  Any other
+    document is split into lines.  A list body with blank, comment or
+    padded lines, or other line breaks, is read by `_list_words` from its
+    stripped lines joined by newlines, and where that declines too (a blank
+    field, a sign, a line of another length) a line at a time into word
+    tuples by `_string_line`.  The words are the same every way, and so are
+    the errors.
     """
     headers, start, skip = _header_block(text)
     parsed = _text_list(text, headers, start)
@@ -487,20 +492,13 @@ def parse_text(text: str) -> ParsedInput:
         body = _body(lines)
         del lines  # only the body iterator keeps the lines, none once read
         pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
-        # a lone bytes piece is its own join, and a tuple piece (a symbol
-        # outside 0..255) makes the whole string a tuple
-        try:
-            symbols = b"".join(pieces)
-        except TypeError:
-            symbols = tuple(chain.from_iterable(pieces))
+        symbols = _joined(pieces)
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
-    words = None
-    if params is None or params.n <= 10:
-        words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
+    words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
     if words is None:
-        words = tuple(_word(number, raw, line) for number, raw, line in _body(lines))
+        words = tuple(tuple(chain.from_iterable(_string_line(*x, False))) for x in _body(lines))
     if params is not None:
         _check_declared(headers, len(words) * (params.k - params.s), len(words))
     return ParsedInput("list", params, None, words)

@@ -98,6 +98,27 @@ class TestGen:
         assert len(parsed.words) == 24
         assert main(["verify", str(out), "--n", "4", "--k", "3", "--s", "1"]) == EXIT_OK
 
+    @pytest.mark.parametrize("n, k, s", [(12, 3, 1), (300, 2, 1)])
+    def test_wide_list_verifies_as_its_string(self, tmp_path, capsys, n, k, s):
+        # names above 10, and above 255 at n = 300 (a tuple string), in a
+        # list body: the report is the string document's
+        args = ["--n", str(n), "--k", str(k), "--s", str(s)]
+        reports = {}
+        for fmt in ("string", "list"):
+            out = tmp_path / f"{fmt}.txt"
+            assert main(["gen", *args, "--format", fmt, "--out", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["verify", str(out), *args]) == EXIT_OK
+            reports[fmt] = capsys.readouterr().out
+        assert reports["list"] == reports["string"]
+        # the last word written over by another
+        lines = (tmp_path / "list.txt").read_text().splitlines()
+        lines[-1] = lines[-5]
+        (tmp_path / "list.txt").write_text("\n".join([*lines, ""]))
+        assert main(["verify", str(tmp_path / "list.txt"), *args]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "\nduplicates: 1\nmissing: 1\n" in out
+
     def test_gen_infeasible_exit(self, tmp_path):
         out = tmp_path / "cycle.txt"
         code = main(["gen", "--n", "4", "--k", "4", "--s", "3", "--out", str(out)])

@@ -1,13 +1,15 @@
-"""The three readers of a list document against each other.
+"""The three readers of a list document against each other, and against
+the per-word reader that came before them.
 
-A list body of names 1..10 is read into one byte string of k symbols per
-word: as one slice of the document after its header block (the text pass,
-``cli._text_list``), or, where that declines, from its stripped lines
-joined by newlines (the joined-lines pass).  Every other body is read a
-line at a time into word tuples by ``cli._word``.  On every document here
-each reader must give the same parse, the same report, the same ``verify``
+A list body of decimal names, k to a line between commas or packed, is
+read into one string of k symbols per word: as one slice of the document
+after its header block (the text pass, ``cli._text_list``), or, where that
+declines, from its stripped lines joined by newlines (the joined-lines
+pass).  Every other body is read a line at a time into word tuples by
+``cli._string_line`` (the line reader).  On every document here each
+reader must give the same parse, the same report, the same ``verify``
 output and exit code, and the same parse error.  The joined-lines pass is
-forced by making ``_text_list`` decline every document, and the per-word
+forced by making ``_text_list`` decline every document, and the line
 reader by making ``_list_words`` decline every body as well.
 ``verify_object_list`` checks either form as one string at stride k, so its
 report on the words, also handed over as a list of tuples, is compared with
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ocycles.cli
-from ocycles.cli import DocumentError, emit_list, main, parse_text
+from ocycles.cli import _COMMA, DocumentError, _bad_token, _split_rule, emit_list, main, parse_text
 from ocycles.core import Windows, validate_params
 from ocycles.euler import euler_tour
 from ocycles.graph import build_graph
@@ -51,8 +53,8 @@ def _join(head, body, end="\n"):
 
 
 # generated instances: names up to 10, a packed-width alphabet, full
-# permutations, multisets (one with a symbol 10), and n = 11, which has a
-# name above 10 and is read per word
+# permutations, multisets (one with a symbol 10), and wide names: n = 11
+# and 12, and a multiset with names above 255, whose words are a tuple string
 GENERATED = [
     validate_params(n=5, k=3, s=1),
     validate_params(n=10, k=2, s=1),
@@ -63,6 +65,8 @@ GENERATED = [
     validate_params(multiset=(1, 1, 2, 2, 3), s=2),
     validate_params(multiset=(1, 2, 10, 10), s=1),
     validate_params(n=11, k=2, s=1),
+    validate_params(n=12, k=2, s=1),
+    validate_params(multiset=(11, 99, 100, 255, 256), s=2),
 ]
 
 
@@ -72,18 +76,17 @@ BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u202
 
 def _tampered(p, text, rng):
     """Edits of one generated list document, each (label, text, reader):
-    the reader that reads it, "text" or "lines", or None where neither byte
-    pass does (it is read per word, or fails to parse).  The edits that
-    change the word count drop the count headers, but for one, which the
-    reader rejects."""
+    the reader that reads it, "text" or "lines", or None where neither
+    whole-body pass does (it is read by the line reader, or fails to
+    parse).  The edits that change the word count drop the count headers,
+    but for one, which the reader rejects."""
     head, body = _split(text)
     uncounted = [x for x in head if not x.startswith(("# objects", "# length"))]
     i, j = rng.sample(range(len(body)), 2)
-    wide = p.n > 10  # a name above 10: never a byte pass
     out = []
 
     def edit(label, lines, reader="text", h=head, end="\n"):
-        out.append((label, _join(h, lines, end), None if wide else reader))
+        out.append((label, _join(h, lines, end), reader))
 
     dup = list(body)
     dup[j] = body[i]
@@ -99,8 +102,7 @@ def _tampered(p, text, rng):
     for symbol in (0, p.n + 1, 10, 255):
         names = body[i].split(",")
         names[rng.randrange(len(names))] = str(symbol)
-        reader = "text" if 1 <= symbol <= 10 else None
-        edit(f"symbol {symbol}", body[:i] + [",".join(names)] + body[i + 1 :], reader)
+        edit(f"symbol {symbol}", body[:i] + [",".join(names)] + body[i + 1 :])
     # the same names and separators, the third line's first name moved onto
     # the second line (the first line sets how many names a line has)
     first, rest = body[2].split(",", 1)
@@ -112,7 +114,7 @@ def _tampered(p, text, rng):
     edit("no headers", body, h=[])
     edit("blank field", body[:i] + [body[i].replace(",", ",,", 1)] + body[i + 1 :], None)
     edit("spaced field", body[:i] + [body[i].replace(",", ", ", 1)] + body[i + 1 :], None)
-    edit("leading zero", body[:i] + ["0" + body[i]] + body[i + 1 :], None)
+    edit("leading zero", body[:i] + ["0" + body[i]] + body[i + 1 :])
     edit("bad token", body[:i] + [body[i] + "x"] + body[i + 1 :], None)
     edit("spaced names", body[:i] + [body[i].replace(",", " ")] + body[i + 1 :], None)
     edit("all spaced", [line.replace(",", " ") for line in body], None, [])
@@ -135,11 +137,10 @@ def _layout_edits(p, text, rng):
     by a newline (the last one's may be missing), after any header block."""
     head, body = _split(text)
     i = rng.randrange(1, len(body) - 1)
-    wide = p.n > 10
     out = []
 
     def edit(label, doc, reader="text"):
-        out.append((label, doc, None if wide else reader))
+        out.append((label, doc, reader))
 
     edit("blank line after the body", _join(head, body + [""]), "lines")
     edit("comment after the body", _join(head, body + ["# the end"]), "lines")
@@ -170,7 +171,7 @@ def _layout_edits(p, text, rng):
     names[0] = "10"
     edit("10 at a line start", _join(head, body[:i] + [",".join(names)] + body[i + 1 :]))
     names[0] = "11"
-    edit("11 at a line start", _join(head, body[:i] + [",".join(names)] + body[i + 1 :]), None)
+    edit("11 at a line start", _join(head, body[:i] + [",".join(names)] + body[i + 1 :]))
     return out
 
 
@@ -179,14 +180,19 @@ def _corpus():
     documents, their edits, plain packed listings and a few small ones."""
     rng = random.Random(2203)
     docs = []
-    for p in GENERATED:
-        text = emit_list(euler_tour(build_graph(p)))
-        docs.append((f"{p.describe()} generated", p, text, "text" if p.n <= 10 else None))
-        docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in _tampered(p, text, rng)]
-    for p in GENERATED[0], GENERATED[2], GENERATED[7], GENERATED[8]:
-        text = emit_list(euler_tour(build_graph(p)))
-        edits = _layout_edits(p, text, rng)
-        docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in edits]
+    # the last two instances are edited last, so that the edits of the
+    # others are drawn as they were before those two were added
+    narrow, wide = GENERATED[:9], GENERATED[9:]
+    for edited, laid_out in (narrow, [narrow[i] for i in (0, 2, 7, 8)]), (wide, wide[1:]):
+        for p in edited:
+            text = emit_list(euler_tour(build_graph(p)))
+            docs.append((f"{p.describe()} generated", p, text, "text"))
+            edits = _tampered(p, text, rng)
+            docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in edits]
+        for p in laid_out:
+            text = emit_list(euler_tour(build_graph(p)))
+            edits = _layout_edits(p, text, rng)
+            docs += [(f"{p.describe()} {label}", p, t, b) for label, t, b in edits]
     p = validate_params(n=5, k=3, s=2)
     listing = "".join("".join(map(str, w)) + "\n" for w in permutations(range(1, 6), 3))
     docs.append(("packed lexicographic listing", p, listing, "text"))
@@ -205,11 +211,10 @@ def _corpus():
     docs.append(("two lines, no headers", p3, "1,2\n2,1", "text"))
     p10 = validate_params(n=10, k=2, s=1)
     docs.append(("10 first, no headers", p10, "10,1\n1,10\n", "text"))
-    docs.append(("names 0, 10 and 11", p10, "# format list\n0,10\n10,11\n", None))
-    # a document of n > 10 is read per word, even where its names are 1..10
+    docs.append(("names 0, 10 and 11", p10, "# format list\n0,10\n10,11\n", "text"))
     p11 = validate_params(n=11, k=2, s=1)
     narrow = "# mode kperm\n# n 11\n# k 2\n# s 1\n1,2\n2,1\n"
-    docs.append(("n = 11, names 1..10", p11, narrow, None))
+    docs.append(("n = 11, names 1..10", p11, narrow, "text"))
     docs.append(("no body", p3, "# format list\n# mode kperm\n", None))
     docs.append(("empty", p3, "", None))
     return docs
@@ -234,7 +239,7 @@ def _verify(path, p):
 
 
 def check_every_reader(monkeypatch, p, text, folder):
-    """The text pass, the joined-lines pass and the per-word reader, each
+    """The text pass, the joined-lines pass and the line reader, each
     forced in turn, give the same parse, errors, report and verify output;
     returns the reader of the list words as in `_tampered`."""
     path = Path(folder) / "doc.txt"
@@ -380,3 +385,63 @@ def test_layout_edited_documents(doc, edits, counted):
         edited = edited[: -len(lines[-1][1])]
     with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as folder:
         check_every_reader(monkeypatch, p, edited, folder)
+
+
+def reference_word(number, raw, line):
+    """A list body line's symbols as the per-word reader read them before
+    every line the whole-body passes decline went to ``cli._string_line``:
+    the reference for words and errors.  `line` is `raw` stripped."""
+    rule = _split_rule(line)
+    if rule is _COMMA:
+        # int() rejects a blank field, so a line that converts has none to skip
+        try:
+            return tuple(map(int, line.split(",")))
+        except ValueError:
+            pass
+    try:
+        return tuple(map(int, rule.split(line)))
+    except ValueError as exc:
+        raise _bad_token(rule, number, raw, 0, len(line)) from exc
+
+
+def reference_words(text):
+    """The words of a list document, `reference_word` over its stripped
+    body lines, numbered as the document's lines."""
+    numbered = ((number, raw, raw.strip()) for number, raw in enumerate(text.splitlines(), 1))
+    return tuple(reference_word(*x) for x in numbered if x[2] and x[2][0] != "#")
+
+
+# names for generated list bodies: decimal ones of every width the
+# whole-body passes read, a leading zero, a blank, a sign, an underscore,
+# padding, a letter, a non-ASCII digit, and a name int() reads only below
+# 4,301 digits
+FUZZ_NAMES = [
+    "0", "07", *map(str, range(1, 13)), "99", "100", "255", "256", "300",
+    "", "+4", "1_0", " 5 ", "x", "٣", "1" * 30, "9" * 5000,
+]  # fmt: skip
+
+
+@given(data=st.data(), k=st.integers(2, 4), n=st.sampled_from([None, 10, 300]), crlf=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_list_bodies_match_the_per_word_reader(data, k, n, crlf):
+    # a few names per document, so that some bodies are all decimal but for
+    # one blank field or one long name; lines of k names or one off, and
+    # some blank and comment lines
+    pool = data.draw(st.lists(st.sampled_from(FUZZ_NAMES), min_size=1, max_size=4, unique=True))
+    width = st.sampled_from([k] * 8 + [k - 1, k + 1])
+    names = width.flatmap(lambda w: st.lists(st.sampled_from(pool), min_size=w, max_size=w))
+    words = names.map(",".join)
+    line = st.one_of(words, words, words, words, st.sampled_from(["", " \t", "# a note"]))
+    body = data.draw(st.lists(line, min_size=1, max_size=10))
+    head = ["# format list"]
+    if n is not None:
+        head += ["# mode kperm", f"# n {n}", f"# k {k}", "# s 1"]
+    text = _join(head, body, "\r\n" if crlf else "\n")
+    try:
+        expected = reference_words(text)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as raised:
+            parse_text(text)
+        assert str(raised.value) == str(exc)
+        return
+    assert tuple(parse_text(text).words) == expected

@@ -977,6 +977,15 @@ class TestMemoryGuard:
         assert isinstance(parsed.words, Windows) and len(parsed.words) == 40_320
         assert peak / 40_320 < 45
 
+    def test_parse_wide_list(self):
+        # a list body of names 1..12 is read as one comma line, a piece at a
+        # time, into one byte string: 46.0; one word tuple per line read 157.5
+        p = validate_params(n=12, k=5, s=2)
+        text = emit_list(euler_tour(build_graph(p)))
+        parsed, peak = traced_peak(parse_text, text)
+        assert isinstance(parsed.words, Windows) and len(parsed.words) == 95_040
+        assert peak / 95_040 < 70
+
     def test_verify_listing_violations(self):
         # the (9,6,3) listing in lexicographic order breaks the overlap after
         # every one of its 60,480 words; the violations share one tuple per
