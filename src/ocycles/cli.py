@@ -23,7 +23,8 @@ no object per symbol; packed list lines take one more such pass, and
 decimal names as one comma line), one token per symbol by the rule above.
 The header block is found by one pattern match in place, and a list body
 of bare lines after it is read as one slice, with no object per line; any
-other document is split into lines.
+other document is split into lines.  ``parse_text`` alone reads and checks
+the headers, whichever reader takes the body.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -38,7 +39,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count, islice
+from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
@@ -331,40 +332,17 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _HEAD_BLOCK = re.compile(rf"(?:[^\S{_BREAKS}]*(?:#[^{_BREAKS}]*)?(?:[{_BREAKS}]|\Z))*")
 
 
-def _add_header(headers: dict[str, str], line: str) -> None:
-    """Record the header `line` (stripped, after its ``#``) unless its name
-    came earlier."""
-    parts = line[1:].strip().split(None, 1)
-    if len(parts) == 2:
-        headers.setdefault(parts[0], parts[1])
-
-
-def _header_block(text: str) -> tuple[dict[str, str], int, int]:
-    """The headers of the document's leading blank and header lines, where
-    the first other line starts, and how many lines come before it.  The
-    block is found by one match in place, and only it is sliced: the first
-    body line may be a whole string body."""
-    start = _HEAD_BLOCK.match(text).end()
-    lines = text[:start].splitlines()
+def _lines(text: str) -> tuple[dict[str, str], int, list[str]]:
+    """The headers of `text`, first of each name, its count of body lines,
+    and its lines, split once: a whole document's, or its header block's."""
     headers: dict[str, str] = {}
-    for line in map(str.strip, lines):
-        if line:
-            _add_header(headers, line)
-    return headers, start, len(lines)
-
-
-def _lines(
-    text: str, headers: dict[str, str], skip: int
-) -> tuple[dict[str, str], int, list[str]]:
-    """The headers, first of each name, the count of body lines, and the
-    document's lines, given the `headers` of its first `skip` lines (the
-    header block): the document is split once."""
-    headers = dict(headers)
     body_lines = 0
     lines = text.splitlines()
-    for line in map(str.strip, islice(lines, skip, None)):
+    for line in map(str.strip, lines):
         if line.startswith("#"):
-            _add_header(headers, line)
+            parts = line[1:].strip().split(None, 1)
+            if len(parts) == 2:
+                headers.setdefault(parts[0], parts[1])
         elif line:
             body_lines += 1
     return headers, body_lines, lines
@@ -431,8 +409,8 @@ def _params(headers: dict[str, str]) -> InstanceParams | None:
         raise DocumentError(f"bad document header: {exc}") from exc
 
 
-def _text_list(text: str, headers: dict[str, str], start: int) -> ParsedInput | None:
-    """The list document whose body, from `start` to the end, `_list_words`
+def _text_list(text: str, headers: dict[str, str], start: int) -> Windows | None:
+    """The words of a list body, from `start` to the end, that `_list_words`
     reads as one slice, given the `headers` of the header block before it;
     None where the body is not a list or the slice is declined.
 
@@ -447,18 +425,9 @@ def _text_list(text: str, headers: dict[str, str], start: int) -> ParsedInput | 
     end = len(text) - text.endswith("\n")
     if fmt != "list" and (fmt is not None or text.find("\n", start, end) < 0):
         return None
-    try:
-        params = _params(headers)
-    except DocumentError:
-        return None  # the line reader raises it, unless a later header mends it
     # the newline that ends the header block leads the slice, if there is one
     before = start > 0 and text[start - 1] == "\n"
-    words = _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
-    if words is None:
-        return None
-    if params is not None:
-        _check_declared(headers, len(words) * (params.k - params.s), len(words))
-    return ParsedInput("list", params, None, words)
+    return _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
 
 
 def parse_text(text: str) -> ParsedInput:
@@ -466,27 +435,35 @@ def parse_text(text: str) -> ParsedInput:
     a string body's symbols, ``bytes`` when every symbol fits in a byte, or
     a list body's words.
 
-    The header block is found first.  A list body of decimal names, k to a
-    line between commas, or of digits 1..9 packed, is then read by
-    `_text_list` as one slice into one string of k symbols per word, and
-    its words are a ``Windows`` view over it at stride k, which
-    ``verify_object_list`` checks in whole-string passes.  Any other
-    document is split into lines.  A list body with blank, comment or
+    The header block is found first, by one match in place, and only it is
+    split into lines for its headers: the first body line may be a whole
+    string body.  A list body of decimal names, k to a line between commas,
+    or of digits 1..9 packed, is then read by `_text_list` as one slice
+    into one string of k symbols per word, and its words are a ``Windows``
+    view over it at stride k, which ``verify_object_list`` checks in
+    whole-string passes.  Any other document is split into lines, and its
+    headers are read from all of them.  A list body with blank, comment or
     padded lines, or other line breaks, is read by `_list_words` from its
     stripped lines joined by newlines, and where that declines too (a blank
     field, a sign, a line of another length) a line at a time into word
     tuples by `_string_line`.  The words are the same every way, and so are
     the errors.
+
+    The headers are checked here, once, whichever reader took the body: the
+    instance before any line of the body is read, so that a bad instance
+    header is reported before a bad symbol, then the declared counts.  A
+    list's ``objects`` is always checked, and its ``length`` against the
+    instance; a string's ``length`` is always checked, and its ``objects``
+    against the instance.
     """
-    headers, start, skip = _header_block(text)
-    parsed = _text_list(text, headers, start)
-    if parsed is not None:
-        return parsed
-    headers, body_lines, lines = _lines(text, headers, skip)
+    start = _HEAD_BLOCK.match(text).end()
+    headers = _lines(text[:start])[0]
+    words = _text_list(text, headers, start)
+    fmt = "list"
+    if words is None:
+        headers, body_lines, lines = _lines(text)
+        fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     params = _params(headers)
-    fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
-    if fmt not in ("string", "list"):
-        raise DocumentError(f"unknown format {fmt!r}")
     if fmt == "string":
         one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
         body = _body(lines)
@@ -496,20 +473,25 @@ def parse_text(text: str) -> ParsedInput:
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)
-    words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
+    if fmt != "list":
+        raise DocumentError(f"unknown format {fmt!r}")
+    if words is None:
+        words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
     if words is None:
         words = tuple(tuple(chain.from_iterable(_string_line(*x, False))) for x in _body(lines))
-    if params is not None:
-        _check_declared(headers, len(words) * (params.k - params.s), len(words))
+    length = len(words) * (params.k - params.s) if params is not None else None
+    _check_declared(headers, length, len(words))
     return ParsedInput("list", params, None, words)
 
 
-def _check_declared(headers: dict[str, str], length: int, objects: int | None) -> None:
+def _check_declared(headers: dict[str, str], length: int | None, objects: int | None) -> None:
+    """Raise if a ``length`` or ``objects`` header is not an integer, or
+    differs from the body's count; a count that is None is not checked."""
     try:
         declared = {key: int(headers[key]) for key in ("length", "objects") if key in headers}
     except ValueError as exc:
         raise DocumentError(f"bad document header: {exc}") from exc
-    if declared.get("length", length) != length:
+    if "length" in declared and length is not None and declared["length"] != length:
         raise DocumentError(
             f"header declares length {declared['length']}, body has {length} symbols"
         )
@@ -689,7 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     formatted when it is printed."""
     parser = argparse.ArgumentParser(
         prog="ocycles",
-        description="Generate and verify overlap cycles over k-permutations and multiset permutations.",
+        description=(
+            "Generate and verify overlap cycles over k-permutations and multiset permutations."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -47,7 +47,6 @@ def symbol_string(symbols: Sequence[int]) -> SymbolString:
         return tuple(symbols)
 
 
-
 class Windows(Sequence):
     """The length-k windows of a cyclic symbol string, one every `stride`
     symbols, read on demand: an index gives a word tuple, a slice a tuple of
@@ -80,6 +79,7 @@ class Windows(Sequence):
         if start + k <= length:
             return tuple(symbols[start : start + k])
         return tuple(symbols[j % length] for j in range(start, start + k))
+
 
 class Mode(Enum):
     KPERM = "kperm"

@@ -212,11 +212,12 @@ def _kperm_ranks(cols: list[int], m: int, n: int) -> memoryview:
     digits d_o = c_o - 1 - #{p < o : c_p < c_o}.  Every symbol is at most
     0x7f, so ``((C_o | 0x80..) - C_p) & 0x80..`` takes 0x80 + c_o - c_p >= 1
     in each byte with no borrow across bytes, and keeps the high bit exactly
-    where c_p <= c_o, which in a valid window means c_p < c_o.  The counts are at most k - 1 and each d_o >= 0, so the
-    digit column is one byte per window too.  It is widened into 4-byte
-    lanes by one extended-slice assignment, and the weighted sum of the
-    widened columns is every window's rank at once: a rank is below
-    P(n, k) < 2**32, so no lane carries into the next.
+    where c_p <= c_o, which in a valid window means c_p < c_o.  The counts
+    are at most k - 1 and each d_o >= 0, so the digit column is one byte
+    per window too.  It is widened into 4-byte lanes by one extended-slice
+    assignment, and the weighted sum of the widened columns is every
+    window's rank at once: a rank is below P(n, k) < 2**32, so no lane
+    carries into the next.
     """
     k = len(cols)
     high = int.from_bytes(b"\x80" * m, "big")

@@ -672,6 +672,28 @@ class TestDocumentRoundTrip:
         with pytest.raises(DocumentError, match="length"):
             parse_text(text)
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [("objects 5", "header declares 5 objects, body has 2"),
+         ("length abc", "bad document header: invalid literal for int() with base 10: 'abc'")],
+    )
+    def test_list_count_headers_checked_without_an_instance(self, header, error):
+        # no mode or s header, so there is no instance to count symbols by,
+        # but the objects are counted and both headers must be integers
+        with pytest.raises(DocumentError) as e:
+            parse_text(f"# format list\n# {header}\n1,2\n2,1\n")
+        assert str(e.value) == error
+
+    def test_list_objects_header_without_an_instance(self):
+        parsed = parse_text("# format list\n# objects 2\n1,2\n2,1\n")
+        assert (parsed.fmt, parsed.params, list(parsed.words)) == ("list", None, [(1, 2), (2, 1)])
+
+    def test_verify_rejects_a_wrong_objects_header_without_an_instance(self, tmp_path, capsys):
+        doc = tmp_path / "list.txt"
+        doc.write_text("# format list\n# objects 5\n1,2\n2,1\n")
+        assert main(["verify", str(doc), "--n", "2", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+        assert capsys.readouterr().err == "error: header declares 5 objects, body has 2\n"
+
 
 def test_console_entry_point_runs():
     # run the package under test, wherever pytest found it

@@ -3,7 +3,8 @@ the per-word reader that came before them.
 
 A list body of decimal names, k to a line between commas or packed, is
 read into one string of k symbols per word: as one slice of the document
-after its header block (the text pass, ``cli._text_list``), or, where that
+after its header block (the text pass, ``cli._text_list``, which returns
+the words and leaves every header to ``parse_text``), or, where that
 declines, from its stripped lines joined by newlines (the joined-lines
 pass).  Every other body is read a line at a time into word tuples by
 ``cli._string_line`` (the line reader).  On every document here each
@@ -215,6 +216,15 @@ def _corpus():
     p11 = validate_params(n=11, k=2, s=1)
     narrow = "# mode kperm\n# n 11\n# k 2\n# s 1\n1,2\n2,1\n"
     docs.append(("n = 11, names 1..10", p11, narrow, "text"))
+    # count headers without an instance: the objects are still counted
+    counted = "# format list\n# {}\n1,2\n2,1\n"
+    docs.append(("objects 5, no instance", p3, counted.format("objects 5"), None))
+    docs.append(("length abc, no instance", p3, counted.format("length abc"), None))
+    docs.append(("objects 2, no instance", p3, counted.format("objects 2"), "text"))
+    # a bad instance header is reported before the body is read
+    bad_n = "# mode kperm\n# n x\n# k 2\n# s 1\n1,2\n{}\n"
+    docs.append(("n x", p3, bad_n.format("2,1"), None))
+    docs.append(("n x, a bad token", p3, bad_n.format("1,y"), None))
     docs.append(("no body", p3, "# format list\n# mode kperm\n", None))
     docs.append(("empty", p3, "", None))
     return docs
@@ -281,6 +291,15 @@ def check_every_reader(monkeypatch, p, text, folder):
 def test_corpus(monkeypatch, tmp_path, label, p, text, reader):
     # the forms each byte pass reads do take it, and the others do not
     assert check_every_reader(monkeypatch, p, text, tmp_path) == reader
+
+
+@pytest.mark.parametrize("label", ["n x", "n x, a bad token"])
+def test_bad_instance_header_before_the_body(label):
+    # every reader gives the same error on the corpus; this pins which one
+    text = next(doc[2] for doc in CORPUS if doc[0] == label)
+    with pytest.raises(DocumentError) as e:
+        parse_text(text)
+    assert str(e.value) == "bad document header: invalid literal for int() with base 10: 'x'"
 
 
 def test_one_body_line_without_format_is_a_string():
