@@ -53,6 +53,7 @@ from .core import (
     SymbolString,
     Windows,
     Word,
+    count_text,
     feasibility,
     is_valid_vertex,
     validate_params,
@@ -260,23 +261,21 @@ def _separated_names(text: str, separators: str) -> bytes | None:
     return None if _MISS in symbols else symbols
 
 
-def _string_line(
-    number: int, raw: str, line: str, one: bool
-) -> Iterator[SymbolString | memoryview]:
+def _string_line(number: int, raw: str, line: str, one: bool) -> Iterator[SymbolString]:
     """A body line's symbols (a list body of decimal names may be given as
     one comma line), read in pieces of about 64 kB cut at a separator: each
-    piece is bytes-like while every symbol fits in a byte.  `line` is `raw`
-    stripped, and `one` says the document declares one symbol.
+    piece is ``bytes`` while every symbol fits in a byte, else a tuple.
+    `line` is `raw` stripped, and `one` says the document declares one symbol.
 
     A whitespace piece of names 1..10 between single spaces is read by
-    `_separated_names` in a few C-level passes, into one buffer for the line;
-    any other piece is split into one token per symbol.  A piece after a cut
-    starts at the cut's separator, and the first piece is given a space in
-    front, so that each is read as (space, name) pairs.
+    `_separated_names` in a few C-level passes; any other piece is split into
+    one token per symbol.  A piece after a cut starts at the cut's separator,
+    and the first piece is given a space in front, so that each is read as
+    (space, name) pairs.  Each piece is yielded as it is read, so that a
+    caller can drop the body lines before it joins the pieces.
     """
     rule = _split_rule(line, one)
-    spaced = None
-    start = filled = 0
+    start = 0
     while start < len(line):
         cut = rule.separator.search(line, start + _SPLIT_CHARS)
         end = cut.start() if cut else len(line)
@@ -284,15 +283,7 @@ def _string_line(
         if rule is _WHITESPACE:
             piece = _separated_names(line[start:end] if start else " " + line[:end], " ")
         if piece is not None:
-            if spaced is None:
-                # one buffer holds the line's spaced pieces, at most one
-                # symbol per two characters: a bytes object per piece, made
-                # among the piece's larger temporaries, scatters them over
-                # the heap and raised a process's peak RSS by about 1 MB
-                spaced = memoryview(bytearray((len(line) + 1) // 2))
-            spaced[filled : filled + len(piece)] = piece
-            yield spaced[filled : filled + len(piece)]
-            filled += len(piece)
+            yield piece
             start = end
             continue
         tokens = rule.split(line[start:end])
@@ -309,9 +300,10 @@ def _string_line(
         start = end
 
 
-def _joined(pieces: list[SymbolString | memoryview]) -> SymbolString:
-    """`pieces` joined: ``bytes``, or a tuple if a piece is one (a symbol
-    outside 0..255).  A lone bytes piece is its own join."""
+def _joined(pieces: list[SymbolString]) -> SymbolString:
+    """`pieces`, each ``bytes`` or a tuple, joined: ``bytes``, or a tuple if
+    a piece is one (a symbol outside 0..255).  A lone bytes piece is its
+    own join."""
     try:
         return b"".join(pieces)
     except TypeError:
@@ -397,15 +389,18 @@ def _list_words(text: str) -> Windows | None:
 
 
 def _params(headers: dict[str, str]) -> InstanceParams | None:
-    """The instance the headers declare, if they name a mode and s."""
+    """The instance the headers declare, if they name a mode and s; a mode
+    other than kperm or multiset, or a missing n, k or multiset, is an error."""
     if not {"mode", "s"} <= headers.keys():
         return None
     try:
-        if headers["mode"] == Mode.MULTISET.value:
+        if Mode(headers["mode"]) is Mode.MULTISET:
             multiset = _parse_multiset(headers["multiset"])
             return validate_params(multiset=multiset, s=int(headers["s"]))
         return validate_params(n=int(headers["n"]), k=int(headers["k"]), s=int(headers["s"]))
-    except (KeyError, ValueError, ParamError) as exc:
+    except KeyError as exc:
+        raise DocumentError(f"bad document header: no {exc.args[0]} header") from exc
+    except (ValueError, ParamError) as exc:
         raise DocumentError(f"bad document header: {exc}") from exc
 
 
@@ -563,7 +558,7 @@ def _print_report(report: VerificationReport) -> None:
     print(f"length-ok: {'yes' if report.length_ok else 'no'}")
     print(f"invalid-words: {len(report.invalid_words)}")
     print(f"duplicates: {len(report.duplicates)}")
-    print(f"missing: {report.missing_count}")
+    print(f"missing: {count_text(report.missing_count)}")
     print(f"overlap-violations: {len(report.overlap_violations)}")
     for w in report.invalid_words[:5]:
         print(f"  invalid word: {' '.join(str(x) for x in w)}")

@@ -10,6 +10,7 @@ of {1..n} (``kperm`` mode) and the distinct permutations of a fixed multiset
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -90,11 +91,20 @@ class ParamError(ValueError):
     """An instance description violates a structural constraint."""
 
 
+def count_text(count: int) -> str:
+    """`count` in decimal, or ``about 10^d`` with d = floor(log10(count))
+    when it has more digits than ``str`` converts (2000! has 5,736)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"about 10^{math.floor(math.log10(count))}"
+
+
 class LimitError(RuntimeError):
     """The instance's object count exceeds the configured edge limit."""
 
     def __init__(self, count: int, limit: int):
-        super().__init__(f"instance has {count} objects, above the limit of {limit}")
+        super().__init__(f"instance has {count_text(count)} objects, above the limit of {limit}")
         self.count = count
         self.limit = limit
 
@@ -148,6 +158,8 @@ def validate_params(
         raise ParamError("n and k are required when no multiset is given")
     if n < 1 or k < 1:
         raise ParamError("n and k must be positive")
+    if k > sys.maxsize:  # math.perm takes no larger k
+        raise ParamError(f"k must be at most {sys.maxsize}")
     if k > n:
         raise ParamError(f"need k <= n, got k={k}, n={n}")
     if not 1 <= s < k:

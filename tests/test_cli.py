@@ -356,6 +356,25 @@ class TestVerifyCmd:
         with pytest.raises(DocumentError):
             parse_text(out.read_text())
 
+    def test_unknown_mode_header_rejected(self, tmp_path, capsys):
+        # a valid (3,2,1) cycle, but the mode is neither kperm nor multiset
+        doc = tmp_path / "cycle.txt"
+        doc.write_text("# mode bogus\n# n 3\n# k 2\n# s 1\n1 2 1 3 2 3\n")
+        assert main(["verify", str(doc), "--n", "3", "--k", "2", "--s", "1"]) == EXIT_IOFMT
+        assert capsys.readouterr().err == "error: bad document header: 'bogus' is not a valid Mode\n"
+
+    @pytest.mark.parametrize(
+        "mode, missing",
+        [("kperm", "n"), ("kperm", "k"), ("multiset", "multiset")],
+    )
+    def test_missing_instance_header_named(self, mode, missing):
+        headers = {"n": "3", "k": "2", "multiset": "1,2,3"}
+        del headers[missing]
+        head = "".join(f"# {key} {value}\n" for key, value in headers.items())
+        with pytest.raises(DocumentError) as e:
+            parse_text(f"# mode {mode}\n# s 1\n{head}1 2 1 3 2 3\n")
+        assert str(e.value) == f"bad document header: no {missing} header"
+
 
 class TestStats:
     def test_full_perm_stats(self, capsys):
@@ -433,6 +452,39 @@ class TestOracle:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"oracle took {elapsed:.2f}s to reject n = {n}"
         assert "above the limit of 60" in capsys.readouterr().err
+
+
+# 2000! objects, a count of 5,736 digits: more than str() converts
+UNPRINTABLE = ["--n", "2000", "--k", "2000", "--s", "1"]
+
+
+class TestCountTooLongToPrint:
+    @pytest.mark.parametrize("command", ["gen", "stats", "oracle"])
+    def test_limit_names_the_magnitude(self, command, capsys):
+        assert main([command, *UNPRINTABLE]) == EXIT_LIMIT
+        assert "instance has about 10^5735 objects, above the limit" in capsys.readouterr().err
+
+    def test_path_search_limit_names_the_magnitude(self, capsys):
+        # s = 1000 of k = n = 2000 is the breadth-first search's regime
+        origin = ",".join(map(str, range(1, 1001)))
+        argv = ["path", "--n", "2000", "--k", "2000", "--s", "1000", "--from", origin]
+        assert main(argv) == EXIT_LIMIT
+        assert "instance has about 10^5735 objects, above the limit" in capsys.readouterr().err
+
+    def test_verify_reports_the_magnitude_missing(self, tmp_path, capsys):
+        doc = tmp_path / "cycle.txt"
+        doc.write_text("1 2 3\n")
+        assert main(["verify", str(doc), *UNPRINTABLE]) == EXIT_INVALID
+        assert "missing: about 10^5735\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["gen", "stats", "oracle", "verify"])
+    def test_k_above_the_largest_index_is_a_bad_parameter(self, tmp_path, capsys, command):
+        doc = tmp_path / "cycle.txt"
+        doc.write_text("1 2 3\n")
+        k = str(2**63)
+        argv = [command, *([str(doc)] if command == "verify" else []), "--n", k, "--k", k]
+        assert main([*argv, "--s", "1"]) == EXIT_IOFMT
+        assert capsys.readouterr().err == f"error: k must be at most {sys.maxsize}\n"
 
 
 class TestDocumentRoundTrip:

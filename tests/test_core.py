@@ -1,4 +1,5 @@
 import math
+import sys
 from array import array
 from collections import Counter
 from itertools import permutations, product
@@ -15,6 +16,7 @@ from ocycles.core import (
     Reason,
     Windows,
     completions,
+    count_text,
     enumerate_objects,
     feasibility,
     is_valid_vertex,
@@ -114,6 +116,25 @@ class TestValidateParams:
     def test_s_required(self):
         with pytest.raises(ParamError):
             validate_params(n=5, k=4)
+
+    def test_k_must_fit_an_index(self):
+        # math.perm, which counts the objects, takes no larger k
+        k = sys.maxsize
+        assert validate_params(n=k, k=k, s=1).k == k
+        with pytest.raises(ParamError, match=f"k must be at most {k}"):
+            validate_params(n=k + 1, k=k + 1, s=1)
+
+
+@pytest.mark.parametrize(
+    "count, text",
+    [(0, "0"), (40_320, "40320"), (10**4299, "1" + "0" * 4299), (10**4300, "about 10^4300"),
+     (math.factorial(2000), "about 10^5735")],
+    ids=["0", "8!", "4300 digits", "4301 digits", "2000!"],
+)
+def test_count_text(count, text):
+    # exact while str() converts the count (4,300 digits by default), else
+    # its order of magnitude
+    assert count_text(count) == text
 
 
 class TestFeasibility:

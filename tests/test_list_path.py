@@ -225,6 +225,10 @@ def _corpus():
     bad_n = "# mode kperm\n# n x\n# k 2\n# s 1\n1,2\n{}\n"
     docs.append(("n x", p3, bad_n.format("2,1"), None))
     docs.append(("n x, a bad token", p3, bad_n.format("1,y"), None))
+    # so is an unknown mode, or a missing header the mode needs
+    docs.append(("mode bogus", p3, "# mode bogus\n# n 3\n# k 2\n# s 1\n1,2\n2,1\n", None))
+    docs.append(("no n header", p3, "# mode kperm\n# k 2\n# s 1\n1,2\n2,1\n", None))
+    docs.append(("no multiset header", p3, "# mode multiset\n# s 1\n1,2\n2,1\n", None))
     docs.append(("no body", p3, "# format list\n# mode kperm\n", None))
     docs.append(("empty", p3, "", None))
     return docs
@@ -300,6 +304,20 @@ def test_bad_instance_header_before_the_body(label):
     with pytest.raises(DocumentError) as e:
         parse_text(text)
     assert str(e.value) == "bad document header: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize(
+    "label, error",
+    [("mode bogus", "'bogus' is not a valid Mode"), ("no n header", "no n header"),
+     ("no multiset header", "no multiset header")],
+    ids=["mode bogus", "no n header", "no multiset header"],
+)
+def test_unknown_mode_or_missing_instance_header(label, error):
+    # every reader gives the same error on the corpus; this pins which one
+    text = next(doc[2] for doc in CORPUS if doc[0] == label)
+    with pytest.raises(DocumentError) as e:
+        parse_text(text)
+    assert str(e.value) == f"bad document header: {error}"
 
 
 def test_one_body_line_without_format_is_a_string():

@@ -1,10 +1,12 @@
 """Source checks on the package, with the standard library only: line
-length, the blank lines before each top-level definition, and private
-names cited in docstrings and comments that no longer exist."""
+length, the blank lines before each top-level definition, private names
+cited in docstrings and comments that no longer exist, and imports from
+outside the standard library."""
 
 import ast
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -98,3 +100,35 @@ def test_cited_private_names_exist(path):
 def test_stale_names_are_found():
     prose = [(1, "Read by ``_no_such_helper`` or `cli._word`, not `_lines`."), (2, "`cli._lines`")]
     assert _stale(prose) == [(1, "`_no_such_helper`"), (1, "`cli._word`")]
+
+
+def _foreign(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each imported module, with its line, that is not ``__future__``, a
+    relative import or in the standard library, by its top-level name."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append((node.lineno, node.module))
+    return [
+        (line, name)
+        for line, name in imported
+        if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # the package has no dependencies: pyproject.toml declares dependencies = []
+    foreign = _foreign(TREES[path.stem])
+    assert foreign == [], f"{path.name}: imports from outside the standard library (line, module)"
+
+
+def test_foreign_imports_are_found():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy.linalg\n"
+        "from . import core\nfrom .core import Mode\nfrom collections import abc\n"
+        "def f():\n    from hypothesis import given\n"
+    )
+    assert _foreign(ast.parse(source)) == [(2, "numpy.linalg"), (7, "hypothesis")]
