@@ -22,9 +22,10 @@ no object per symbol; packed list lines take one more such pass, and
 ``_string_line`` reads every other body a line at a time (a list body of
 decimal names as one comma line), one token per symbol by the rule above.
 The header block is found by one pattern match in place, and a list body
-of bare lines after it is read as one slice, with no object per line; any
-other document is split into lines.  ``parse_text`` alone reads and checks
-the headers, whichever reader takes the body.
+of bare lines after it, or a string body of more than one line, is read as
+one slice, with no object per line; any other document is split into
+lines.  ``parse_text`` alone reads and checks the headers, whichever reader
+takes the body.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -39,7 +40,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .connect import WalkError, find_path, replay_certificate
@@ -211,22 +212,31 @@ def _split_rule(line: str, one: bool = False) -> _SplitRule:
     return _WHITESPACE if one or any(map(str.isspace, line)) else _PACKED
 
 
-def _bad_token(rule: _SplitRule, number: int, raw: str, start: int, end: int) -> DocumentError:
+def _bad_token(
+    rule: _SplitRule, number: int, raw: str, start: int, end: int, tokens: list[str]
+) -> DocumentError:
     """The parse error for line[start:end] of document line `number`, where line
-    is `raw` stripped: it names the first token there that int() rejects and its
-    character in `raw`, not the (possibly huge) line."""
-    line = raw.strip()
-    lead = len(raw) - len(raw.lstrip())
-    for m in rule.token.finditer(line, start, end):
+    is `raw` stripped and `tokens` is its split: it names the first token there
+    that int() rejects and its character in `raw`, not the (possibly huge) line.
+
+    int() runs once per distinct token, and the first rejected token is found
+    by index in C.  Its place comes from ``rule.token``, whose i-th match in
+    the piece is the i-th split token, stripped: every split drops exactly
+    the blank or empty text between its tokens."""
+    rejected = []
+    for token in set(tokens):
         try:
-            int(m.group())
+            int(token)
         except ValueError:
-            shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
-            return DocumentError(
-                f"cannot parse symbols: {shown!r} at character {lead + m.start() + 1} "
-                f"of line {number}"
-            )
-    return DocumentError(f"cannot parse symbols on line {number}")
+            rejected.append(token)
+    first = min(map(tokens.index, rejected))
+    line = raw.strip()
+    m = next(islice(rule.token.finditer(line, start, end), first, None))
+    lead = len(raw) - len(raw.lstrip())
+    shown = m.group() if len(m.group()) <= 20 else m.group()[:20] + "..."
+    return DocumentError(
+        f"cannot parse symbols: {shown!r} at character {lead + m.start() + 1} of line {number}"
+    )
 
 
 # a name 1..9 is its digit's byte; a name 10 after a separator is folded to
@@ -291,7 +301,7 @@ def _string_line(number: int, raw: str, line: str, one: bool) -> Iterator[Symbol
             # int() once per distinct token; a long body repeats a few symbols
             table = {t: int(t) for t in set(tokens)}
         except ValueError as exc:
-            raise _bad_token(rule, number, raw, start, end) from exc
+            raise _bad_token(rule, number, raw, start, end, tokens) from exc
         try:
             piece = bytes(map(table.__getitem__, tokens))
         except ValueError:
@@ -425,6 +435,32 @@ def _text_list(text: str, headers: dict[str, str], start: int) -> Windows | None
     return _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
 
 
+def _text_string(text: str, headers: dict[str, str], start: int) -> bytes | None:
+    """The symbols of a string body of more than one line, from `start` to
+    the end, read as one slice by `_separated_names` with its newlines read
+    as spaces, given the `headers` of the header block before it; None
+    where they do not say string, the body is one line, or the slice is
+    declined.
+
+    The slice accepts only lines of names 1..10 between single spaces,
+    which the line reader splits at whitespace into the same symbols, but
+    for a line that is a bare 10: it has no whitespace, so the line reader
+    reads it packed, as 1 and 0, and the slice is declined.  A body the
+    slice reads is only digits, spaces and newlines, so it holds no header,
+    blank or comment line: the headers are the whole document's.  The body
+    is sliced only once a newline is found in it, so a one-line body, which
+    the line reader reads in pieces, is never copied.
+    """
+    end = len(text) - text.endswith("\n")
+    if headers.get("format") != "string" or text.find("\n", start, end) < 0:
+        return None
+    if text.startswith("10\n", start) or text.endswith("\n10", start, end):
+        return None
+    if text.find("\n10\n", start, end) >= 0:
+        return None
+    return _separated_names(" " + text[start:end].replace("\n", " "), " ")
+
+
 def parse_text(text: str) -> ParsedInput:
     """The document's format, instance (from its headers, if any) and body:
     a string body's symbols, ``bytes`` when every symbol fits in a byte, or
@@ -436,8 +472,11 @@ def parse_text(text: str) -> ParsedInput:
     or of digits 1..9 packed, is then read by `_text_list` as one slice
     into one string of k symbols per word, and its words are a ``Windows``
     view over it at stride k, which ``verify_object_list`` checks in
-    whole-string passes.  Any other document is split into lines, and its
-    headers are read from all of them.  A list body with blank, comment or
+    whole-string passes.  A string body of more than one line, every line
+    of names 1..10 between single spaces, is read by `_text_string` as one
+    slice too.  Any other document is split into lines, and its headers
+    are read from all of them; a string body is then read a line at a
+    time by `_string_line`.  A list body with blank, comment or
     padded lines, or other line breaks, is read by `_list_words` from its
     stripped lines joined by newlines, and where that declines too (a blank
     field, a sign, a line of another length) a line at a time into word
@@ -454,17 +493,19 @@ def parse_text(text: str) -> ParsedInput:
     start = _HEAD_BLOCK.match(text).end()
     headers = _lines(text[:start])[0]
     words = _text_list(text, headers, start)
-    fmt = "list"
-    if words is None:
+    symbols = _text_string(text, headers, start)
+    fmt = "list" if symbols is None else "string"
+    if words is None and symbols is None:
         headers, body_lines, lines = _lines(text)
         fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
     params = _params(headers)
     if fmt == "string":
-        one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
-        body = _body(lines)
-        del lines  # only the body iterator keeps the lines, none once read
-        pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
-        symbols = _joined(pieces)
+        if symbols is None:
+            one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
+            body = _body(lines)
+            del lines  # only the body iterator keeps the lines, none once read
+            pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
+            symbols = _joined(pieces)
         objects = len(symbols) // (params.k - params.s) if params is not None else None
         _check_declared(headers, len(symbols), objects)
         return ParsedInput("string", params, symbols, None)

@@ -14,10 +14,10 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat, tee
 from math import perm
 from operator import eq, not_, setitem
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     InstanceParams,
@@ -74,7 +74,7 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
 
 def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
     """One validity flag per word, from bulk passes: for the windows of
-    strings ``_byte_flags`` cannot flag (a symbol above 255, or a multiset
+    strings ``_bytewise`` declines (a symbol above 255, or a multiset
     wider than a byte) and for the words ``_coverage_report`` takes.
     `words` may be a generator, so a string's windows need not all be sliced
     at once."""
@@ -88,11 +88,13 @@ def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
     return list(map(target.__eq__, map(sorted, words)))
 
 
-def _kperm_invalid(
-    ext: bytes, windows: int, stride: int, k: int, n: int, seen: bytearray | None = None
-) -> bytes:
-    """One byte per window of a k-permutation byte string: 0x80 where the
-    window holds a symbol outside 1..n or a repeated symbol, else 0.
+def _kperm_columns(
+    ext: bytes, windows: int, stride: int, k: int, n: int
+) -> Iterator[tuple[list[int], int, int]]:
+    """The windows of a k-permutation byte string, ``_CHUNK`` at a time:
+    each chunk's k columns, its window count m and its flags, one byte per
+    window read as one int, 0x80 where the window holds a symbol outside
+    1..n or a repeated symbol, else 0.
 
     Column o holds each window's o-th symbol, one byte per window, sliced in
     C and read as one int.  Two columns agree in a window exactly where
@@ -101,17 +103,10 @@ def _kperm_invalid(
     a low part b & 0x7f is at most 0x7f, so the sum is at most 0xfe and no
     carry crosses into the next byte, which makes the test exact for every
     byte (a borrow-based test such as ``(x - 0x01..) & ~x & 0x80..`` is not:
-    its borrow out of a zero byte flags the byte above).  The windows are
-    checked ``_CHUNK`` at a time.
-
-    Given `seen`, each chunk's windows are also ranked from the same columns
-    by ``_kperm_ranks`` and `seen[rank]` is set to 1, up to the first chunk
-    that holds an invalid window: its windows and those after it are left
-    unmarked.
+    its borrow out of a zero byte flags the byte above).
     """
     top = min(n, 255)
     out_of_range = b"\x80" + bytes(top) + b"\x80" * (255 - top)
-    flags = []
     for first in range(0, windows, _CHUNK):
         m = min(_CHUNK, windows - first)
         outside = 0
@@ -127,15 +122,87 @@ def _kperm_invalid(
             for b in ints[o + 1 :]:
                 x = a ^ b
                 unequal &= ((x & low) + low) | x
-        flag = outside | (unequal ^ high)
+        yield ints, m, outside | (unequal ^ high)
+
+
+def _kperm_invalid(
+    ext: bytes, windows: int, stride: int, k: int, n: int, seen: bytearray | None = None
+) -> bytes:
+    """One byte per window of a k-permutation byte string: 0x80 where the
+    window holds a symbol outside 1..n or a repeated symbol, else 0, from
+    the flags of ``_kperm_columns``.
+
+    Given `seen`, every chunk's valid windows are also ranked from the same
+    columns by ``_valid_ranks``, and `seen[rank]` is set to 1 for each, so
+    that a string with invalid windows is still ranked.
+    """
+    flags = []
+    for cols, m, flag in _kperm_columns(ext, windows, stride, k, n):
         if seen is not None:
-            if flag:
-                seen = None  # an invalid window has no rank
-            else:
-                ranks = _kperm_ranks(ints, m, n)
-                deque(map(setitem, repeat(seen), ranks, repeat(1)), 0)
+            deque(map(setitem, repeat(seen), _valid_ranks(cols, m, n, flag), repeat(1)), 0)
         flags.append(flag.to_bytes(m, "big"))
     return b"".join(flags)
+
+
+def _valid_ranks(cols: list[int], m: int, n: int, flag: int) -> Iterable[int]:
+    """The ranks of the valid windows of one chunk, in window order, given
+    its columns and flags as ``_kperm_columns`` yields them.
+
+    ``_kperm_ranks`` reads only valid windows right: a 0, a symbol above
+    0x7f or a repeated symbol borrows across its byte lanes and corrupts a
+    neighbour's digit.  So each invalid window's columns are first set to
+    1..k, a valid window, by masking its byte in every column, and its rank
+    is then left out.
+    """
+    if not flag:
+        return _kperm_ranks(cols, m, n)
+    invalid = flag >> 7  # 1 in each invalid window's byte
+    keep = ~(invalid * 0xFF)
+    cols = [c & keep | invalid * symbol for symbol, c in enumerate(cols, 1)]
+    valid = flag.to_bytes(m, "big").translate(b"\x01" + bytes(255))
+    return compress(_kperm_ranks(cols, m, n), valid)
+
+
+# a second pass moves each rank's bitmap byte on per visit: marked by the
+# first pass (1), visited once (2), visited again (3); and reads the 3s
+_VISITED = bytes([0, 2, 3, 3])
+_REPEATED = bytes(3) + b"\x01" + bytes(252)
+
+
+def _repeated_ranks(
+    ext: bytes, windows: int, stride: int, k: int, n: int, seen: bytearray, excess: int
+) -> Iterator[int]:
+    """In ascending order, the ranks that two or more valid windows hold,
+    given the bitmap `seen` that ``_kperm_invalid`` marked and the `excess`
+    of valid windows over marked bytes: a second pass over the windows,
+    which holds one chunk and the bitmap.
+
+    Each visit reads `seen[rank]` and writes it on by ``_VISITED``, one
+    window after another: the reads run in the same lazy chain as the
+    writes, so a rank twice in one chunk reads its first visit's byte.  The
+    pass stops once `excess` ranks are seen again: each repeated rank adds
+    at least one to the excess, so then each has been seen twice and no
+    other repeats.
+    """
+    for cols, m, flag in _kperm_columns(ext, windows, stride, k, n):
+        ranks, again = tee(_valid_ranks(cols, m, n, flag))
+        visits = map(_VISITED.__getitem__, map(seen.__getitem__, again))
+        deque(map(setitem, repeat(seen), ranks, visits), 0)
+        if seen.count(3) == excess:
+            break
+    return compress(count(), seen.translate(_REPEATED))
+
+
+def _kperm_word(rank: int, n: int, k: int) -> Word:
+    """The k-permutation of 1..n of lexicographic rank `rank`, as
+    ``_kperm_ranks`` ranks it: each Lehmer digit picks one of the symbols
+    not yet taken, in ascending order."""
+    free = list(range(1, n + 1))
+    word = []
+    for o in range(k):
+        digit, rank = divmod(rank, perm(n - 1 - o, k - 1 - o))
+        word.append(free.pop(digit))
+    return tuple(word)
 
 
 def _multiset_invalid(
@@ -175,37 +242,17 @@ def _multiset_invalid(
 
 
 def _bytewise(symbols: SymbolString, params: InstanceParams) -> bool:
-    """Whether ``_byte_flags`` can flag this string's windows: it is ``bytes``,
-    and a multiset's symbols and counts fit in a byte."""
+    """Whether ``_kperm_invalid`` or ``_multiset_invalid`` can flag this
+    string's windows: it is ``bytes``, and a multiset's symbols and counts
+    fit in a byte."""
     if params.mode is Mode.MULTISET and max(params.k, params.n) > 255:
         return False
     return isinstance(symbols, bytes)
 
 
-def _byte_flags(ext: bytes, windows: int, stride: int, params: InstanceParams) -> bytes | None:
-    """One flag byte per window of a byte string, nonzero where the window
-    is invalid, from ``_kperm_invalid`` or ``_multiset_invalid``; or None
-    when the windows are P(n, k) valid k-permutations with distinct ranks,
-    which is every object once.
-
-    A k-permutation string of exactly P(n, k) windows, with n <= 127 and
-    P(n, k) < 2**32, is ranked: each window's rank marks one byte of a
-    P(n, k)-byte bitmap, and a bitmap without a zero byte means no window is
-    invalid or repeated.  The window-count gate bounds the bitmap by the
-    string's own length.
-    """
-    if params.mode is Mode.MULTISET:
-        return _multiset_invalid(ext, windows, stride, params.k, params.multiset)
-    total = object_count(params)
-    ranked = windows == total and params.n <= 127 and total < 1 << 32
-    seen = bytearray(total) if ranked else None
-    bad = _kperm_invalid(ext, windows, stride, params.k, params.n, seen)
-    return None if seen is not None and 0 not in seen else bad
-
-
 def _kperm_ranks(cols: list[int], m: int, n: int) -> memoryview:
     """The lexicographic ranks among the k-permutations of 1..n of m valid
-    windows, given as k columns read by ``_kperm_invalid`` (n <= 127 and
+    windows, given as k columns read by ``_kperm_columns`` (n <= 127 and
     P(n, k) < 2**32), as unsigned ints in window order.
 
     Window c_0..c_{k-1} has rank sum d_o * P(n-1-o, k-1-o) over its Lehmer
@@ -308,13 +355,23 @@ def _windows_report(
     `violations` the caller found.
 
     Every window first gets one flag byte, nonzero where it is invalid: a
-    ``bytes`` string from ``_byte_flags`` in whole-column passes, which may
-    also decide a complete k-permutation string by rank, and a tuple string
-    (a symbol above 255) one window at a time from ``_validity``, over a
-    generator of windows.  Invalid windows are reported in window order.
+    ``bytes`` string from ``_kperm_invalid`` or ``_multiset_invalid`` in
+    whole-column passes, and a tuple string (a symbol above 255) one window
+    at a time from ``_validity``, over a generator of windows.  Invalid
+    windows are reported in window order.
 
-    The windows are then counted one group of first symbols at a time, and
-    only one group's windows are held at once.  Two equal windows have the
+    A k-permutation byte string of exactly P(n, k) windows, with n <= 127
+    and P(n, k) < 2**32, is counted by rank, defects and all: its valid
+    windows' ranks mark a P(n, k)-byte bitmap as they are flagged, and the
+    marked bytes are the distinct windows found.  A valid window repeats
+    exactly where there are more valid windows than marked bytes, and only
+    then does ``_repeated_ranks`` find which ranks repeat, in ascending
+    order, which for k-permutations is lexicographic order.  The
+    window-count gate bounds the bitmap by the string's own length.
+
+    Any other string (multisets, tuple strings, n > 127 and other window
+    counts) is counted one group of first symbols at a time, and only one
+    group's windows are held at once.  Two equal windows have the
     same first symbol, so they fall in the same group: the groups' distinct
     counts add up to the string's, and each repeat is found in its own
     group.  The groups cover ascending symbol ranges, and a repeat is a
@@ -323,21 +380,31 @@ def _windows_report(
     distinct windows are counted by sorting them, which holds a pointer per
     window where a ``Counter`` holds a hash-table entry and a count.
     """
-    k = params.k
+    k, n = params.k, params.n
     starts = range(0, windows * stride, stride)
-    if _bytewise(ext, params):
-        bad = _byte_flags(ext, windows, stride, params)
-        if bad is None:
-            # every window valid and ranked, and all P(n, k) ranks distinct
-            return _report(windows, [], windows, [], violations, True, params)
-    else:
+    total = object_count(params)
+    seen = None
+    if not _bytewise(ext, params):
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
-    groups = _first_symbol_groups(ext[: windows * stride : stride], params.n)
+    elif params.mode is Mode.MULTISET:
+        bad = _multiset_invalid(ext, windows, stride, k, params.multiset)
+    else:
+        ranked = windows == total and n <= 127 and total < 1 << 32
+        seen = bytearray(total) if ranked else None
+        bad = _kperm_invalid(ext, windows, stride, k, n, seen)
     invalid = []
     if bad != bytes(len(bad)):  # most strings have no invalid window
         invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
-    found = 0
     duplicates: list[Word] = []
+    if seen is not None:
+        found = total - seen.count(0)
+        excess = windows - len(invalid) - found
+        if excess:  # some valid window repeats
+            repeated = _repeated_ranks(ext, windows, stride, k, n, seen, excess)
+            duplicates = [_kperm_word(rank, n, k) for rank in repeated]
+        return _report(windows, invalid, found, duplicates, violations, True, params)
+    groups = _first_symbol_groups(ext[: windows * stride : stride], n)
+    found = 0
     for group in range(_GROUPS):
         # one byte per window, 1 where the window is in this group
         members = groups.translate(bytes(group) + b"\x01" + bytes(255 - group))

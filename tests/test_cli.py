@@ -30,7 +30,8 @@ from ocycles.cli import (
     parse_text,
 )
 from ocycles.core import symbol_string, validate_params
-from ocycles.euler import OverlapCycle
+from ocycles.euler import OverlapCycle, euler_tour
+from ocycles.graph import build_graph
 from conftest import DATA_DIR, guaranteed_instances
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")
@@ -333,6 +334,13 @@ class TestVerifyCmd:
             ("# format list\n\n1,2,3\n4,y,6", "y", 3),  # headers and blanks count
             ("# format list\n   1 x", "x", 6),  # leading blanks count
             ("\t 1,2, 3x", "3x", 8),  # in a string body too
+            ("1,,2, ,y ,3", "y", 8),  # blank fields are not tokens
+            (" 1 , ,  3x  ,4", "3x", 9),  # a padded token is named stripped
+            ("# format list\n1,2,3\n4,,x , 6", "x", 4),
+            ("1,2 3,x", "2 3", 3),  # a comma token may hold a space
+            ("1 y 2 x 3 y", "y", 3),  # the first bad token, not the first seen
+            ("1 2 x 3 y x", "x", 5),
+            ("12x4x", "x", 3),
         ],
     )
     def test_parse_error_names_first_bad_token(self, body, token, at):
@@ -1091,3 +1099,91 @@ class TestSplitRuleMatchesOldReader:
     def test_long_spaced_lines_at_piece_cuts(self, head, long, short):
         text = "\n".join(head + short + [long]) + "\n"
         assert _read(text) == _old_read(text)
+
+
+def _parsed_or_error(text):
+    try:
+        return parse_text(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+def _string_documents(p):
+    """(label, text) pairs: the string document of `p` with its body split
+    every 1..k symbols, each as written and with one edit that the
+    one-slice reader must decline or read as the line reader does."""
+    *head, body = emit_document(euler_tour(build_graph(p))).splitlines()
+    names = body.split(" ")
+    out = []
+    for step in range(1, p.k + 1):
+        lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
+        i = len(lines) // 2
+
+        def doc(label, body_lines, h=head, end="\n", final="\n"):
+            out.append((f"every {step}, {label}", end.join([*h, *body_lines]) + final))
+
+        doc("as written", lines)
+        doc("length 1", lines, [x if not x.startswith("# length") else "# length 1" for x in head])
+        doc("crlf", lines, end="\r\n", final="\r\n")
+        doc("tabs", lines[:i] + ["\t" + lines[i].replace(" ", "\t")] + lines[i + 1 :])
+        doc("a trailing space", lines[:i] + [lines[i] + " "] + lines[i + 1 :])
+        doc("a leading space", lines[:i] + [" " + lines[i]] + lines[i + 1 :])
+        doc("a blank line", lines[:i] + [""] + lines[i:])
+        doc("a comment line", lines[:i] + ["# a note"] + lines[i:])
+        for name in ("0", "11", "x"):
+            replaced = " ".join([name, *lines[i].split(" ")[1:]])
+            doc(f"a name {name}", lines[:i] + [replaced] + lines[i + 1 :])
+        doc("no final newline", lines, final="")
+    return out
+
+
+class TestMultiLineStringBody:
+    """A string body of more than one line is read as one slice, its
+    newlines read as spaces; whatever it reads or declines, the parse and
+    the error are those of the line reader."""
+
+    @staticmethod
+    def both_readers(monkeypatch, text):
+        """The parse or error text with the slice and with the line reader
+        alone, which must agree, and whether the slice read the body."""
+        read = ocycles.cli._text_string
+        taken = []
+
+        def spy(*args):
+            symbols = read(*args)
+            taken.append(symbols is not None)
+            return symbols
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ocycles.cli, "_text_string", spy)
+            sliced = _parsed_or_error(text)
+            patched.setattr(ocycles.cli, "_text_string", lambda *args: None)
+            assert _parsed_or_error(text) == sliced
+        return taken == [True]
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n=10, k=3, s=1), dict(n=6, k=4, s=2)], ids=["10-3-1", "6-4-2"]
+    )
+    def test_split_bodies(self, monkeypatch, kwargs):
+        p = validate_params(**kwargs)
+        taken = {}
+        for label, text in _string_documents(p):
+            taken[label] = self.both_readers(monkeypatch, text)
+        # a body of names 1..10 between single spaces and newlines is read
+        # as one slice, but where a line is a bare 10, which reads as 1, 0
+        assert taken == {
+            label: label.endswith(("as written", "length 1", "no final newline"))
+            and not (label.startswith("every 1,") and p.n >= 10)
+            for label in taken
+        }
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1 2\n10\n3 4", "10\n1 2\n3", "1 2\n3\n10", "1 2\n10", "10 1\n2 3", "1 2\n3 10"],
+    )
+    @pytest.mark.parametrize("length", [None, "1", "5"])
+    def test_bare_tens(self, monkeypatch, body, length):
+        head = "# format string\n" + (f"# length {length}\n" if length else "")
+        bare = "10" in body.split("\n")
+        for text in (head + body, head + body + "\n"):
+            assert self.both_readers(monkeypatch, text) == (not bare)

@@ -438,7 +438,7 @@ def reference_word(number, raw, line):
     try:
         return tuple(map(int, rule.split(line)))
     except ValueError as exc:
-        raise _bad_token(rule, number, raw, 0, len(line)) from exc
+        raise _bad_token(rule, number, raw, 0, len(line), rule.split(line)) from exc
 
 
 def reference_words(text):

@@ -687,7 +687,7 @@ class RankRecorder:
 @pytest.fixture
 def calls(monkeypatch):
     """Counts the calls of the rank kernel and of the grouped count's
-    `_first_symbol_groups`, which runs only where the rank path falls back."""
+    `_first_symbol_groups`, which runs only where a string is not ranked."""
     counted = Counter()
     for name in ("_kperm_ranks", "_first_symbol_groups"):
         fn = getattr(ocycles.verify, name)
@@ -701,8 +701,9 @@ def calls(monkeypatch):
 
 
 class TestRankPath:
-    """A complete k-permutation byte string with no invalid window is decided
-    by ranking its windows; a repeated rank falls back to the grouped count."""
+    """A complete k-permutation byte string is counted by ranking its valid
+    windows, whatever its defects; only other strings take the grouped
+    count."""
 
     @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
     def chunk(self, request, monkeypatch):
@@ -719,14 +720,14 @@ class TestRankPath:
         assert flags == bytes(windows)
         assert seen.ranks == list(range(windows))
 
-    def test_no_rank_after_an_invalid_chunk(self, monkeypatch):
+    def test_every_valid_window_is_ranked_past_an_invalid_one(self, monkeypatch):
         monkeypatch.setattr(ocycles.verify, "_CHUNK", 3)
         ext = bytes(x for w in permutations(range(1, 5), 2) for x in w)
         ext = ext[:8] + b"\x07" + ext[9:]  # window 4 holds a symbol above n
         seen = RankRecorder()
         flags = ocycles.verify._kperm_invalid(ext, 12, 2, 2, 4, seen)
         assert flags == bytes(4) + b"\x80" + bytes(7)
-        assert seen.ranks == [0, 1, 2]
+        assert seen.ranks == [0, 1, 2, 3, *range(5, 12)]
 
     @pytest.mark.parametrize("kwargs", [*KERNEL_INSTANCES, dict(n=127, k=2, s=1)])
     def test_generated_strings_are_ranked(self, chunk, calls, kwargs):
@@ -747,7 +748,8 @@ class TestRankPath:
     )
     def test_a_repeat_without_an_invalid_window_falls_back(self, chunk, calls, kwargs):
         # a symbol substituted by one that no window holding it holds yet
-        # keeps every window valid and repeats one
+        # keeps every window valid and repeats one; the repeat is found by
+        # rank, and the grouped count never runs
         p, symbols = generated_bytes(**kwargs)
         length, k, stride = len(symbols), p.k, p.k - p.s
         tried = 0
@@ -766,9 +768,72 @@ class TestRankPath:
             report = verify_cycle_string(edited, p)
             assert report == decoded_report(edited, p)
             assert report.duplicates and not report.invalid_words
-            assert calls["_kperm_ranks"] and calls["_first_symbol_groups"] == 1
+            assert calls["_kperm_ranks"] and not calls["_first_symbol_groups"]
             tried += 1
         assert tried
+
+    @pytest.mark.parametrize("size", [1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+    @pytest.mark.parametrize("kwargs", [*KERNEL_INSTANCES, dict(n=127, k=2, s=1)])
+    def test_defects_match_decoded_windows(self, monkeypatch, size, kwargs):
+        # one symbol replaced: by 0, n + 1, 127, 128 or 255 (127 is the
+        # largest symbol a rank lane reads), or by a neighbour's, which
+        # repeats it in a window or repeats a window; or two symbols
+        # swapped.  The string and its windows as a list get the report of
+        # the per-window test.  Every replacement at every position runs
+        # under the default chunk; under the small chunks, where each
+        # window is ranked on its own, each position takes one of them in
+        # turn.  (127,2,1) has 16,002 windows: one position and two swaps
+        if size is not None:
+            monkeypatch.setattr(ocycles.verify, "_CHUNK", size)
+        p, symbols = generated_bytes(**kwargs)
+        length, k = len(symbols), p.k
+        rng = random.Random(length)
+        small = length < 1_000
+        edits = []
+        for pos in range(length) if small else [rng.randrange(length)]:
+            near = [symbols[pos - 1], symbols[(pos + 1) % length]]
+            values = [x for x in [0, p.n + 1, 127, 128, 255, *near] if x != symbols[pos]]
+            if size is not None:
+                values = values[pos % len(values) :][:1]
+            for new in values:
+                edits.append(symbols[:pos] + bytes([new]) + symbols[pos + 1 :])
+        for _ in range(40 if small else 2):
+            i, j = sorted(rng.sample(range(length), 2))
+            a, b = symbols[i : i + 1], symbols[j : j + 1]
+            edits.append(symbols[:i] + b + symbols[i + 1 : j] + a + symbols[j + 1 :])
+        repeats = 0
+        for edited in edits:
+            want = decoded_report(edited, p)
+            assert verify_cycle_string(edited, p) == want
+            words = bytes(chain.from_iterable(decode_symbols(edited, k, p.s)))
+            assert verify_object_list(Windows(words, k, k), p) == want
+            repeats += bool(want.duplicates)
+        assert repeats
+
+    def test_defective_documents_are_not_grouped(self, calls, tmp_path):
+        # a complete k-permutation document with a swapped pair, a replaced
+        # symbol or a duplicated list line is counted by rank, never by the
+        # grouped count
+        p = validate_params(n=6, k=4, s=2)
+        cycle = euler_tour(build_graph(p))
+        symbols = cycle.symbols
+        swapped = symbols[:3] + symbols[10:11] + symbols[4:10] + symbols[3:4] + symbols[11:]
+        replaced = symbols[:7] + bytes([symbols[6]]) + symbols[8:]
+        head = emit_document(cycle).rsplit("\n", 2)[0]
+        lines = emit_list(cycle).splitlines()
+        lines[-1] = lines[-5]
+        documents = [
+            (head + "\n" + " ".join(map(str, edited)) + "\n", "string")
+            for edited in (swapped, replaced)
+        ]
+        documents.append(("\n".join(lines) + "\n", "list"))
+        for text, fmt in documents:
+            path = tmp_path / "doc.txt"
+            path.write_text(text)
+            calls.clear()
+            code = ocycles.cli.main(["verify", str(path), "--n", "6", "--k", "4", "--s", "2"])
+            assert code == 2 and parse_text(text).fmt == fmt
+            assert calls["_kperm_ranks"] and not calls["_first_symbol_groups"]
 
 
 @pytest.fixture(scope="module")
@@ -857,17 +922,31 @@ class TestMemoryGuard:
         assert peak / 40_320 < bound
 
     def test_parse_text_many_lines(self, fullperm_8_8_3):
-        # a string body of 40,320 lines of k - s symbols reads 131.8: each
-        # line yields plain bytes pieces, and the body lines are dropped
-        # before the symbols are joined.  Kept in a list until parse_text
-        # returns, they read 198.5; a buffer per line, viewed by each of
-        # its pieces, read 467.9
+        # a string body of 40,320 lines of k - s symbols is read as one
+        # slice, its newlines as spaces: 20.0.  Read a line at a time it
+        # read 131.8
         p, tour = fullperm_8_8_3
         cycle = tour_to_cycle(tour)
         *head, body = emit_document(cycle).splitlines()
         names, step = body.split(" "), p.k - p.s
         lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
         text = "\n".join([*head, *lines, ""])
+        parsed, peak = traced_peak(parse_text, text)
+        assert parsed.symbols == cycle.symbols
+        assert peak / 40_320 < 26
+
+    def test_parse_text_many_crlf_lines(self, fullperm_8_8_3):
+        # the same lines ended by CRLF are left to the line reader: 131.8.
+        # Each line yields plain bytes pieces, and the body lines are
+        # dropped before the symbols are joined.  Kept in a list until
+        # parse_text returns, they read 198.5; a buffer per line, viewed by
+        # each of its pieces, read 467.9
+        p, tour = fullperm_8_8_3
+        cycle = tour_to_cycle(tour)
+        *head, body = emit_document(cycle).splitlines()
+        names, step = body.split(" "), p.k - p.s
+        lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
+        text = "\r\n".join([*head, *lines, ""])
         parsed, peak = traced_peak(parse_text, text)
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < 160
@@ -890,6 +969,21 @@ class TestMemoryGuard:
         # 32,768 at a time 34.4); the grouped count, one group's windows at
         # a time, reads 23.4
         assert peak / 40_320 < 20
+
+    def test_verify_defective_string(self, fullperm_8_8_3):
+        # still ranked: window 1,000 overwritten by window 20,000, a repeat
+        # between two invalid windows, reads 16.7, with its second pass over
+        # the windows; two symbols swapped, four invalid windows, 15.9.  The
+        # grouped count read 23.5 on both
+        p, tour = fullperm_8_8_3
+        symbols = tour_to_cycle(tour).symbols
+        repeated = symbols[:5_000] + symbols[100_000:100_008] + symbols[5_008:]
+        swapped = symbols[:7] + symbols[150_000:150_001] + symbols[8:150_000]
+        swapped += symbols[7:8] + symbols[150_001:]
+        for edited, duplicates, invalid in ((repeated, 1, 2), (swapped, 0, 4)):
+            report, peak = traced_peak(verify_cycle_string, edited, p)
+            assert len(report.duplicates) == duplicates and len(report.invalid_words) == invalid
+            assert peak / 40_320 < 20
 
     def test_verify_short_string_of_a_large_instance(self):
         # the rank bitmap holds P(n, k) bytes, so it is built only for a
