@@ -188,7 +188,10 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
     w = _require_vertex(w, params)
     target = min_vertex(params)
     steps: list[PathStep] = []
-    word = list(w + next(completions(w, k - s, params)))
+    # the k - s smallest letters w lacks lie in 1..k, and the smallest
+    # letter absent from a k-letter word in 1..k+1: no need to list 1..n
+    used = set(w)
+    word = list(w) + [x for x in range(1, k + 1) if x not in used][: k - s]
     offset = 0
 
     def window(t: int) -> tuple[int, ...]:
@@ -208,7 +211,8 @@ def walk_general(w: Sequence[int], params: InstanceParams) -> PathCertificate:
         wanted = d + 1
         if wanted in word:
             # clear the stray copy first so the letter can be re-seated
-            pos, letter = word.index(wanted), min(set(range(1, n + 1)) - set(word))
+            used = set(word)
+            pos, letter = word.index(wanted), next(x for x in range(1, k + 2) if x not in used)
         else:
             pos, letter = d, wanted
         anchor = pos - pos % g

@@ -320,8 +320,11 @@ def vertices(params: InstanceParams) -> Iterator[Vertex]:
 
 
 def min_vertex(params: InstanceParams) -> Vertex:
-    """The distinguished smallest vertex: 1..s, or the sorted multiset prefix."""
-    return next(vertices(params))
+    """The distinguished smallest vertex: 1..s, or the sorted multiset's
+    first s symbols; the first of ``vertices``, found without listing 1..n."""
+    if params.mode is Mode.KPERM:
+        return tuple(range(1, params.s + 1))
+    return params.multiset[: params.s]
 
 
 def vertex_count(params: InstanceParams) -> int:

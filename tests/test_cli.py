@@ -768,6 +768,24 @@ def test_console_entry_point_runs():
     assert "edges: 24" in proc.stdout
 
 
+@pytest.mark.parametrize("n", [10**12, 10**30], ids=["n=10^12", "n=10^30"])
+def test_path_on_a_huge_alphabet(n):
+    # the walker and the minimum vertex read letters 1..k+1 only; listing
+    # 1..n ran out of memory at n = 10^12
+    env = {**os.environ, "PYTHONPATH": str(Path(ocycles.__file__).parents[1])}
+    argv = ["path", "--n", str(n), "--k", "2", "--s", "1", "--from", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ocycles.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("origin: 5\n")
+    assert proc.stdout.endswith("terminus: 1\nsteps: 6\nreplay: ok\n")
+
+
 
 class TestVerifyStdin:
     """``verify -`` reads the document from stdin, with the report and exit

@@ -371,3 +371,8 @@ class TestRanking:
 def test_min_vertex():
     assert min_vertex(validate_params(n=6, k=4, s=3)) == (1, 2, 3)
     assert min_vertex(validate_params(multiset=[2, 1, 1, 3], s=2)) == (1, 1)
+
+
+def test_min_vertex_is_the_first_vertex_on_the_acceptance_sweep():
+    for p in guaranteed_instances():
+        assert min_vertex(p) == next(vertices(p)), p

@@ -1,7 +1,7 @@
 """Source checks on the package, with the standard library only: line
 length, the blank lines before each top-level definition, private names
-cited in docstrings and comments that no longer exist, and imports from
-outside the standard library."""
+cited in docstrings and comments that no longer exist, imports from
+outside the standard library, and class statements inside functions."""
 
 import ast
 import io
@@ -132,3 +132,29 @@ def test_foreign_imports_are_found():
         "def f():\n    from hypothesis import given\n"
     )
     assert _foreign(ast.parse(source)) == [(2, "numpy.linalg"), (7, "hypothesis")]
+
+
+def _local_classes(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each class statement, with its line and name, inside a function body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((n.lineno, n.name) for n in ast.walk(node) if isinstance(n, ast.ClassDef))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_class_inside_a_function(path):
+    # a class statement in a function builds a new class on every call; a
+    # dict subclass defined inside euler_tour cost 18-35 us per tour
+    local = _local_classes(TREES[path.stem])
+    assert local == [], f"{path.name}: class statements inside functions (line, name)"
+
+
+def test_local_classes_are_found():
+    source = (
+        "class A:\n    def f(self):\n        class B:\n            pass\n"
+        "def g():\n    def h():\n        class C:\n            class D:\n                pass\n"
+        "    return h\nclass E:\n    class F:\n        pass\n"
+    )
+    assert _local_classes(ast.parse(source)) == [(3, "B"), (7, "C"), (8, "D")]

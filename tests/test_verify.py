@@ -866,6 +866,9 @@ class TestMemoryGuard:
     long body keep each stage well under its bound."""
 
     def test_euler_tour(self, fullperm_8_8_3):
+        # reads 26.8: 42 of the 56 letter sets get a table, each tail
+        # followed by its head's position, before the budget is spent
+        # (25.8 when the tables held bare tails)
         p, _ = fullperm_8_8_3
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert len(tour.edges) == 40_320
@@ -885,9 +888,12 @@ class TestMemoryGuard:
 
     def test_euler_tour_that_backtracks(self):
         # the multiset walk gets stuck 15 times with edges left and backs
-        # down a run of steps each time; it reads 22.7.  Deleting all but
+        # down a run of steps each time; it reads 21.8, every letter set's
+        # table linked (22.7 with bare tails).  Run alone, in a new process,
+        # it reads 21.8 too; cursors that zipped a tails iterator with a
+        # heads iterator read 24.6 here and 26.4 alone.  Deleting all but
         # the start of the stack as one slice when the walk ends, rather
-        # than clearing it, adds a buffer of the deleted pointers: 25.4
+        # than clearing it, adds a buffer of the deleted pointers: 23.9
         p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert tour.object_count == 22_680
