@@ -11,13 +11,16 @@ Hamilton cycle there is the same thing as an overlap cycle.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain, compress, count, islice, repeat, tee
 from math import perm
 from operator import eq, not_, setitem
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     InstanceParams,
@@ -40,11 +43,69 @@ DEFAULT_ORACLE_BUDGET = 5_000_000
 class VerificationReport:
     valid: bool
     object_count: int
-    duplicates: list[Word]
+    duplicates: Sequence[Word]
     missing_count: int
-    overlap_violations: list[tuple[int, Vertex, Vertex]]
-    invalid_words: list[Word]
+    overlap_violations: Sequence[tuple[int, Vertex, Vertex]]
+    invalid_words: Sequence[Word]
     length_ok: bool
+
+
+class _Defects(Sequence):
+    """A read-only sequence of defects, each made from its position only
+    when it is read: an ``array("q")`` of positions, 8 bytes a defect, and
+    `read`, which makes the defect at a position from the string the
+    positions index.
+
+    A slice is a ``list``, and ``==`` compares element by element with any
+    sequence, so a report holding views equals one holding lists.  An
+    empty view drops `read`, and with it the string.
+    """
+
+    __slots__ = ("_at", "_read")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, at: array, read: Callable[[int], object]) -> None:
+        self._at = at
+        self._read = read if at else None
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._read, self._at[i]))
+        return self._read(self._at[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._read, self._at)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _flagged(flags: bytes, positions: range) -> array:
+    """The positions whose flag byte is nonzero, in order, 8 bytes each."""
+    if flags.count(0) == len(flags):  # most strings have no defect
+        return array("q")
+    return array("q", compress(positions, flags))
+
+
+def _window(ext: SymbolString, k: int, start: int) -> Word:
+    """The k-symbol window of `ext` at `start`, as an int tuple."""
+    return tuple(ext[start : start + k])
+
+
+def _violation(b: SymbolString, k: int, s: int, i: int) -> tuple[int, Vertex, Vertex]:
+    """Word i's s-suffix and word i+1's s-prefix in the string `b` of
+    k-symbol words, word 0's after the last word's: a slice past the end is
+    empty, and then word 0's is taken."""
+    j = (i + 1) * k
+    return i, tuple(b[j - s : j]), tuple(b[j : j + s] or b[:s])
 
 
 # a cycle string's windows are counted this many groups of first symbols at
@@ -256,37 +317,58 @@ def _kperm_ranks(cols: list[int], m: int, n: int) -> memoryview:
     P(n, k) < 2**32), as unsigned ints in window order.
 
     Window c_0..c_{k-1} has rank sum d_o * P(n-1-o, k-1-o) over its Lehmer
-    digits d_o = c_o - 1 - #{p < o : c_p < c_o}.  Every symbol is at most
-    0x7f, so ``((C_o | 0x80..) - C_p) & 0x80..`` takes 0x80 + c_o - c_p >= 1
-    in each byte with no borrow across bytes, and keeps the high bit exactly
-    where c_p <= c_o, which in a valid window means c_p < c_o.  The counts
-    are at most k - 1 and each d_o >= 0, so the digit column is one byte
-    per window too.  It is widened into 4-byte lanes by one extended-slice
-    assignment, and the weighted sum of the widened columns is every
-    window's rank at once: a rank is below P(n, k) < 2**32, so no lane
-    carries into the next.
+    digits d_o = c_o - 1 - #{p < o : c_p < c_o}, and 0 <= d_o < n - o, the
+    digit's radix.  Every symbol is at most 0x7f, so
+    ``((C_o | 0x80..) - C_p) & 0x80..`` takes 0x80 + c_o - c_p >= 1 in each
+    byte with no borrow across bytes, and keeps the high bit exactly where
+    c_p <= c_o, which in a valid window means c_p < c_o.  The counts are at
+    most k - 1 and each d_o >= 0, so the digit column is one byte per
+    window too.
+
+    Since P(n-1-o, k-1-o) = (n-1-o) * P(n-2-o, k-2-o), consecutive digits
+    d_a..d_b sum to G * P(n-1-b, k-1-b), where G is the digits read
+    Horner-style, each step ``G * (n - o) + d_o``.  So digits are grouped
+    while the product of their radices stays at most 256: then G is below
+    that product in every byte, each step keeps every byte at most 255, and
+    no byte carries into the next.  A full permutation's last digit has
+    radix 1 and is always 0, so it is left out.  Each group's column is
+    widened into 4-byte lanes by one extended-slice assignment, and the
+    weighted sum of the widened groups is every window's rank at once: a
+    rank is below P(n, k) < 2**32, so no lane carries into the next.
     """
     k = len(cols)
     high = int.from_bytes(b"\x80" * m, "big")
     ones = high >> 7
     lanes = bytearray(4 * m)
     ranks = 0
-    for o, c in enumerate(cols):
+    group, span = 0, 1  # the group's digits read Horner-style, and its radices' product
+    for o, c in enumerate(cols[: min(k, n - 1)]):
+        radix = n - o
+        if span * radix > 256:  # the group ends at digit o - 1
+            lanes[_LANE_LOW::4] = group.to_bytes(m, "big")
+            ranks += perm(n - o, k - o) * int.from_bytes(lanes, sys.byteorder)
+            group, span = 0, 1
         c_high = c | high
         # each term is a count of one or zero in every byte, shifted up by
         # 7; the counts stay below 0x80, so their sum is shifted back exactly
         smaller = sum((c_high - p) & high for p in cols[:o]) >> 7
-        lanes[_LANE_LOW::4] = (c - ones - smaller).to_bytes(m, "big")
-        ranks += perm(n - 1 - o, k - 1 - o) * int.from_bytes(lanes, sys.byteorder)
+        digit = c - ones - smaller
+        # a group's first digit is its value as it stands, not copied again
+        group = group * radix + digit if span > 1 else digit
+        span *= radix
+    # the last group's weight is P(n-k, 0) = 1, or P(1, 1) = 1 where the last
+    # digit was left out
+    lanes[_LANE_LOW::4] = group.to_bytes(m, "big")
+    ranks += int.from_bytes(lanes, sys.byteorder)
     return memoryview(ranks.to_bytes(4 * m, sys.byteorder)).cast("I")
 
 
 def _report(
     checked: int,
-    invalid: list[Word],
+    invalid: Sequence[Word],
     found: int,
-    duplicates: list[Word],
-    violations: list[tuple[int, Vertex, Vertex]],
+    duplicates: Sequence[Word],
+    violations: Sequence[tuple[int, Vertex, Vertex]],
     length_ok: bool,
     params: InstanceParams,
 ) -> VerificationReport:
@@ -311,7 +393,7 @@ def _report(
 
 def _coverage_report(
     words: Sequence[Word],
-    violations: list[tuple[int, Vertex, Vertex]],
+    violations: Sequence[tuple[int, Vertex, Vertex]],
     length_ok: bool,
     params: InstanceParams,
 ) -> VerificationReport:
@@ -347,7 +429,7 @@ def _windows_report(
     ext: SymbolString,
     windows: int,
     stride: int,
-    violations: list[tuple[int, Vertex, Vertex]],
+    violations: Sequence[tuple[int, Vertex, Vertex]],
     params: InstanceParams,
 ) -> VerificationReport:
     """The report on the k-symbol windows of `ext` that start at 0, `stride`,
@@ -358,7 +440,8 @@ def _windows_report(
     ``bytes`` string from ``_kperm_invalid`` or ``_multiset_invalid`` in
     whole-column passes, and a tuple string (a symbol above 255) one window
     at a time from ``_validity``, over a generator of windows.  Invalid
-    windows are reported in window order.
+    windows are reported in window order, as a ``_Defects`` view of their
+    starts.
 
     A k-permutation byte string of exactly P(n, k) windows, with n <= 127
     and P(n, k) < 2**32, is counted by rank, defects and all: its valid
@@ -366,8 +449,9 @@ def _windows_report(
     marked bytes are the distinct windows found.  A valid window repeats
     exactly where there are more valid windows than marked bytes, and only
     then does ``_repeated_ranks`` find which ranks repeat, in ascending
-    order, which for k-permutations is lexicographic order.  The
-    window-count gate bounds the bitmap by the string's own length.
+    order, which for k-permutations is lexicographic order, and they are
+    reported as a ``_Defects`` view of those ranks.  The window-count gate
+    bounds the bitmap by the string's own length.
 
     Any other string (multisets, tuple strings, n > 127 and other window
     counts) is counted one group of first symbols at a time, and only one
@@ -392,17 +476,15 @@ def _windows_report(
         ranked = windows == total and n <= 127 and total < 1 << 32
         seen = bytearray(total) if ranked else None
         bad = _kperm_invalid(ext, windows, stride, k, n, seen)
-    invalid = []
-    if bad != bytes(len(bad)):  # most strings have no invalid window
-        invalid = [tuple(ext[i : i + k]) for i in compress(starts, bad)]
-    duplicates: list[Word] = []
+    invalid = _Defects(_flagged(bad, starts), partial(_window, ext, k))
     if seen is not None:
         found = total - seen.count(0)
         excess = windows - len(invalid) - found
-        if excess:  # some valid window repeats
-            repeated = _repeated_ranks(ext, windows, stride, k, n, seen, excess)
-            duplicates = [_kperm_word(rank, n, k) for rank in repeated]
+        # a second pass only where some valid window repeats
+        repeated = _repeated_ranks(ext, windows, stride, k, n, seen, excess) if excess else ()
+        duplicates = _Defects(array("q", repeated), partial(_kperm_word, n=n, k=k))
         return _report(windows, invalid, found, duplicates, violations, True, params)
+    duplicates: list[Word] = []
     groups = _first_symbol_groups(ext[: windows * stride : stride], n)
     found = 0
     for group in range(_GROUPS):
@@ -443,14 +525,6 @@ def verify_cycle_string(
     return _windows_report(ext, length // stride, stride, [], params)
 
 
-class _Tuples(dict):
-    """A tuple of each slice looked up, made on its first lookup."""
-
-    def __missing__(self, key: SymbolString) -> Vertex:
-        self[key] = value = tuple(key)
-        return value
-
-
 def verify_object_list(
     words: Sequence[Sequence[int]], params: InstanceParams
 ) -> VerificationReport:
@@ -469,11 +543,11 @@ def verify_object_list(
     k-s+o (every word's symbol k-s+o, one byte per word) XOR column o moved
     on by one word has a zero byte exactly where they agree, and the
     zero-byte test of ``_kperm_invalid`` marks the others; a tuple string
-    compares the two slices word by word.  A violation holds the two
-    slices as tuples, one tuple per distinct slice, shared by every
-    violation that holds it.  The words are flagged and counted by
-    ``_windows_report`` at stride k, as a cycle string's windows are at
-    stride k - s.
+    compares the two slices word by word.  The violations are a
+    ``_Defects`` view of the flagged words' positions, and each violation's
+    two slices become tuples only when it is read.  The words are flagged
+    and counted by ``_windows_report`` at stride k, as a cycle string's
+    windows are at stride k - s.
     """
     k, s = params.k, params.s
     if isinstance(words, Windows) and words.stride == words.k == k:
@@ -491,9 +565,6 @@ def verify_object_list(
     m = length // k
     if not m:
         return _coverage_report([], [], False, params)
-    # word i ends at ends[i], where word i+1 starts (word 0, at 0, after the
-    # last: a slice past the end is empty, and then word 0's is taken)
-    ends = range(k, length + k, k)
     if isinstance(b, bytes):
         high = int.from_bytes(b"\x80" * m, "big")
         low = int.from_bytes(b"\x7f" * m, "big")
@@ -504,17 +575,10 @@ def verify_object_list(
             differ |= ((x & low) + low) | x
         flags = (differ & high).to_bytes(m, "big")
     else:
+        # word i ends at j, where word i+1 starts, as ``_violation`` reads them
+        ends = range(k, length + k, k)
         flags = bytes(b[j - s : j] != (b[j : j + s] or b[:s]) for j in ends)
-    # one tuple per distinct s-symbol slice, shared by every violation that
-    # holds it: a list out of tour order repeats a few vertices many times
-    vertices = _Tuples()
-    violations = list(
-        zip(
-            compress(range(m), flags),
-            map(vertices.__getitem__, (b[j - s : j] for j in compress(ends, flags))),
-            map(vertices.__getitem__, (b[j : j + s] or b[:s] for j in compress(ends, flags))),
-        )
-    )
+    violations = _Defects(_flagged(flags, range(m)), partial(_violation, b, k, s))
     return _windows_report(b, m, k, violations, params)
 
 

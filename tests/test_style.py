@@ -158,3 +158,46 @@ def test_local_classes_are_found():
         "    return h\nclass E:\n    class F:\n        pass\n"
     )
     assert _local_classes(ast.parse(source)) == [(3, "B"), (7, "C"), (8, "D")]
+
+
+def _tracemalloc_starts(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each ``tracemalloc.start`` call or import of ``start``, with its line
+    and the function it is in, or "" at the top level."""
+    starts = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if f.attr == "start" and isinstance(f.value, ast.Name) and f.value.id == "tracemalloc":
+                starts.append((node.lineno, fn))
+        elif isinstance(node, ast.ImportFrom) and node.module == "tracemalloc":
+            starts.extend((node.lineno, fn) for a in node.names if a.name in ("start", "*"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return starts
+
+
+def test_only_traced_peak_starts_tracemalloc():
+    # `traced_peak` empties the free lists before it reads a peak; a test
+    # that started tracing another way would read whatever earlier tests
+    # left there, and pass in the suite but fail alone
+    found = {
+        path.name: _tracemalloc_starts(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+    }
+    starts = {(name, fn) for name, calls in found.items() for _, fn in calls}
+    assert starts == {("test_verify.py", "traced_peak")}
+
+
+def test_tracemalloc_starts_are_found():
+    source = (
+        "import tracemalloc\nfrom tracemalloc import start as go\ntracemalloc.start()\n"
+        "def traced_peak():\n    tracemalloc.start(25)\n"
+        "class T:\n    def test(self):\n        tracemalloc.stop()\n        tracemalloc.start()\n"
+    )
+    want = [(2, ""), (3, ""), (5, "traced_peak"), (9, "test")]
+    assert _tracemalloc_starts(ast.parse(source)) == want

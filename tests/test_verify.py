@@ -1,9 +1,14 @@
 import ast
 import dataclasses
+import gc
 import random
 import tracemalloc
+import weakref
+from array import array
 from collections import Counter
+from functools import partial
 from itertools import chain, permutations, product
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ from ocycles.core import (
     LimitError,
     Windows,
     feasibility,
+    kperm_rank,
     object_count,
     validate_params,
 )
@@ -293,7 +299,7 @@ class TestBothRepresentations:
         for edited in single_symbol_edits(symbols, (0, 1, 255, 256, -1, 10**6)):
             report = verify_cycle_string(edited, p)
             assert_same_report(report, reference_cycle_string(edited, p))
-            listed += report.invalid_words + report.duplicates
+            listed += [*report.invalid_words, *report.duplicates]
         assert listed
         assert all(type(w) is tuple and all(type(x) is int for x in w) for w in listed)
 
@@ -358,7 +364,7 @@ class TestFirstSymbolGroups:
         tampered = tuple(tampered)
         report = verify_cycle_string(tampered, p)
         assert_same_report(report, reference_cycle_string(tampered, p))
-        assert len(set(group_ids(report.duplicates + report.invalid_words, p))) > 1
+        assert len(set(group_ids([*report.duplicates, *report.invalid_words], p))) > 1
         # a stretch of windows repeated: its repeats span several groups
         repeated = symbols + symbols[: 2 * 3000]
         report = verify_cycle_string(repeated, p)
@@ -710,7 +716,11 @@ class TestRankPath:
         if request.param is not None:
             monkeypatch.setattr(ocycles.verify, "_CHUNK", request.param)
 
-    @pytest.mark.parametrize("n, k", [(127, 2), (4, 3), (5, 5), (6, 3), (7, 4), (9, 2)])
+    # digits are read in groups while their radices' product stays at most
+    # 256: (16,3) groups 16 * 15, (17,3) keeps 17 alone and groups 16 * 15
+    @pytest.mark.parametrize(
+        "n, k", [(127, 2), (4, 3), (5, 5), (6, 3), (7, 4), (9, 2), (16, 3), (17, 3)]
+    )
     def test_ranks_follow_permutations_order(self, chunk, n, k):
         # every k-permutation once, in lexicographic order, at stride k
         ext = bytes(x for w in permutations(range(1, n + 1), k) for x in w)
@@ -719,6 +729,22 @@ class TestRankPath:
         flags = ocycles.verify._kperm_invalid(ext, windows, k, k, n, seen)
         assert flags == bytes(windows)
         assert seen.ranks == list(range(windows))
+
+    # the widest k with P(n, k) < 2**32 at a group boundary, n = 16 and 17,
+    # and at n = 127, where every digit is a group of its own; (12,12), a
+    # full permutation whose last digit is left out, groups 6 * 5 * 4, and
+    # (13,8) groups its eight digits in pairs
+    @pytest.mark.parametrize("n, k", [(16, 9), (17, 8), (127, 4), (12, 12), (13, 8)])
+    def test_ranks_of_sampled_windows(self, chunk, n, k):
+        rng = random.Random(n * k)
+        words = [tuple(rng.sample(range(1, n + 1), k)) for _ in range(500)]
+        # the first and the last k-permutation, ranks 0 and P(n, k) - 1
+        words += [tuple(range(1, k + 1)), tuple(range(n, n - k, -1))]
+        seen = RankRecorder()
+        flags = ocycles.verify._kperm_invalid(bytes(chain.from_iterable(words)), 502, k, k, n, seen)
+        assert flags == bytes(502)
+        assert seen.ranks == [kperm_rank(w, range(1, n + 1)) for w in words]
+        assert seen.ranks[-2:] == [0, perm(n, k) - 1]
 
     def test_every_valid_window_is_ranked_past_an_invalid_one(self, monkeypatch):
         monkeypatch.setattr(ocycles.verify, "_CHUNK", 3)
@@ -842,12 +868,22 @@ def fullperm_8_8_3():
     return p, euler_tour(build_graph(p))
 
 
+@pytest.fixture(scope="module")
+def tour_9_6_3():
+    p = validate_params(n=9, k=6, s=3)
+    return p, euler_tour(build_graph(p))
+
+
 def traced_peak(fn, *args):
-    """fn(*args) and the peak of Python allocations above the start, in bytes."""
+    """fn(*args) and the peak of Python allocations above the start, in
+    bytes.  A full collection first empties CPython's free lists, so that
+    the tuples and lists fn makes are allocated, and traced, whatever the
+    tests before it left there."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
+        gc.collect()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
@@ -862,11 +898,13 @@ class TestMemoryGuard:
     """Traced peaks per object at (8,8,3), 40,320 objects, for the tour's
     tail tables also at (9,5,1) and (12,5,2), and for the verifier also at
     the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680 objects.
-    Allocation sizes are deterministic; one-byte symbols and pieces of a
-    long body keep each stage well under its bound."""
+    Allocation sizes are deterministic, and ``traced_peak`` empties the
+    free lists first, so a per-object peak reads within 1% of the same
+    alone as in the suite; one-byte symbols and pieces of a long body keep
+    each stage well under its bound."""
 
     def test_euler_tour(self, fullperm_8_8_3):
-        # reads 26.8: 42 of the 56 letter sets get a table, each tail
+        # reads 27.5: 42 of the 56 letter sets get a table, each tail
         # followed by its head's position, before the budget is spent
         # (25.8 when the tables held bare tails)
         p, _ = fullperm_8_8_3
@@ -888,9 +926,9 @@ class TestMemoryGuard:
 
     def test_euler_tour_that_backtracks(self):
         # the multiset walk gets stuck 15 times with edges left and backs
-        # down a run of steps each time; it reads 21.8, every letter set's
+        # down a run of steps each time; it reads 21.9, every letter set's
         # table linked (22.7 with bare tails).  Run alone, in a new process,
-        # it reads 21.8 too; cursors that zipped a tails iterator with a
+        # it reads 22.1; cursors that zipped a tails iterator with a
         # heads iterator read 24.6 here and 26.4 alone.  Deleting all but
         # the start of the stack as one slice when the walk ends, rather
         # than clearing it, adds a buffer of the deleted pointers: 23.9
@@ -909,7 +947,7 @@ class TestMemoryGuard:
         p, tour = fullperm_8_8_3
         text, peak = traced_peak(emit_document, tour_to_cycle(tour))
         assert text.rsplit("\n", 2)[1].count(" ") == 40_320 * 5 - 1
-        # named 16,384 symbols at a time reads 20.4; the whole string named
+        # named 16,384 symbols at a time reads 20.0; the whole string named
         # as one piece reads 40.0
         assert peak / 40_320 < 25
 
@@ -918,7 +956,7 @@ class TestMemoryGuard:
     )
     def test_parse_text(self, fullperm_8_8_3, separator, bound):
         # every string body is read in pieces, whatever splits its symbols;
-        # spaced pieces read 18.4 (29.5 split into one token per symbol)
+        # spaced pieces read 17.4 (29.5 split into one token per symbol)
         p, tour = fullperm_8_8_3
         cycle = tour_to_cycle(tour)
         *head, body = emit_document(cycle).splitlines()
@@ -971,7 +1009,7 @@ class TestMemoryGuard:
         symbols = tour_to_cycle(tour).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid
-        # ranked 8,192 windows at a time reads 14.6 (16,384 at a time 22.3,
+        # ranked 8,192 windows at a time reads 14.0 (16,384 at a time 22.3,
         # 32,768 at a time 34.4); the grouped count, one group's windows at
         # a time, reads 23.4
         assert peak / 40_320 < 20
@@ -1027,7 +1065,7 @@ class TestMemoryGuard:
     )
     def test_verify_word_tuples(self, kwargs, bound):
         # a list of word tuples is joined into one byte string and checked
-        # at stride k as a list document's is: 22.9 at (8,8,3) and 45.0 for
+        # at stride k as a list document's is: 22.3 at (8,8,3) and 45.1 for
         # the multiset; checked one tuple at a time and counted by hashing
         # they read 72.7 and 109.0
         p = validate_params(**kwargs)
@@ -1039,7 +1077,7 @@ class TestMemoryGuard:
     def test_verify_multiset_list(self):
         # a multiset list's words, one byte string at stride k, are counted
         # one group of first symbols at a time, as a string's windows are:
-        # 35.0; hashed into a Counter they read 129.6
+        # 36.1; hashed into a Counter they read 129.6
         p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
         words = Windows(bytes(chain.from_iterable(euler_tour(build_graph(p)).edges)), p.k, p.k)
         report, peak = traced_peak(verify_object_list, words, p)
@@ -1090,15 +1128,28 @@ class TestMemoryGuard:
 
     def test_verify_listing_violations(self):
         # the (9,6,3) listing in lexicographic order breaks the overlap after
-        # every one of its 60,480 words; the violations share one tuple per
-        # distinct s-symbol slice: 118.4, where two new tuples per violation
-        # read 245.3
+        # every one of its 60,480 words; the violations are a view of their
+        # positions, 8 bytes each, with the words' string: 21.1.  A tuple
+        # per violation, sharing one tuple per distinct s-symbol slice, read
+        # 117.9, and two new tuples per violation 245.3
         p = validate_params(n=9, k=6, s=3)
         words = Windows(bytes(chain.from_iterable(permutations(range(1, 10), 6))), 6, 6)
         report, peak = traced_peak(verify_object_list, words, p)
         assert len(report.overlap_violations) == report.object_count == 60_480
-        assert peak / 60_480 < 150
-        assert len({id(v) for _, *pair in report.overlap_violations for v in pair}) == 504
+        assert peak / 60_480 < 35
+        # read back, the violations name every one of the 504 3-symbol slices
+        assert len({v for _, *pair in report.overlap_violations for v in pair}) == 504
+        assert report.overlap_violations[-1] == (60_479, (6, 5, 4), (1, 2, 3))
+
+    def test_verify_string_of_invalid_windows(self, tour_9_6_3):
+        # the (9,6,3) tour with every 9 replaced by 0: 40,320 of its 60,480
+        # windows are invalid, a view of their starts: 11.0.  A tuple per
+        # invalid window read 69.5
+        p, tour = tour_9_6_3
+        symbols = tour.symbols.replace(b"\x09", b"\x00")
+        report, peak = traced_peak(verify_cycle_string, symbols, p)
+        assert len(report.invalid_words) == report.missing_count == 40_320
+        assert peak / 60_480 < 25
 
 
 class TestVerifyObjectList:
@@ -1143,6 +1194,153 @@ class TestVerifyObjectList:
     def test_empty_list(self):
         p = validate_params(n=3, k=2, s=1)
         assert not verify_object_list([], p).valid
+
+
+def assert_reads_as(view, want):
+    """`view` reads as the list `want` every way a report's field is read."""
+    assert len(view) == len(want) and list(view) == want
+    assert view == want and want == view and not view != want
+    assert view == tuple(want)  # any sequence, element by element
+    assert repr(view) == repr(want)
+    for i in range(-len(want), len(want)):
+        assert view[i] == want[i]
+    for past in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            view[past]
+    for cut in (slice(None), slice(5), slice(-3, None), slice(1, -1, 2), slice(None, None, -1)):
+        assert type(view[cut]) is list and view[cut] == want[cut]
+    assert all(w in view for w in want[:3] + want[-3:]) and (0, ()) not in view
+    if want:
+        assert view != want[:-1] and view != [*want[:-1], ()] and view != [*want, want[0]]
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+class WeakSymbols(list):
+    """A symbol string that a weak reference can follow."""
+
+
+class TestDefectViews:
+    """A report's defects read from flag bytes or the rank bitmap are views
+    of their positions; each reads as the eager reference's list."""
+
+    def assert_fields_read_as(self, report, want):
+        for name in ("invalid_words", "duplicates", "overlap_violations"):
+            got = getattr(report, name)
+            # a string's violations and the grouped count's repeats are lists
+            if type(got) is list:
+                assert got == getattr(want, name)
+            else:
+                assert_reads_as(got, getattr(want, name))
+        assert report == want
+
+    def test_listing_violations(self):
+        # (5,3,2) in lexicographic order: every word breaks the overlap
+        p = validate_params(n=5, k=3, s=2)
+        words = list(permutations(range(1, 6), 3))
+        for listed in (words, Windows(bytes(chain.from_iterable(words)), 3, 3)):
+            report = verify_object_list(listed, p)
+            assert len(report.overlap_violations) == 60
+            self.assert_fields_read_as(report, reference_object_list(words, p))
+
+    def test_ranked_string_with_every_defect(self):
+        # symbols 6..11 overwritten by the first six: two repeated
+        # windows, and two invalid windows around them
+        p, symbols = generated_bytes(n=6, k=4, s=2)
+        edited = symbols[:6] + symbols[:6] + symbols[12:]
+        report = verify_cycle_string(edited, p)
+        assert report.invalid_words and report.duplicates
+        self.assert_fields_read_as(report, decoded_report(edited, p))
+        # the same windows as a list, two of them swapped: violations too
+        words = list(decode_symbols(edited, p.k, p.s))
+        words[7], words[50] = words[50], words[7]
+        report = verify_object_list(Windows(bytes(chain.from_iterable(words)), 4, 4), p)
+        assert report.invalid_words and report.duplicates and report.overlap_violations
+        self.assert_fields_read_as(report, reference_object_list(words, p))
+
+    def test_tuple_string(self, kperm_300_cycle):
+        # symbols above 255: the views index a tuple string
+        p, symbols = kperm_300_cycle
+        edited = (0, 301, *symbols[2:200], 256, *symbols[201:])
+        self.assert_fields_read_as(
+            verify_cycle_string(edited, p), reference_cycle_string(edited, p)
+        )
+        words = [(1, 300), (300, 256), (0, 2), (2, 1), (1, 300)]
+        self.assert_fields_read_as(verify_object_list(words, p), reference_object_list(words, p))
+
+    def test_empty_views(self, perm5_fixture_words):
+        p = validate_params(n=5, k=5, s=3)
+        symbols = bytes(chain.from_iterable(w[:2] for w in perm5_fixture_words))
+        for report in (
+            verify_cycle_string(symbols, p),
+            verify_object_list(Windows(bytes(chain.from_iterable(perm5_fixture_words)), 5, 5), p),
+        ):
+            assert report.valid
+            self.assert_fields_read_as(report, reference_object_list(perm5_fixture_words, p))
+
+    def test_an_empty_view_keeps_no_reference_to_its_string(self):
+        for positions, want in ((array("q"), []), (array("q", [1, 0]), [(2, 3, 4), (1, 2, 3)])):
+            symbols = WeakSymbols([1, 2, 3, 4])
+            ref = weakref.ref(symbols)
+            view = ocycles.verify._Defects(positions, partial(ocycles.verify._window, symbols, 3))
+            del symbols
+            assert (ref() is None) == (want == [])
+            assert_reads_as(view, want)
+
+
+class TestReportText:
+    """``verify`` prints each report byte for byte as it prints the eager
+    reference's: the counts, then the first five defects of each kind."""
+
+    @pytest.fixture
+    def verify_text(self, capsys, tmp_path):
+        def run(text, p, want):
+            path = tmp_path / "doc.txt"
+            path.write_text(text)
+            capsys.readouterr()
+            flags = ["--n", str(p.n), "--k", str(p.k), "--s", str(p.s)]
+            assert ocycles.cli.main(["verify", str(path), *flags]) == 2
+            got = capsys.readouterr()
+            ocycles.cli._print_report(want)
+            assert got.out == capsys.readouterr().out and got.err == ""
+            return got.out
+
+        return run
+
+    def test_lexicographic_listing(self, verify_text):
+        p = validate_params(n=9, k=6, s=3)
+        words = list(permutations(range(1, 10), 6))
+        text = "".join("".join(map(str, w)) + "\n" for w in words)
+        out = verify_text(text, p, reference_object_list(words, p))
+        assert "overlap-violations: 60480\n" in out
+
+    def test_swapped_string(self, verify_text, tour_9_6_3):
+        p, tour = tour_9_6_3
+        symbols = tour.symbols
+        i, j = 5_000, 100_000
+        assert symbols[i] != symbols[j]
+        swapped = symbols[:i] + symbols[j : j + 1] + symbols[i + 1 : j] + symbols[i : i + 1]
+        swapped += symbols[j + 1 :]
+        head = emit_document(tour).rsplit("\n", 2)[0]
+        text = head + "\n" + " ".join(map(str, swapped)) + "\n"
+        out = verify_text(text, p, decoded_report(swapped, p))
+        assert "  invalid word: " in out
+
+    def test_duplicated_list_line(self, verify_text, tour_9_6_3):
+        p, tour = tour_9_6_3
+        lines = emit_list(tour).splitlines()
+        lines[-1] = lines[-5]
+        words = [tuple(map(int, line.split(","))) for line in lines if not line.startswith("#")]
+        out = verify_text("\n".join(lines) + "\n", p, reference_object_list(words, p))
+        assert "duplicates: 1\n" in out and "overlap-violations: 2\n" in out
+
+    def test_every_nine_replaced(self, verify_text, tour_9_6_3):
+        p, tour = tour_9_6_3
+        symbols = tour.symbols.replace(b"\x09", b"\x00")
+        head = emit_document(tour).rsplit("\n", 2)[0]
+        text = head + "\n" + " ".join(map(str, symbols)) + "\n"
+        out = verify_text(text, p, decoded_report(symbols, p))
+        assert "invalid-words: 40320\n" in out
 
 
 class TestHamiltonOracle:
