@@ -8,7 +8,7 @@ shared overlap produces the cyclic string form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 from operator import itemgetter
 
 from .core import (
@@ -19,27 +19,6 @@ from .core import (
     min_vertex,
 )
 from .graph import TransitionGraph
-
-
-TABLE_TAILS_PER_EDGE = 1 / 8
-"""The budget of ``euler_tour``'s shared tail tables, in tails per edge.
-
-A letter set gets a table while the tables built so far hold fewer than
-edge_count / 8 tails, so they hold at most that many plus one vertex's
-out-degree.  A tail in a table is a ``bytes`` object and a pointer, plus a
-pointer to its head's position where the walk is linked (k - s >= s >= 3),
-about 56 B, so edge_count / 8 of them cost about 7 B per object.
-
-A table saves work only where the s! vertices of its letter set share it,
-but it holds one tail per s! edges: without the budget the tables grow with
-the edge count at s = 2.  At s = 1 a letter set is one vertex, so no table
-is built: tables at (9,5,1) read 26.4 traced bytes per object within the
-budget and 61.3 without it, against 16.3 with lazy cursors.  Traced tour
-peaks elsewhere (lazy cursors / budget / no budget), each the second tour
-in its process: (12,5,2) 15.1 / 20.7 / 36.9, (8,8,3) 22.2 / 26.8 / 28.3,
-and (10,5,4) 79.2 / 37.5 / 37.5, where each vertex's ``permutations``
-iterator outweighs the tables.
-"""
 
 
 @dataclass(frozen=True)
@@ -125,7 +104,7 @@ def _unwind(stack, cursors, trail, out, pos, stride):
     return pos - run, item
 
 
-def _linked_walk(params, key, room, trail, out):
+def _linked_walk(params, key, trail, out):
     """The walk where k - s >= s >= 3; returns where the output starts.
 
     A cursor yields a tail and then the position in ``cursors`` of the
@@ -137,8 +116,7 @@ def _linked_walk(params, key, room, trail, out):
     cost about 270 traced bytes more per vertex, 5 B per object on the
     multiset 1,1,2,2,3,3,4,4,5.  The heads are positions, not cursors, so
     that no cursor holds another and nothing is left to the cycle
-    collector.  A lazy cursor yields None in place of the position, and the
-    walk slices and looks up the head of that tail.
+    collector.
     """
     s, stride = params.s, params.k - params.s
     tables = {}
@@ -146,19 +124,14 @@ def _linked_walk(params, key, room, trail, out):
 
     def cursor(v):
         # an iterator over v's letter set's table, whose heads the worklist
-        # below links, or once the budget is spent a lazy one
-        nonlocal room
+        # below links
         letters = key(sorted(v))
         table = tables.get(letters)
         if table is None:
-            tails = map(key, completions(v, stride, params))
-            if room <= 0:
-                return chain.from_iterable(zip(tails, repeat(None)))
-            tails = tuple(tails)
+            tails = tuple(map(key, completions(v, stride, params)))
             table = tables[letters] = [None] * (2 * len(tails))
             table[::2] = tails
             unlinked.append(table)
-            room -= len(tails)
         return iter(table)
 
     positions = _Positions()
@@ -170,8 +143,7 @@ def _linked_walk(params, key, room, trail, out):
         table = unlinked.pop()
         tails = islice(table, 0, None, 2)
         table[1::2] = map(positions.__getitem__, map(head, tails))
-    if room > 0:  # every cursor is linked: none is looked up again
-        positions.clear()
+    positions.clear()  # every cursor is linked: none is looked up again
     stack = [cur]
     pos = len(out)
     while True:
@@ -183,31 +155,25 @@ def _linked_walk(params, key, room, trail, out):
                 return pos
             cur = stack[-1]
         trail += tail
-        i = next(cur)
-        if i is None:  # a lazy cursor's tail
-            i = positions[tail[-s:]]
-        cur = cursors[i]
+        cur = cursors[next(cur)]
         stack.append(cur)
 
 
-def _walk(params, key, room, trail, out):
+def _walk(params, key, trail, out):
     """The walk where k - s < s or s <= 2, whose cursors yield bare tails
     and whose every step slices and looks up its head; returns where the
-    output starts."""
+    output starts.  At s >= 3 a cursor reads its letter set's table, and
+    at s <= 2 it is lazy, over ``completions``."""
     s, stride = params.s, params.k - params.s
     tables = {}
 
     def cursor(v):
-        # an iterator over the tails of v's letter set's table, or once the
-        # budget is spent a lazy one over completions
-        nonlocal room
+        if s <= 2:
+            return map(key, completions(v, stride, params))
         letters = key(sorted(v))
         table = tables.get(letters)
         if table is None:
-            if room <= 0:
-                return map(key, completions(v, stride, params))
             table = tables[letters] = tuple(map(key, completions(v, stride, params)))
-            room -= len(table)
         return iter(table)
 
     start = key(min_vertex(params))
@@ -250,20 +216,24 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
     C-level pass over the stack finds the vertex to go on from.
 
     A vertex's tails depend only on its letter set (for a multiset, on its
-    sorted symbols), so a table of them is built once per letter set and
-    shared by its s! vertices: each edge then costs no ``permutations``
-    tuple and no ``bytes`` object of its own.  The tables are kept within
-    ``TABLE_TAILS_PER_EDGE``; once it is spent, and at s = 1, where no two
-    vertices share a letter set, a vertex gets a lazy cursor over
-    ``completions``.  The tails come in the same order either way.
+    sorted symbols).  Where s >= 3 a table of them is built once per letter
+    set and shared by its vertices: each edge then costs no
+    ``permutations`` tuple and no ``bytes`` object of its own.  A
+    k-permutation's letter set has s! >= 6 vertices, so its tables hold at
+    most one tail per 6 edges, and a multiset's at most one per edge.  At
+    s <= 2 a letter set has at most two vertices, so a table would be read
+    by at most two cursors and hold a tail for every one or two edges:
+    tables there read 37.0 traced bytes per object at (12,5,2) and 61.4 at
+    (9,5,1), against 15.5 and 16.6 with lazy cursors.  So at s <= 2 every
+    cursor is lazy, over ``completions``.  The tails come in the same
+    order either way.
 
     When k - s >= s, a tail's last s symbols are the vertex it leads to,
     whatever vertex it leaves.  For s >= 3 ``_linked_walk`` links each
     table to its heads' cursors once, before the walk, so a step needs no
     slice and no lookup.  When k - s < s the head depends on the vertex
-    too; at s <= 2 a table serves at most two vertices, and the budget
-    holds about a quarter of the tables at s = 2, so linking did not pay.
-    There ``_walk`` slices and looks up every step's head.
+    too, and at s <= 2 there is no table to link.  There ``_walk`` slices
+    and looks up every step's head.
     Memory is O(vertices) plus a few bytes per edge.
     """
     params = g.params
@@ -272,11 +242,8 @@ def euler_tour(g: TransitionGraph) -> OverlapCycle:
         key, trail, out = bytes, bytearray(), bytearray(g.edge_count * stride)
     else:
         key, trail, out = tuple, [], [0] * (g.edge_count * stride)
-    # at s = 1 a letter set is a single vertex, so a table would serve one
-    # cursor and save nothing
-    room = g.edge_count * TABLE_TAILS_PER_EDGE if s > 1 else 0
     walk = _linked_walk if stride >= s > 2 else _walk
-    pos = walk(params, key, room, trail, out)
+    pos = walk(params, key, trail, out)
     # the tails in tour order, rotated right by s so that window 0 is the
     # first word: cyclically the start vertex precedes the first tail
     if key is bytes:

@@ -6,14 +6,14 @@ The graph is never materialized and hands out words, not edge objects:
 complete a vertex v in lexicographic order, and they serve both as tails
 (the words v + tail leave v) and as heads (the words head + v enter v), so a
 traversal needs only a cursor per vertex.  They depend only on v's letter
-set (a multiset vertex's sorted symbols), so the Euler tour's cursors share
-one table of tails per letter set, within a memory budget
-(``euler.TABLE_TAILS_PER_EDGE``).  When k - s >= s a tail's last s symbols
-are the vertex it enters, so where s >= 3 each table also lists, after
-each tail, where its head's cursor is, and the tour steps from cursor to
-cursor with no slice and no lookup.  This module holds the edge count and
-its limit.  An ``Edge`` is a certificate step's word; its endpoints are
-``word[:s]`` and ``word[-s:]``.
+set (a multiset vertex's sorted symbols), so where s >= 3 the Euler tour's
+cursors share one table of tails per letter set; at s <= 2, where a letter
+set has at most two vertices, each cursor generates its own tails.  When
+k - s >= s >= 3 a tail's last s symbols are the vertex it enters, so each
+table also lists, after each tail, where its head's cursor is, and the tour
+steps from cursor to cursor with no slice and no lookup.  This module holds
+the edge count and its limit.  An ``Edge`` is a certificate step's word;
+its endpoints are ``word[:s]`` and ``word[-s:]``.
 """
 
 from __future__ import annotations

@@ -149,6 +149,22 @@ def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
     return list(map(target.__eq__, map(sorted, words)))
 
 
+def _chunks(
+    ext: bytes, windows: int, stride: int, k: int
+) -> Iterator[tuple[Iterator[bytes], int, int, int]]:
+    """The windows of a byte string, ``_CHUNK`` at a time: each chunk's k
+    columns, its window count m, and the masks 0x80.. and 0x7f.. of m
+    bytes.  Column o holds each window's o-th symbol, one byte per window,
+    sliced in C as the columns are read, so that a reader that takes them
+    one at a time holds one."""
+    for first in range(0, windows, _CHUNK):
+        m = min(_CHUNK, windows - first)
+        start, span = first * stride, stride * (m - 1) + 1
+        stops = range(start + span, start + span + k)
+        cols = map(ext.__getitem__, map(slice, range(start, start + k), stops, repeat(stride)))
+        yield cols, m, int.from_bytes(b"\x80" * m, "big"), int.from_bytes(b"\x7f" * m, "big")
+
+
 def _kperm_columns(
     ext: bytes, windows: int, stride: int, k: int, n: int
 ) -> Iterator[tuple[list[int], int, int]]:
@@ -157,8 +173,8 @@ def _kperm_columns(
     window read as one int, 0x80 where the window holds a symbol outside
     1..n or a repeated symbol, else 0.
 
-    Column o holds each window's o-th symbol, one byte per window, sliced in
-    C and read as one int.  Two columns agree in a window exactly where
+    Column o holds each window's o-th symbol, one byte per window, from
+    ``_chunks``, read as one int.  Two columns agree in a window exactly where
     their XOR x has a zero byte.  ``((x & 0x7f..) + 0x7f..) | x`` sets the
     high bit of every nonzero byte and leaves it clear in every zero byte:
     a low part b & 0x7f is at most 0x7f, so the sum is at most 0xfe and no
@@ -168,16 +184,12 @@ def _kperm_columns(
     """
     top = min(n, 255)
     out_of_range = b"\x80" + bytes(top) + b"\x80" * (255 - top)
-    for first in range(0, windows, _CHUNK):
-        m = min(_CHUNK, windows - first)
+    for cols, m, high, low in _chunks(ext, windows, stride, k):
         outside = 0
         ints = []
-        for o in range(first * stride, first * stride + k):
-            col = ext[o : o + stride * (m - 1) + 1 : stride]
+        for col in cols:
             outside |= int.from_bytes(col.translate(out_of_range), "big")
             ints.append(int.from_bytes(col, "big"))
-        high = int.from_bytes(b"\x80" * m, "big")
-        low = int.from_bytes(b"\x7f" * m, "big")
         unequal = high  # high bit kept where every pair of columns differs
         for o, a in enumerate(ints):
             for b in ints[o + 1 :]:
@@ -273,8 +285,8 @@ def _multiset_invalid(
     where the window is not an arrangement of the multiset, else 0.
 
     For each distinct symbol x of the multiset, each column (the windows'
-    o-th symbols, sliced as in ``_kperm_invalid``) is translated to 1 where
-    it holds x and 0 elsewhere, and read as one int.  The k columns' sum
+    o-th symbols, from ``_chunks``) is translated to 1 where it holds x
+    and 0 elsewhere, and read as one int.  The k columns' sum
     counts x in every window at once, one byte per window: a count is at
     most k <= 255, so no byte carries into the next.  A window is an
     arrangement exactly where each symbol's count equals its count in the
@@ -285,12 +297,8 @@ def _multiset_invalid(
     """
     counts = Counter(multiset)
     flags = []
-    for first in range(0, windows, _CHUNK):
-        m = min(_CHUNK, windows - first)
-        start = first * stride
-        cols = [ext[o : o + stride * (m - 1) + 1 : stride] for o in range(start, start + k)]
-        high = int.from_bytes(b"\x80" * m, "big")
-        low = int.from_bytes(b"\x7f" * m, "big")
+    for cols, m, high, low in _chunks(ext, windows, stride, k):
+        cols = list(cols)
         ones = high >> 7
         unequal = 0  # high bit set where some symbol's count is off
         for x, c in counts.items():

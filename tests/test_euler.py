@@ -1,4 +1,3 @@
-import math
 import sys
 import threading
 from collections import Counter
@@ -120,9 +119,9 @@ class TestReferenceTraversal:
         # the walk gets stuck 56, 16, 20 and 2 times, each time with edges
         # left but for the last, and backs down a run of finished steps.
         # (8,8,4) is disconnected: its walk reaches the letter sets 1..4 and
-        # 5..8 only, both linked at the default budget, and ends after 1,152
-        # of 40,320 edges.  On a connected instance the reference covers
-        # every edge, so a partial tour cannot match it.
+        # 5..8 only, both tabled and linked, and ends after 1,152 of 40,320
+        # edges.  On a connected instance the reference covers every edge,
+        # so a partial tour cannot match it.
         g = build_graph(validate_params(**kwargs))
         try:
             tour = euler_tour(g)
@@ -144,10 +143,25 @@ class TestListBranch:
         ],
     )
     def test_matches_the_byte_branch(self, wide, narrow, complete):
+        self.check(wide, narrow, 2, complete)
+
+    @pytest.mark.parametrize(
+        "wide, narrow",
+        [
+            ((1, 1, 2, 2, 3, 3, 300), (1, 1, 2, 2, 3, 3, 4)),  # linked
+            ((1, 1, 2, 2, 300), (1, 1, 2, 2, 3)),  # heads looked up
+        ],
+    )
+    def test_tuple_keyed_tables_match_the_byte_branch(self, wide, narrow):
+        # at s = 3 every letter set's table is keyed by a tuple
+        self.check(wide, narrow, 3, True)
+
+    @staticmethod
+    def check(wide, narrow, s, complete):
         relabel = dict(zip(wide, narrow))
 
         def run(multiset):
-            g = build_graph(validate_params(multiset=multiset, s=2))
+            g = build_graph(validate_params(multiset=multiset, s=s))
             try:
                 return g, euler_tour(g), None
             except TourIncomplete as e:
@@ -167,27 +181,6 @@ class TestListBranch:
             assert wide_error.used == len(wide_tour.edges) < wide_error.total
 
 
-# no table; tables that run out mid-tour; a table for every letter set
-BUDGETS = [0, 1 / 4, math.inf]
-
-
-@pytest.fixture(params=BUDGETS, ids=["no-table", "runs-out", "unlimited"])
-def table_budget(request, monkeypatch):
-    monkeypatch.setattr(euler, "TABLE_TAILS_PER_EDGE", request.param)
-    return request.param
-
-
-@pytest.mark.usefixtures("table_budget")
-class TestReferenceTraversalAtBudgets(TestReferenceTraversal):
-    """The word-for-word checks with the tail tables' budget at each extreme
-    and spent mid-tour: shared and lazy cursors give the same tails."""
-
-
-@pytest.mark.usefixtures("table_budget")
-class TestListBranchAtBudgets(TestListBranch):
-    """The tuple-keyed tables of the list branch at the same budgets."""
-
-
 @st.composite
 def small_instances(draw):
     """A k-permutation instance with n <= 7 or a multiset of up to 7 symbols
@@ -200,37 +193,42 @@ def small_instances(draw):
     return validate_params(multiset=multiset, s=draw(st.integers(1, len(multiset) - 1)))
 
 
-def tour_or_partial(p, budget):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(euler, "TABLE_TAILS_PER_EDGE", budget)
-        try:
-            return euler_tour(build_graph(p)), None
-        except TourIncomplete as e:
-            return e.partial, (e.used, e.total)
+class TestTableRule:
+    """Where s >= 3 each letter set's tails are generated once, into a
+    table its vertices share; at s <= 2 each vertex generates its own."""
 
-
-class TestTableBudget:
-    def test_tables_are_shared_until_the_budget_is_spent(self, table_budget, monkeypatch):
-        # (6,4,2): 30 vertices, 15 letter sets, 12 tails each, 360 edges; a
-        # budget of 90 tails builds 8 tables, and the other 7 letter sets'
-        # vertices each get a lazy cursor
-        calls = []
+    @pytest.mark.parametrize(
+        "kwargs, calls",
+        [
+            (dict(n=6, k=4, s=2), 30),  # 30 vertices, 15 letter sets
+            (dict(n=6, k=5, s=3), 20),  # linked: C(6,3) letter sets, 120 vertices
+            (dict(n=6, k=4, s=3), 20),  # heads looked up
+            (dict(multiset=(1, 1, 2, 2, 3, 3, 4), s=3), 13),  # linked, 51 vertices
+            (dict(multiset=(1, 1, 2, 2, 3), s=3), 5),  # heads looked up, 18 vertices
+        ],
+    )
+    def test_completions_calls(self, kwargs, calls, monkeypatch):
+        made = []
         completions = euler.completions
 
         def counted(v, length, params):
-            calls.append(tuple(sorted(v)))
+            made.append(v)
             return completions(v, length, params)
 
         monkeypatch.setattr(euler, "completions", counted)
-        p, t = tour_of(n=6, k=4, s=2)
+        p, t = tour_of(**kwargs)
         assert list(t.edges) == reference_tour(build_graph(p))
-        assert len(set(calls)) == 15
-        assert len(calls) == {0: 30, 1 / 4: 8 + 7 * 2, math.inf: 15}[table_budget]
+        assert len(made) == calls
 
-    @given(p=small_instances(), budget=st.one_of(st.floats(0, 1), st.just(math.inf)))
+    @given(p=small_instances())
     @settings(max_examples=150, deadline=None)
-    def test_any_budget_gives_the_lazy_tour(self, p, budget):
-        assert tour_or_partial(p, budget) == tour_or_partial(p, 0)
+    def test_small_instances_match_the_reference(self, p):
+        g = build_graph(p)
+        try:
+            tour = euler_tour(g)
+        except TourIncomplete as e:
+            tour = e.partial
+        assert list(tour.edges) == reference_tour(g)
 
 
 class TestSharedState:

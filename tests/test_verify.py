@@ -895,31 +895,44 @@ def traced_peak(fn, *args):
 
 
 class TestMemoryGuard:
-    """Traced peaks per object at (8,8,3), 40,320 objects, for the tour's
-    tail tables also at (9,5,1) and (12,5,2), and for the verifier also at
-    the multiset 1,1,2,2,3,3,4,4,5 with s = 4, 22,680 objects.
+    """Traced peaks per object at (8,8,3), 40,320 objects, for the tour
+    also at (9,5,1), (12,5,2), (9,6,3) and the multiset 1,1,1,2,2,2,3,3,3,4
+    with s = 3, and for the verifier also at the multiset 1,1,2,2,3,3,4,4,5
+    with s = 4, 22,680 objects.
     Allocation sizes are deterministic, and ``traced_peak`` empties the
     free lists first, so a per-object peak reads within 1% of the same
     alone as in the suite; one-byte symbols and pieces of a long body keep
     each stage well under its bound."""
 
     def test_euler_tour(self, fullperm_8_8_3):
-        # reads 27.5: 42 of the 56 letter sets get a table, each tail
-        # followed by its head's position, before the budget is spent
-        # (25.8 when the tables held bare tails)
+        # reads 28.4: each of the 56 letter sets gets a table, each tail
+        # followed by its head's position (27.5 when a quarter of them were
+        # lazy cursors past a budget of one tail per 8 edges)
         p, _ = fullperm_8_8_3
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert len(tour.edges) == 40_320
         assert peak / 40_320 < 35
 
-    @pytest.mark.parametrize("n, k, s, bound", [(9, 5, 1, 20), (12, 5, 2, 26)])
-    def test_euler_tour_tables_stay_in_budget(self, n, k, s, bound):
-        # a tail table would serve one vertex at s = 1 and serves two at
-        # s = 2; the tour reads 16.4 at (9,5,1), with no table, and 20.9 at
-        # (12,5,2), within the budget.  Tables within the budget read 26.4 at
-        # (9,5,1), a table for every letter set 61.3 and 36.9, and twice the
-        # budget 31.4 and 26.2
+    @pytest.mark.parametrize("n, k, s, bound", [(9, 5, 1, 20), (12, 5, 2, 20)])
+    def test_euler_tour_lazy_cursors(self, n, k, s, bound):
+        # at s <= 2 no tail table is built: one would serve one vertex at
+        # s = 1 and two at s = 2.  The tour reads 16.6 at (9,5,1) and 15.5
+        # at (12,5,2); a table for every letter set reads 61.4 and 37.0
         p = validate_params(n=n, k=k, s=s)
+        tour, peak = traced_peak(euler_tour, build_graph(p))
+        assert tour.object_count == object_count(p)
+        assert peak / tour.object_count < bound
+
+    @pytest.mark.parametrize(
+        "kwargs, bound",
+        [(dict(n=9, k=6, s=3), 30), (dict(multiset=(1, 1, 1, 2, 2, 2, 3, 3, 3, 4), s=3), 45)],
+        ids=["9-6-3", "multiset"],
+    )
+    def test_euler_tour_tables(self, kwargs, bound):
+        # at s = 3 every letter set gets a table: (9,6,3) reads 23.9, where
+        # a table serves 6 vertices, and the multiset 38.3 (38.5 alone),
+        # where the letter set 1,2,3 serves 6 vertices and 1,1,1 one
+        p = validate_params(**kwargs)
         tour, peak = traced_peak(euler_tour, build_graph(p))
         assert tour.object_count == object_count(p)
         assert peak / tour.object_count < bound
