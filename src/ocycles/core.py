@@ -215,7 +215,7 @@ def feasibility(params: InstanceParams) -> FeasibilityVerdict:
     return FeasibilityVerdict(Feasibility.UNKNOWN, Reason.OPEN_CASE)
 
 
-def _arrangements(counts: Counter) -> int:
+def arrangement_count(counts: Counter) -> int:
     """Number of distinct orderings of a multiset given as a Counter."""
     total = sum(counts.values())
     out = math.factorial(total)
@@ -227,7 +227,7 @@ def _arrangements(counts: Counter) -> int:
 def object_count(params: InstanceParams) -> int:
     if params.mode is Mode.KPERM:
         return math.perm(params.n, params.k)
-    return _arrangements(Counter(params.multiset))
+    return arrangement_count(Counter(params.multiset))
 
 
 def _multiset_sequences(counts: Counter, length: int) -> Iterator[tuple[int, ...]]:
@@ -356,7 +356,7 @@ def arrangement_rank(seq: Sequence[int], counts: Counter) -> int:
                 break
             if c[y] > 0:
                 c[y] -= 1
-                rank += _arrangements(c)
+                rank += arrangement_count(c)
                 c[y] += 1
         c[x] -= 1
     return rank

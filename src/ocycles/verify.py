@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, count, islice, repeat, tee
-from math import perm
+from itertools import chain, compress, islice, repeat, tee
+from math import perm, prod
 from operator import eq, not_, setitem
 from typing import Callable, Iterable, Iterator
 
@@ -30,6 +30,7 @@ from .core import (
     Vertex,
     Windows,
     Word,
+    arrangement_count,
     enumerate_objects,
     object_count,
     symbol_string,
@@ -150,15 +151,15 @@ def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
 
 
 def _chunks(
-    ext: bytes, windows: int, stride: int, k: int
+    ext: bytes, windows: range, stride: int, k: int
 ) -> Iterator[tuple[Iterator[bytes], int, int, int]]:
-    """The windows of a byte string, ``_CHUNK`` at a time: each chunk's k
-    columns, its window count m, and the masks 0x80.. and 0x7f.. of m
-    bytes.  Column o holds each window's o-th symbol, one byte per window,
-    sliced in C as the columns are read, so that a reader that takes them
-    one at a time holds one."""
-    for first in range(0, windows, _CHUNK):
-        m = min(_CHUNK, windows - first)
+    """The windows of a byte string numbered by `windows`, ``_CHUNK`` at a
+    time from its start: each chunk's k columns, its window count m, and
+    the masks 0x80.. and 0x7f.. of m bytes.  Column o holds each window's
+    o-th symbol, one byte per window, sliced in C as the columns are read,
+    so that a reader that takes them one at a time holds one."""
+    for first in windows[::_CHUNK]:
+        m = min(_CHUNK, windows.stop - first)
         start, span = first * stride, stride * (m - 1) + 1
         stops = range(start + span, start + span + k)
         cols = map(ext.__getitem__, map(slice, range(start, start + k), stops, repeat(stride)))
@@ -166,9 +167,10 @@ def _chunks(
 
 
 def _kperm_columns(
-    ext: bytes, windows: int, stride: int, k: int, n: int
+    ext: bytes, windows: range, stride: int, k: int, n: int
 ) -> Iterator[tuple[list[int], int, int]]:
-    """The windows of a k-permutation byte string, ``_CHUNK`` at a time:
+    """The windows `windows` of a k-permutation byte string, ``_CHUNK`` at
+    a time:
     each chunk's k columns, its window count m and its flags, one byte per
     window read as one int, 0x80 where the window holds a symbol outside
     1..n or a repeated symbol, else 0.
@@ -198,23 +200,26 @@ def _kperm_columns(
         yield ints, m, outside | (unequal ^ high)
 
 
-def _kperm_invalid(
-    ext: bytes, windows: int, stride: int, k: int, n: int, seen: bytearray | None = None
-) -> bytes:
+def _kperm_invalid(ext: bytes, windows: int, stride: int, k: int, n: int) -> bytes:
     """One byte per window of a k-permutation byte string: 0x80 where the
     window holds a symbol outside 1..n or a repeated symbol, else 0, from
-    the flags of ``_kperm_columns``.
+    the flags of ``_kperm_columns``."""
+    chunks = _kperm_columns(ext, range(windows), stride, k, n)
+    return b"".join(flag.to_bytes(m, "big") for _, m, flag in chunks)
 
-    Given `seen`, every chunk's valid windows are also ranked from the same
-    columns by ``_valid_ranks``, and `seen[rank]` is set to 1 for each, so
-    that a string with invalid windows is still ranked.
-    """
-    flags = []
+
+def _kperm_ranked(
+    ext: bytes, stride: int, k: int, n: int, windows: range
+) -> Iterator[tuple[Iterable[int], bytes]]:
+    """The windows `windows` of a k-permutation byte string, ``_CHUNK`` at
+    a time: each chunk's valid windows' ranks, in window order, from
+    ``_valid_ranks``, and its flag bytes as ``_kperm_invalid`` gives them."""
     for cols, m, flag in _kperm_columns(ext, windows, stride, k, n):
-        if seen is not None:
-            deque(map(setitem, repeat(seen), _valid_ranks(cols, m, n, flag), repeat(1)), 0)
-        flags.append(flag.to_bytes(m, "big"))
-    return b"".join(flags)
+        yield _valid_ranks(cols, m, n, flag), flag.to_bytes(m, "big")
+
+
+# one byte per window, 1 where its flag byte is 0
+_VALID = b"\x01" + bytes(255)
 
 
 def _valid_ranks(cols: list[int], m: int, n: int, flag: int) -> Iterable[int]:
@@ -232,38 +237,85 @@ def _valid_ranks(cols: list[int], m: int, n: int, flag: int) -> Iterable[int]:
     invalid = flag >> 7  # 1 in each invalid window's byte
     keep = ~(invalid * 0xFF)
     cols = [c & keep | invalid * symbol for symbol, c in enumerate(cols, 1)]
-    valid = flag.to_bytes(m, "big").translate(b"\x01" + bytes(255))
-    return compress(_kperm_ranks(cols, m, n), valid)
+    return compress(_kperm_ranks(cols, m, n), flag.to_bytes(m, "big").translate(_VALID))
 
 
-# a second pass moves each rank's bitmap byte on per visit: marked by the
-# first pass (1), visited once (2), visited again (3); and reads the 3s
-_VISITED = bytes([0, 2, 3, 3])
-_REPEATED = bytes(3) + b"\x01" + bytes(252)
+# the chunks of a range of a ranked string's windows: each chunk's valid
+# windows' ranks and its flag bytes
+_Ranked = Callable[[range], Iterator[tuple[Iterable[int], bytes]]]
 
 
-def _repeated_ranks(
-    ext: bytes, windows: int, stride: int, k: int, n: int, seen: bytearray, excess: int
-) -> Iterator[int]:
+# the first pass marks each rank's bitmap byte with the id of the group of
+# chunks its window is in, 1.., the last group's id where windows repeat it.
+# Each group costs one count over the bitmap, about 0.5 ns a byte, and a
+# group whose count falls short one more ranking of its windows, about
+# 200 ns a window, so a long string is split into few groups; at most 254,
+# as the second pass writes 0 and 255
+_MARK_GROUPS = 16
+
+
+def _group_windows(windows: int) -> int:
+    """The number of windows in each group of chunks but the last: a
+    multiple of ``_CHUNK`` that splits `windows` into at most
+    ``_MARK_GROUPS`` groups."""
+    return _CHUNK * -(-windows // (_CHUNK * _MARK_GROUPS))
+
+
+def _marked(
+    chunks: Iterable[tuple[Iterable[int], bytes]], windows: int, seen: bytearray
+) -> bytes:
+    """The flag bytes of a string's `windows` windows, given its chunks from
+    ``_kperm_ranked`` or ``_multiset_ranked`` from its first window, with
+    `seen[rank]` set to the id of the group of chunks of each valid window:
+    the window's start over ``_group_windows``, plus one."""
+    size = _group_windows(windows)
+    flags = []
+    first = 0  # the chunk's first window
+    for ranks, flag in chunks:
+        deque(map(setitem, repeat(seen), ranks, repeat(first // size + 1)), 0)
+        flags.append(flag)
+        first += len(flag)
+        del ranks  # before the next chunk is ranked
+    return b"".join(flags)
+
+
+def _repeated_ranks(ranked: _Ranked, windows: int, flags: bytes, seen: bytearray) -> array:
     """In ascending order, the ranks that two or more valid windows hold,
-    given the bitmap `seen` that ``_kperm_invalid`` marked and the `excess`
-    of valid windows over marked bytes: a second pass over the windows,
-    which holds one chunk and the bitmap.
+    given the chunks `ranked` yields for a range of windows, the flag bytes
+    and the bitmap `seen` that ``_marked`` gave: a second pass over the
+    groups of chunks whose count falls short, which holds one chunk and the
+    bitmap.
 
-    Each visit reads `seen[rank]` and writes it on by ``_VISITED``, one
-    window after another: the reads run in the same lazy chain as the
-    writes, so a rank twice in one chunk reads its first visit's byte.  The
-    pass stops once `excess` ranks are seen again: each repeated rank adds
-    at least one to the excess, so then each has been seen twice and no
-    other repeats.
+    A group's count is the number of bitmap bytes that hold its id, one for
+    each rank whose last window is in the group.  It equals the group's
+    valid windows unless one of them repeats its rank, in the group or in a
+    later one: so every window of a repeated rank but its last lies in a
+    group that falls short, and only those groups are ranked again.  There
+    each visit reads `seen[rank]` and writes 0 where it read the group's
+    id, 255 otherwise: it reads another id where a later group holds the
+    rank, and 0 or 255 where a window before it held the rank.  The reads
+    run in the same lazy chain as the writes, so a rank twice in one chunk
+    reads its first visit's byte.  The ranks marked 255 are those repeated.
     """
-    for cols, m, flag in _kperm_columns(ext, windows, stride, k, n):
-        ranks, again = tee(_valid_ranks(cols, m, n, flag))
-        visits = map(_VISITED.__getitem__, map(seen.__getitem__, again))
-        deque(map(setitem, repeat(seen), ranks, visits), 0)
-        if seen.count(3) == excess:
-            break
-    return compress(count(), seen.translate(_REPEATED))
+    size = _group_windows(windows)
+    groups = range(0, windows, size)
+    short = [
+        (group, first)
+        for group, first in enumerate(groups, 1)
+        if seen.count(group) < flags.count(0, first, first + size)
+    ]
+    for group, first in short:
+        visit = b"\xff" * group + b"\x00" + b"\xff" * (255 - group)
+        for ranks, _ in ranked(range(first, min(first + size, windows))):
+            ranks, again = tee(ranks)
+            visits = map(visit.__getitem__, map(seen.__getitem__, again))
+            deque(map(setitem, repeat(seen), ranks, visits), 0)
+    repeated = array("q")
+    at = seen.find(255)  # a search in C, where few ranks repeat
+    while at >= 0:
+        repeated.append(at)
+        at = seen.find(255, at + 1)
+    return repeated
 
 
 def _kperm_word(rank: int, n: int, k: int) -> Word:
@@ -297,7 +349,7 @@ def _multiset_invalid(
     """
     counts = Counter(multiset)
     flags = []
-    for cols, m, high, low in _chunks(ext, windows, stride, k):
+    for cols, m, high, low in _chunks(ext, range(windows), stride, k):
         cols = list(cols)
         ones = high >> 7
         unequal = 0  # high bit set where some symbol's count is off
@@ -308,6 +360,189 @@ def _multiset_invalid(
             unequal |= ((d & low) + low) | d
         flags.append((unequal & high).to_bytes(m, "big"))
     return b"".join(flags)
+
+
+# one column's tables: its step, to the next lane states or, in the last
+# column, the flag bytes, and each nonzero byte of its term with that
+# byte's offset in a rank lane
+_Column = tuple[bytes, list[tuple[int, bytes]]]
+# the symbol numbers, the rank lanes' width in bytes, and the columns
+_Automaton = tuple[bytes, int, list[_Column]]
+
+
+def _multiset_automaton(multiset: Sequence[int], windows: int) -> _Automaton | None:
+    """The byte tables that rank a window among the N < 2**32 arrangements
+    of the multiset (n <= 255), one column at a time, or None where a
+    column's do not fit in a byte or all of them hold as many entries as
+    `windows`.
+
+    The first table numbers each symbol by its place among the multiset's d
+    distinct symbols, 1..d, and any other symbol 0.  Before column o, a
+    window's state is the sub-multiset of size o its first o symbols make,
+    numbered among those of size o, or a sink past a symbol that does not
+    fit; ``state * (d + 1) + symbol`` must then be one byte.  Each column's
+    step table maps that byte to the next state, times d + 1, and the last
+    column's to the flag byte, 0 for a whole arrangement and 0x80 for the
+    sink.  The column's term is the number of arrangements that agree with
+    the window before column o and hold a smaller symbol at o: the sum over
+    the remaining symbols x below it of the arrangements of the rest
+    without x.  A window's terms add up to its rank in lexicographic order,
+    and the sink's term is 0.  Ranks below 2**16 take 2-byte lanes, others
+    4-byte ones.
+    """
+    counts = Counter(multiset)
+    caps = [counts[x] for x in sorted(counts)]
+    d, k = len(caps), len(multiset)
+    sizes = [1]  # the number of sub-multisets of each size
+    for c in caps:
+        sizes = [sum(sizes[max(0, t - c) : t + 1]) for t in range(len(sizes) + c)]
+    spans = [(size + 1) * (d + 1) for size in sizes[:k]]  # the byte values each step reads
+    if max(spans) > 256 or sum(spans) >= windows:
+        return None
+    symbol = bytearray(256)
+    for j, x in enumerate(sorted(counts), 1):
+        symbol[x] = j
+    total = arrangement_count(counts)
+    width = 2 if total <= 1 << 16 else 4
+    columns = []
+    # a sub-multiset's counts a_j read as one number, sum a_j * place_j
+    places = [prod(c + 1 for c in caps[:j]) for j in range(d)]
+    # each sub-multiset of size o, with its number and the arrangements of
+    # the rest
+    layer = {0: (0, total)}
+    for o, span in enumerate(spans):
+        following: dict[int, tuple[int, int]] = {}
+        # the sink's step: the next column's sink state, or the flag 0x80; the
+        # last column's one state, the whole multiset, steps to 0
+        sink = 0x80 if o == k - 1 else sizes[o + 1] * (d + 1)
+        step, term = [sink] * span, [0] * span
+        for sub, (i, arrangements) in layer.items():
+            below = 0
+            at = i * (d + 1)
+            for c, place in zip(caps, places):
+                at += 1
+                left = c - sub // place % (c + 1)
+                if left:
+                    here = arrangements * left // (k - o)  # those with this symbol at o
+                    after, _ = following.setdefault(sub + place, (len(following), here))
+                    step[at] = after * (d + 1)
+                    term[at] = below
+                    below += here
+        columns.append((bytes(step) + bytes([sink]) * (256 - span), _term_bytes(term, width)))
+        layer = following
+    return bytes(symbol), width, columns
+
+
+def _term_bytes(term: list[int], width: int) -> list[tuple[int, bytes]]:
+    """The column's terms (each below 2 ** (8 * width), and 0 past the
+    last) as lanes of `width` bytes in native byte order: for each offset
+    in a lane that some term's byte is not 0 at, that offset and the bytes
+    there, a 256-byte table."""
+    lanes = array("H" if width == 2 else "I", term).tobytes()
+    out = []
+    for offset in range(width):
+        table = lanes[offset::width]
+        if table.count(0) < len(table):
+            out.append((offset, table + bytes(256 - len(table))))
+    return out
+
+
+def _multiset_ranks(
+    cols: Iterable[bytes], m: int, automaton: _Automaton
+) -> tuple[memoryview, bytes]:
+    """The ranks of m windows among the arrangements of a multiset, as
+    unsigned ints in window order, and their flag bytes, given the windows'
+    columns from ``_chunks`` and the tables of ``_multiset_automaton``.
+
+    Each column's symbols are numbered by one translation, and added to the
+    lane states as ints, one byte per window: the sum stays within a byte,
+    so no byte carries into the next.  The step table translates the sum
+    into the next states, and each term table into one byte of each
+    window's term, which an extended-slice assignment widens into lanes of
+    2 or 4 bytes; the lanes of every column add up to the ranks, below the
+    arrangement count, so no lane carries into the next either.  An invalid
+    window's terms stop at the sink and add up to the rank of a valid
+    window, so its lane is bounded too; its rank is meaningless, and its
+    flag byte 0x80, from the last step, says so.
+    """
+    symbol, width, columns = automaton
+    ranks = 0
+    for o, (col, (step, terms)) in enumerate(zip(cols, columns)):
+        at = col.translate(symbol)
+        if o:
+            at = (int.from_bytes(state, "big") + int.from_bytes(at, "big")).to_bytes(m, "big")
+        state = at.translate(step)
+        if terms:
+            lanes = bytearray(width * m)
+            for offset, table in terms:
+                lanes[offset::width] = at.translate(table)
+            ranks += int.from_bytes(lanes, sys.byteorder)
+    lanes = ranks.to_bytes(width * m, sys.byteorder)
+    return memoryview(lanes).cast("H" if width == 2 else "I"), state
+
+
+def _multiset_ranked(
+    ext: bytes, stride: int, automaton: _Automaton, windows: range
+) -> Iterator[tuple[Iterable[int], bytes]]:
+    """The windows `windows` of a multiset byte string, ``_CHUNK`` at a
+    time: each chunk's valid windows' ranks, in window order, and its flag
+    bytes, 0x80 where a window is not an arrangement of the multiset, from
+    ``_multiset_ranks``."""
+    for cols, m, _, _ in _chunks(ext, windows, stride, len(automaton[2])):
+        ranks, flags = _multiset_ranks(cols, m, automaton)
+        yield (ranks if flags.count(0) == m else compress(ranks, flags.translate(_VALID))), flags
+
+
+def _multiset_word(rank: int, multiset: Sequence[int]) -> Word:
+    """The arrangement of the multiset of lexicographic rank `rank`, as
+    ``_multiset_ranks`` ranks it: at each position, the arrangements that
+    start with each remaining symbol in ascending order are skipped until
+    `rank` falls among them."""
+    left = Counter(multiset)
+    arrangements = arrangement_count(left)
+    word = []
+    for size in range(len(multiset), 0, -1):
+        for x in sorted(left):
+            here = arrangements * left[x] // size  # the arrangements that start with x
+            if rank < here:
+                break
+            rank -= here
+        word.append(x)
+        arrangements = here
+        left[x] -= 1
+        if not left[x]:
+            del left[x]
+    return tuple(word)
+
+
+def _rank_path(
+    ext: SymbolString, windows: int, stride: int, params: InstanceParams
+) -> tuple[_Ranked, Callable[[int], Word]] | None:
+    """How a string is counted by rank: the chunks of a range of its
+    windows, from ``_kperm_ranked`` or ``_multiset_ranked``, and the word of
+    a rank; or None where it is counted by groups of first symbols.
+
+    A byte string is ranked when it has exactly as many windows as there
+    are objects, below 2**32: a k-permutation one for n <= 127, and a
+    multiset one where ``_multiset_automaton`` builds its tables.  The
+    window-count gate bounds the bitmap of ranks by the string's own
+    length, and the automaton's gate keeps its tables smaller than that.
+    """
+    total = object_count(params)
+    if windows != total or total >= 1 << 32 or not _bytewise(ext, params):
+        return None
+    k, n = params.k, params.n
+    if params.mode is Mode.KPERM:
+        if n > 127:
+            return None
+        return partial(_kperm_ranked, ext, stride, k, n), partial(_kperm_word, n=n, k=k)
+    automaton = _multiset_automaton(params.multiset, windows)
+    if automaton is None:
+        return None
+    return (
+        partial(_multiset_ranked, ext, stride, automaton),
+        partial(_multiset_word, multiset=params.multiset),
+    )
 
 
 def _bytewise(symbols: SymbolString, params: InstanceParams) -> bool:
@@ -444,27 +679,31 @@ def _windows_report(
     ... (`windows` of them, each whole in `ext`), given the overlap
     `violations` the caller found.
 
-    Every window first gets one flag byte, nonzero where it is invalid: a
-    ``bytes`` string from ``_kperm_invalid`` or ``_multiset_invalid`` in
-    whole-column passes, and a tuple string (a symbol above 255) one window
-    at a time from ``_validity``, over a generator of windows.  Invalid
-    windows are reported in window order, as a ``_Defects`` view of their
-    starts.
+    Every window first gets one flag byte, nonzero where it is invalid, in
+    whole-column passes over a ``bytes`` string, and one window at a time
+    from ``_validity`` over a generator of windows for a tuple string (a
+    symbol above 255).  Invalid windows are reported in window order, as a
+    ``_Defects`` view of their starts.
 
-    A k-permutation byte string of exactly P(n, k) windows, with n <= 127
-    and P(n, k) < 2**32, is counted by rank, defects and all: its valid
-    windows' ranks mark a P(n, k)-byte bitmap as they are flagged, and the
-    marked bytes are the distinct windows found.  A valid window repeats
-    exactly where there are more valid windows than marked bytes, and only
-    then does ``_repeated_ranks`` find which ranks repeat, in ascending
-    order, which for k-permutations is lexicographic order, and they are
-    reported as a ``_Defects`` view of those ranks.  The window-count gate
-    bounds the bitmap by the string's own length.
+    A string that ``_rank_path`` takes, with one window per object, is
+    counted by rank, defects and all: a k-permutation string's windows
+    ranked by ``_kperm_ranks`` and a multiset string's by
+    ``_multiset_ranks``, whose last step flags them too, so that
+    ``_multiset_invalid`` does not run.  As they are flagged, the valid
+    windows' ranks mark a bitmap of one byte per object with the id of
+    their group of chunks, and the marked bytes are the distinct windows
+    found.  A valid window repeats exactly where there are more valid
+    windows than marked bytes, and only then does ``_repeated_ranks`` rank
+    again the groups that hold a repeat's earlier windows, to find which
+    ranks repeat, in ascending order, which is lexicographic order.  They
+    are reported as a ``_Defects`` view of those ranks, each unranked into
+    its word when it is read.
 
-    Any other string (multisets, tuple strings, n > 127 and other window
-    counts) is counted one group of first symbols at a time, and only one
-    group's windows are held at once.  Two equal windows have the
-    same first symbol, so they fall in the same group: the groups' distinct
+    Any other string (tuple strings, other window counts, n > 127, and
+    multisets whose automaton does not fit) is counted one group of first
+    symbols at a time, and only one group's windows are held at once.  Two
+    equal windows have the same first symbol, so they fall in the same
+    group: the groups' distinct
     counts add up to the string's, and each repeat is found in its own
     group.  The groups cover ascending symbol ranges, and a repeat is a
     valid window, so the groups' sorted repeats join into one sorted list;
@@ -474,23 +713,24 @@ def _windows_report(
     """
     k, n = params.k, params.n
     starts = range(0, windows * stride, stride)
-    total = object_count(params)
-    seen = None
-    if not _bytewise(ext, params):
+    ranked = _rank_path(ext, windows, stride, params)
+    if ranked is not None:
+        chunks, word = ranked
+        seen = bytearray(windows)  # a byte per object, as there is a window per object
+        bad = _marked(chunks(range(windows)), windows, seen)
+    elif not _bytewise(ext, params):
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
     elif params.mode is Mode.MULTISET:
         bad = _multiset_invalid(ext, windows, stride, k, params.multiset)
     else:
-        ranked = windows == total and n <= 127 and total < 1 << 32
-        seen = bytearray(total) if ranked else None
-        bad = _kperm_invalid(ext, windows, stride, k, n, seen)
+        bad = _kperm_invalid(ext, windows, stride, k, n)
     invalid = _Defects(_flagged(bad, starts), partial(_window, ext, k))
-    if seen is not None:
-        found = total - seen.count(0)
+    if ranked is not None:
+        found = windows - seen.count(0)
         excess = windows - len(invalid) - found
         # a second pass only where some valid window repeats
-        repeated = _repeated_ranks(ext, windows, stride, k, n, seen, excess) if excess else ()
-        duplicates = _Defects(array("q", repeated), partial(_kperm_word, n=n, k=k))
+        repeated = _repeated_ranks(chunks, windows, bad, seen) if excess else array("q")
+        duplicates = _Defects(repeated, word)
         return _report(windows, invalid, found, duplicates, violations, True, params)
     duplicates: list[Word] = []
     groups = _first_symbol_groups(ext[: windows * stride : stride], n)

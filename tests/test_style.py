@@ -1,7 +1,8 @@
 """Source checks on the package, with the standard library only: line
 length, the blank lines before each top-level definition, private names
 cited in docstrings and comments that no longer exist, imports from
-outside the standard library, and class statements inside functions."""
+outside the standard library, and class and import statements inside
+functions."""
 
 import ast
 import io
@@ -158,6 +159,40 @@ def test_local_classes_are_found():
         "    return h\nclass E:\n    class F:\n        pass\n"
     )
     assert _local_classes(ast.parse(source)) == [(3, "B"), (7, "C"), (8, "D")]
+
+
+def _local_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each import statement, with its line and first module or name,
+    inside a function body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Import):
+                    found.add((n.lineno, n.names[0].name))
+                elif isinstance(n, ast.ImportFrom):
+                    found.add((n.lineno, "." * n.level + (n.module or "")))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # an import in a function runs a lookup in sys.modules on every call,
+    # and hides a dependency from a reader of the module's head
+    local = _local_imports(TREES[path.stem])
+    assert local == [], f"{path.name}: import statements inside functions (line, module)"
+
+
+def test_local_imports_are_found():
+    source = (
+        "import os\nfrom . import core\nclass A:\n    import sys\n"
+        "    def f(self):\n        import json, re\n"
+        "def g():\n    def h():\n        from .core import Mode\n"
+        "    from collections import abc\n    return h\n"
+        "async def i():\n    from .. import cli\n"
+    )
+    want = [(6, "json"), (9, ".core"), (10, "collections"), (13, "..")]
+    assert _local_imports(ast.parse(source)) == want
 
 
 def _tracemalloc_starts(tree: ast.Module) -> list[tuple[int, str]]:

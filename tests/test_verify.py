@@ -22,6 +22,8 @@ from ocycles.core import (
     Feasibility,
     LimitError,
     Windows,
+    arrangement_rank,
+    enumerate_objects,
     feasibility,
     kperm_rank,
     object_count,
@@ -39,7 +41,14 @@ from ocycles.verify import (
     verify_cycle_string,
     verify_object_list,
 )
-from conftest import decode_cycle, decode_symbols, reference_coverage, reference_object_list
+from conftest import (
+    decode_cycle,
+    decode_symbols,
+    multiset_instances,
+    oracle_sweep_instances,
+    reference_coverage,
+    reference_object_list,
+)
 from test_perfbench_contract import load_spans
 
 
@@ -680,22 +689,39 @@ class TestWordStringPath:
 
 
 class RankRecorder:
-    """Stands in for the verifier's bitmap and records each rank marked."""
+    """Stands in for the verifier's bitmap and records each rank marked,
+    with the id it is marked with."""
 
     def __init__(self):
         self.ranks = []
+        self.ids = []
 
     def __setitem__(self, rank, value):
-        assert value == 1
         self.ranks.append(rank)
+        self.ids.append(value)
+
+
+def marked_kperm(ext, windows, k, n):
+    """The flag bytes and the recorded marks of the first pass over the
+    k-permutation byte string `ext` at stride k.  Each valid window's rank
+    is marked with the id of its group of chunks: its start over
+    `_group_windows`, plus one."""
+    seen = RankRecorder()
+    chunks = ocycles.verify._kperm_ranked(ext, k, k, n, range(windows))
+    flags = ocycles.verify._marked(chunks, windows, seen)
+    size = ocycles.verify._group_windows(windows)
+    assert seen.ids == [w // size + 1 for w in range(windows) if not flags[w]]
+    assert set(seen.ids) <= set(range(1, ocycles.verify._MARK_GROUPS + 1))
+    return flags, seen
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts the calls of the rank kernel and of the grouped count's
-    `_first_symbol_groups`, which runs only where a string is not ranked."""
+    """Counts the calls of the two rank kernels, of the grouped count's
+    `_first_symbol_groups` and of `_multiset_invalid`, which run only where
+    a string is not ranked."""
     counted = Counter()
-    for name in ("_kperm_ranks", "_first_symbol_groups"):
+    for name in ("_kperm_ranks", "_multiset_ranks", "_first_symbol_groups", "_multiset_invalid"):
         fn = getattr(ocycles.verify, name)
 
         def spy(*args, _fn=fn, _name=name):
@@ -725,8 +751,7 @@ class TestRankPath:
         # every k-permutation once, in lexicographic order, at stride k
         ext = bytes(x for w in permutations(range(1, n + 1), k) for x in w)
         windows = len(ext) // k
-        seen = RankRecorder()
-        flags = ocycles.verify._kperm_invalid(ext, windows, k, k, n, seen)
+        flags, seen = marked_kperm(ext, windows, k, n)
         assert flags == bytes(windows)
         assert seen.ranks == list(range(windows))
 
@@ -740,8 +765,7 @@ class TestRankPath:
         words = [tuple(rng.sample(range(1, n + 1), k)) for _ in range(500)]
         # the first and the last k-permutation, ranks 0 and P(n, k) - 1
         words += [tuple(range(1, k + 1)), tuple(range(n, n - k, -1))]
-        seen = RankRecorder()
-        flags = ocycles.verify._kperm_invalid(bytes(chain.from_iterable(words)), 502, k, k, n, seen)
+        flags, seen = marked_kperm(bytes(chain.from_iterable(words)), 502, k, n)
         assert flags == bytes(502)
         assert seen.ranks == [kperm_rank(w, range(1, n + 1)) for w in words]
         assert seen.ranks[-2:] == [0, perm(n, k) - 1]
@@ -750,8 +774,7 @@ class TestRankPath:
         monkeypatch.setattr(ocycles.verify, "_CHUNK", 3)
         ext = bytes(x for w in permutations(range(1, 5), 2) for x in w)
         ext = ext[:8] + b"\x07" + ext[9:]  # window 4 holds a symbol above n
-        seen = RankRecorder()
-        flags = ocycles.verify._kperm_invalid(ext, 12, 2, 2, 4, seen)
+        flags, seen = marked_kperm(ext, 12, 2, 4)
         assert flags == bytes(4) + b"\x80" + bytes(7)
         assert seen.ranks == [0, 1, 2, 3, *range(5, 12)]
 
@@ -860,6 +883,232 @@ class TestRankPath:
             code = ocycles.cli.main(["verify", str(path), "--n", "6", "--k", "4", "--s", "2"])
             assert code == 2 and parse_text(text).fmt == fmt
             assert calls["_kperm_ranks"] and not calls["_first_symbol_groups"]
+
+
+# inside the multiset rank path's gate: 126, 210 and 630 objects, whose
+# tables hold 114, 168 and 300 entries
+RANKED_MULTISETS = [
+    dict(multiset=(1, 1, 1, 1, 1, 2, 2, 2, 2), s=4),
+    dict(multiset=(1, 1, 1, 2, 2, 3, 3), s=3),
+    dict(multiset=(1, 1, 2, 2, 3, 3, 4), s=2),
+]
+# just outside it: 140 objects and tables of 152 entries
+OUTSIDE_THE_GATE = dict(multiset=(1, 1, 1, 2, 2, 2, 3), s=3)
+
+
+def full_second_pass(ranked, windows):
+    """The repeated ranks of a ranked string, ascending, from a Counter of
+    every valid window's rank: what the second pass must find."""
+    counted = Counter(r for ranks, _ in ranked(range(windows)) for r in ranks)
+    return sorted(r for r, c in counted.items() if c > 1)
+
+
+def copied_word(words, i, j):
+    """`words` with word i replaced by word j."""
+    return words[:i] + [words[j]] + words[i + 1 :]
+
+
+class TestMultisetRankPath:
+    """A complete multiset byte string whose automaton fits the gate is
+    counted by rank, defects and all, and every report equals the
+    per-window test's; repeated ranks are found by ranking again only the
+    groups of chunks whose count falls short, for both families."""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ocycles.verify, "_CHUNK", request.param)
+
+    def test_the_gate(self):
+        # small-sweep's instances, 2 to 60 objects, keep the grouped count:
+        # their tables would cost more than their windows
+        for p in oracle_sweep_instances():
+            if p.mode.value == "multiset":
+                total = object_count(p)
+                assert ocycles.verify._rank_path(bytes(total * p.k), total, p.k, p) is None, p
+        for kwargs, ranked in [*((kw, True) for kw in RANKED_MULTISETS), (OUTSIDE_THE_GATE, False),
+                               (dict(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4), True),
+                               (dict(multiset=(1, 1, 1, 2, 2, 2, 3, 3, 3, 4), s=3), True)]:
+            p, symbols = generated_bytes(**kwargs)
+            windows = len(symbols) // (p.k - p.s)
+            ext = symbols + symbols[: p.s]
+            assert (ocycles.verify._rank_path(ext, windows, p.k - p.s, p) is not None) == ranked
+            # a window short or over, a symbol past a byte: the grouped count
+            assert ocycles.verify._rank_path(ext, windows - 1, p.k - p.s, p) is None
+        # 1..7: the 35 sub-multisets of size 3 and the sink, times 8, are
+        # 288 byte values; 1,1,2,2,3,4,5,6: 36 of size 4, 259
+        for multiset in [(1, 2, 3, 4, 5, 6, 7), (1, 1, 2, 2, 3, 4, 5, 6)]:
+            assert ocycles.verify._multiset_automaton(multiset, 1 << 32) is None
+
+    @pytest.mark.parametrize(
+        "multiset",
+        [(5, 5, 5, 5), (1, 1, 2), (1, 2, 255), (1, 2, 3, 4, 5, 6), (1, 1, 2, 2, 3, 3),
+         (1, 1, 1, 1, 1, 2, 2, 2, 2), (1, 1, 1, 2, 2, 3, 3), (1, 1, 2, 2, 3, 3, 4),
+         (1, 1, 1, 1, 2, 2, 2, 2, 3), (1, 1, 1, 2, 2, 2, 3, 3, 3), (1, 1, 2, 2, 3, 3, 4, 4),
+         (3, 7, 7, 9, 9, 9, 12, 200), (2,) * 30 + (3,)],
+    )
+    def test_unranking_inverts_the_kernel(self, chunk, multiset):
+        # every arrangement once, in lexicographic order, at stride k: the
+        # kernel ranks them 0, 1, ..., and each rank unranks to its word
+        p = validate_params(multiset=multiset, s=1)
+        words = sorted(enumerate_objects(p))
+        assert len(words) == len(set(words)) == object_count(p) <= 5_000
+        automaton = ocycles.verify._multiset_automaton(multiset, 1 << 32)
+        assert automaton[1] == 2  # ranks below 2**16 take 2-byte lanes
+        ext = bytes(chain.from_iterable(words))
+        chunks = ocycles.verify._multiset_ranked(ext, p.k, automaton, range(len(words)))
+        ranks = [r for ranks, flags in chunks for r in ranks]
+        assert ranks == list(range(len(words)))
+        assert [ocycles.verify._multiset_word(r, multiset) for r in ranks] == words
+        assert ranks[::97] == [arrangement_rank(w, Counter(multiset)) for w in words[::97]]
+
+    # 4-byte lanes: 92,400 and 399,072,960 arrangements, and C(34, 17) =
+    # 2,333,606,220 of two symbols, more than half of 2**32
+    @pytest.mark.parametrize(
+        "multiset", [(1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4), (1,) * 7 + (2,) * 7 + (3,) * 7,
+                     (1,) * 17 + (2,) * 17]
+    )
+    def test_ranks_of_sampled_windows(self, chunk, multiset):
+        k = len(multiset)
+        rng = random.Random(k)
+        words = [tuple(rng.sample(multiset, k)) for _ in range(300)]
+        # the first and the last arrangement, ranks 0 and N - 1
+        words += [tuple(sorted(multiset)), tuple(sorted(multiset, reverse=True))]
+        automaton = ocycles.verify._multiset_automaton(multiset, 1 << 32)
+        assert automaton[1] == 4
+        ext = bytes(chain.from_iterable(words))
+        chunks = ocycles.verify._multiset_ranked(ext, k, automaton, range(302))
+        ranks = [r for ranks, flags in chunks for r in ranks]
+        assert ranks == [arrangement_rank(w, Counter(multiset)) for w in words]
+        assert ranks[-2:] == [0, object_count(validate_params(multiset=multiset, s=1)) - 1]
+        assert [ocycles.verify._multiset_word(r, multiset) for r in ranks] == words
+
+    @pytest.mark.parametrize("kwargs", [*RANKED_MULTISETS, OUTSIDE_THE_GATE])
+    def test_defects_match_decoded_windows(self, chunk, calls, kwargs):
+        # a symbol replaced by 0, by one past the multiset's or by 255, at
+        # 60 positions, each by all three under the default chunk and by
+        # one in turn under the small ones; swaps, windows copied over
+        # others, and every symbol set to the first, which makes every
+        # window invalid.  The string and its windows as a list get the
+        # report of the per-window test
+        p, symbols = generated_bytes(**kwargs)
+        length, k, stride = len(symbols), p.k, p.k - p.s
+        rng = random.Random(length)
+        edits = [symbols[:1] * length]
+        for pos in range(0, length, -(-length // 60)):
+            values = [0, p.n + 1, 255]
+            if ocycles.verify._CHUNK < 8:
+                values = values[pos % 3 :][:1]
+            for new in values:
+                edits.append(symbols[:pos] + bytes([new]) + symbols[pos + 1 :])
+        for _ in range(15):
+            i, j = sorted(rng.sample(range(length), 2))
+            a, b = symbols[i : i + 1], symbols[j : j + 1]
+            edits.append(symbols[:i] + b + symbols[i + 1 : j] + a + symbols[j + 1 :])
+            i, j = rng.sample(range(0, length - k, stride), 2)
+            edits.append(symbols[:i] + symbols[j : j + k] + symbols[i + k :])
+        repeats = 0
+        for edited in edits:
+            calls.clear()
+            want = decoded_report(edited, p)
+            assert verify_cycle_string(edited, p) == want
+            assert bool(calls["_multiset_ranks"]) == (kwargs is not OUTSIDE_THE_GATE)
+            assert not calls["_first_symbol_groups"] == (kwargs is not OUTSIDE_THE_GATE)
+            words = bytes(chain.from_iterable(decode_symbols(edited, k, p.s)))
+            assert verify_object_list(Windows(words, k, k), p) == want
+            repeats += bool(want.duplicates)
+        assert repeats
+
+    @pytest.mark.parametrize("kwargs", [*RANKED_MULTISETS, OUTSIDE_THE_GATE])
+    def test_duplicated_lines(self, chunk, kwargs):
+        # a list with a line repeated once, twice and at both ends
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        last = len(words) - 1
+        for i, j in [(0, 1), (1, 0), (0, last), (last, 0), (last - 1, last), (5, 40)]:
+            report = both_list_paths(copied_word(words, i, j), p)
+            assert len(report.duplicates) == report.missing_count == 1
+        edited = copied_word(copied_word(words, 3, 9), 20, 9)
+        assert both_list_paths(edited, p).duplicates == [words[9]]
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n=6, k=4, s=2), dict(n=5, k=5, s=2), *RANKED_MULTISETS[1:]]
+    )
+    def test_repeat_pass_equals_a_full_second_pass(self, chunk, kwargs):
+        # repeats within one chunk, across chunks, in the last chunk, three
+        # windows of one rank, and a repeat next to an invalid window
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        total, k = len(words), p.k
+        size = min(ocycles.verify._CHUNK, total // 2)  # where a chunk ends
+        last = total - 1
+        bad = tuple(0 for _ in range(k))
+        lists = [copied_word(words, i, j) for i, j in
+                 [(0, 1), (1, 0), (0, last), (last - 1, last), (last, last - 1),
+                  (size, size + 1), (size - 1, size), (total // 2, 3)]]
+        lists.append(copied_word(copied_word(words, 2, 7), last, 7))
+        lists.append(copied_word(copied_word(words, 4, 9), 5, 11))
+        lists.append(copied_word(words[:8] + [bad] + words[9:], 10, 7))
+        for edited in lists:
+            ext = bytes(chain.from_iterable(edited))
+            chunks, _ = ocycles.verify._rank_path(ext, total, k, p)
+            seen = bytearray(total)
+            flags = ocycles.verify._marked(chunks(range(total)), total, seen)
+            repeated = ocycles.verify._repeated_ranks(chunks, total, flags, seen)
+            assert list(repeated) == full_second_pass(chunks, total)
+            assert repeated
+
+    @pytest.mark.parametrize(
+        "kwargs, kernel",
+        [(dict(n=6, k=4, s=2), "_kperm_ranks"), (RANKED_MULTISETS[2], "_multiset_ranks")],
+    )
+    def test_a_repeat_ranks_again_only_the_group_of_its_first_window(
+        self, monkeypatch, calls, kwargs, kernel
+    ):
+        # 360 and 630 windows, 8 a chunk: 45 and 79 chunks, in 15 groups
+        # of 3 chunks and 16 of 5.  A line copied from a later one makes
+        # only the copy's group fall short, and only its chunks are ranked
+        # again; the original's group holds the rank's last window
+        monkeypatch.setattr(ocycles.verify, "_CHUNK", 8)
+        p = validate_params(**kwargs)
+        words = list(euler_tour(build_graph(p)).edges)
+        total = len(words)
+        chunks = -(-total // 8)
+        group = ocycles.verify._group_windows(total) // 8  # chunks a group
+        for i, j in [(0, total - 1), (30, 100), (total - 9, total - 1), (100, 30)]:
+            calls.clear()
+            report = verify_object_list(Windows(bytes(chain.from_iterable(copied_word(words, i, j))),
+                                                p.k, p.k), p)
+            assert report.duplicates == [words[j]]
+            first = min(i, j) // 8 // group  # the group of the rank's first window
+            again = min(group, chunks - first * group)
+            assert calls == {kernel: chunks + again}
+
+    def test_gated_documents_never_take_the_grouped_count(self, calls, tmp_path):
+        # the multiset documents a benchmark verifies: the string, a swapped
+        # pair, the list and a duplicated line are counted by rank
+        p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
+        cycle = euler_tour(build_graph(p))
+        symbols = cycle.symbols
+        swapped = symbols[:3] + symbols[10:11] + symbols[4:10] + symbols[3:4] + symbols[11:]
+        head = emit_document(cycle).rsplit("\n", 2)[0]
+        lines = emit_list(cycle).splitlines()
+        valid_list = "\n".join(lines) + "\n"
+        lines[-1] = lines[-5]
+        documents = [
+            (head + "\n" + " ".join(map(str, symbols)) + "\n", 0),
+            (head + "\n" + " ".join(map(str, swapped)) + "\n", 2),
+            (valid_list, 0),
+            ("\n".join(lines) + "\n", 2),
+        ]
+        for text, want in documents:
+            path = tmp_path / "doc.txt"
+            path.write_text(text)
+            calls.clear()
+            argv = ["verify", str(path), "--multiset", "1,1,2,2,3,3,4,4,5", "--s", "4"]
+            assert ocycles.cli.main(argv) == want
+            assert calls["_multiset_ranks"] and not calls["_kperm_ranks"]
+            assert not calls["_first_symbol_groups"] and not calls["_multiset_invalid"]
 
 
 @pytest.fixture(scope="module")
@@ -1052,15 +1301,53 @@ class TestMemoryGuard:
         assert peak < 64_000
 
     def test_verify_cycle_string_per_word(self):
-        # a multiset string's windows are flagged by _multiset_invalid and
-        # counted one group at a time, 35.8 (flagged one at a time by
-        # _validity from a generator of windows it read 35.8 too; slicing
-        # every window into one list first read 64.2)
+        # a multiset string's windows are ranked by its automaton, 12.7;
+        # flagged by _multiset_invalid and counted one group at a time they
+        # read 35.8 (flagged one at a time by _validity from a generator of
+        # windows 35.8 too; slicing every window into one list first 64.2)
         p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
         symbols = euler_tour(build_graph(p)).symbols
         report, peak = traced_peak(verify_cycle_string, symbols, p)
         assert report.valid and report.object_count == 22_680
         assert peak / 22_680 < 40
+
+    @pytest.mark.parametrize("form, bound", [("string", 15), ("list", 20)])
+    def test_verify_multiset_by_rank(self, form, bound):
+        # the multiset's windows are ranked a chunk at a time, in 2-byte
+        # lanes, and each rank marks one byte of a bitmap: 12.7 and 12.9.
+        # With 4-byte lanes the string read 16.5
+        p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
+        tour = euler_tour(build_graph(p))
+        if form == "string":
+            report, peak = traced_peak(verify_cycle_string, tour.symbols, p)
+        else:
+            words = Windows(bytes(chain.from_iterable(tour.edges)), p.k, p.k)
+            report, peak = traced_peak(verify_object_list, words, p)
+        assert report.valid and report.object_count == 22_680
+        assert peak / 22_680 < bound
+
+    def test_verify_list_with_a_duplicated_line(self, fullperm_8_8_3):
+        # line 30,000 repeated over line 100: the second pass ranks again
+        # only the chunk that holds line 100, 16.0
+        p, tour = fullperm_8_8_3
+        words = list(tour.edges)
+        words[100] = words[30_000]
+        words = Windows(bytes(chain.from_iterable(words)), p.k, p.k)
+        report, peak = traced_peak(verify_object_list, words, p)
+        assert len(report.duplicates) == report.missing_count == 1
+        assert peak / 40_320 < 25
+
+    def test_verify_swap_that_repeats_a_window(self, tour_9_6_3):
+        # symbols 16,543 and 66,864 swapped: three invalid windows and one
+        # repeated; only the chunk of its first window is ranked again, 10.8
+        # (9.6 for the valid string)
+        p, tour = tour_9_6_3
+        symbols, i, j = tour.symbols, 16_543, 66_864
+        edited = symbols[:i] + symbols[j : j + 1] + symbols[i + 1 : j]
+        edited += symbols[i : i + 1] + symbols[j + 1 :]
+        report, peak = traced_peak(verify_cycle_string, edited, p)
+        assert report.duplicates == [(1, 2, 3, 9, 8, 4)] and len(report.invalid_words) == 3
+        assert peak / 60_480 < 20
 
     def test_verify_tuple_string_per_word(self, kperm_300_cycle):
         # a tuple string's windows are flagged one at a time by _validity,
@@ -1078,9 +1365,9 @@ class TestMemoryGuard:
     )
     def test_verify_word_tuples(self, kwargs, bound):
         # a list of word tuples is joined into one byte string and checked
-        # at stride k as a list document's is: 22.3 at (8,8,3) and 45.1 for
-        # the multiset; checked one tuple at a time and counted by hashing
-        # they read 72.7 and 109.0
+        # at stride k as a list document's is: 22.5 at (8,8,3) and 22.0 for
+        # the multiset, ranked (45.1 by the grouped count); checked one
+        # tuple at a time and counted by hashing they read 72.7 and 109.0
         p = validate_params(**kwargs)
         words = list(euler_tour(build_graph(p)).edges)
         report, peak = traced_peak(verify_object_list, words, p)
@@ -1088,9 +1375,9 @@ class TestMemoryGuard:
         assert peak / len(words) < bound
 
     def test_verify_multiset_list(self):
-        # a multiset list's words, one byte string at stride k, are counted
-        # one group of first symbols at a time, as a string's windows are:
-        # 36.1; hashed into a Counter they read 129.6
+        # a multiset list's words, one byte string at stride k, are ranked
+        # as a string's windows are: 12.9; counted one group of first
+        # symbols at a time they read 36.1, and hashed into a Counter 129.6
         p = validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)
         words = Windows(bytes(chain.from_iterable(euler_tour(build_graph(p)).edges)), p.k, p.k)
         report, peak = traced_peak(verify_object_list, words, p)
@@ -1299,6 +1586,93 @@ class TestDefectViews:
             del symbols
             assert (ref() is None) == (want == [])
             assert_reads_as(view, want)
+
+
+# order-preserving names for a multiset's symbols 1..5, all within a byte
+NAMES = (7, 8, 100, 254, 255)
+
+
+def renamed_text(text, names):
+    """A document with each symbol x in 1..len(names) named names[x - 1],
+    in its body and in its `# n` and `# multiset` headers."""
+
+    def name(token):
+        x = int(token)
+        return str(names[x - 1] if 1 <= x <= len(names) else x)
+
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("# n "):
+            line = f"# n {names[int(line[4:]) - 1]}"
+        elif line.startswith("# multiset "):
+            line = "# multiset " + ",".join(map(name, line[11:].split(",")))
+        elif line and not line.startswith("#"):
+            line = " ".join(",".join(map(name, t.split(","))) for t in line.split(" "))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def renamed_report(report, names):
+    """The report with each symbol x in 1..len(names) named names[x - 1]."""
+    table = {x: names[x - 1] for x in range(1, len(names) + 1)}
+
+    def word(w):
+        return tuple(table.get(x, x) for x in w)
+
+    return dataclasses.replace(
+        report,
+        duplicates=list(map(word, report.duplicates)),
+        invalid_words=list(map(word, report.invalid_words)),
+        overlap_violations=[(i, word(a), word(b)) for i, a, b in report.overlap_violations],
+    )
+
+
+class TestRename:
+    """Renaming a multiset's symbols in order, with names up to 255, gives
+    the same report up to names and the same exit code, on the ranked path
+    and on the grouped count alike: the acceptance sweep's multisets and
+    the one the docs-verify benchmark verifies, each as generated, with two
+    symbols swapped, with one replaced by 0, and as a list with a line
+    repeated."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [*multiset_instances(), validate_params(multiset=(1, 1, 2, 2, 3, 3, 4, 4, 5), s=4)],
+        ids=lambda p: p.describe(),
+    )
+    def test_an_order_preserving_rename(self, p, tmp_path, capsys):
+        names = NAMES[: len(set(p.multiset))]
+        q = validate_params(multiset=[names[x - 1] for x in p.multiset], s=p.s)
+        cycle = euler_tour(build_graph(p))
+        string, listing = emit_document(cycle), emit_list(cycle)
+        *head, body = string.splitlines()
+        tokens = body.split(" ")
+        i = tokens.index(next(t for t in tokens if t != tokens[0]))
+        swapped = [tokens[i], *tokens[1:i], tokens[0], *tokens[i + 1 :]]
+        lines = listing.splitlines()
+        lines[-1] = lines[-3]
+        documents = [
+            string,
+            "\n".join([*head, " ".join(swapped)]) + "\n",
+            "\n".join([*head, " ".join(["0", *tokens[1:]])]) + "\n",
+            listing,
+            "\n".join(lines) + "\n",
+        ]
+        for text in documents:
+            codes, reports = [], []
+            for params, doc in ((p, text), (q, renamed_text(text, names))):
+                path = tmp_path / "doc.txt"
+                path.write_text(doc)
+                argv = ["verify", str(path), "--multiset", ",".join(map(str, params.multiset))]
+                codes.append(ocycles.cli.main([*argv, "--s", str(params.s)]))
+                parsed = parse_text(doc)
+                if parsed.fmt == "string":
+                    reports.append(verify_cycle_string(parsed.symbols, params))
+                else:
+                    reports.append(verify_object_list(parsed.words, params))
+            capsys.readouterr()
+            assert codes[0] == codes[1] and codes[0] == (0 if text in (string, listing) else 2)
+            assert reports[1] == renamed_report(reports[0], names)
 
 
 class TestReportText:
