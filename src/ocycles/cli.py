@@ -21,11 +21,12 @@ k to a line between commas in a list body, in the same kind of passes with
 no object per symbol; packed list lines take one more such pass, and
 ``_string_line`` reads every other body a line at a time (a list body of
 decimal names as one comma line), one token per symbol by the rule above.
-The header block is found by one pattern match in place, and a list body
-of bare lines after it, or a string body of more than one line, is read as
-one slice, with no object per line; any other document is split into
-lines.  ``parse_text`` alone reads and checks the headers, whichever reader
-takes the body.
+The header block is found by one pattern match in place.  ``_whole_body``
+reads a list body, or a string body of more than one line, whole: as one
+slice of the document after the header block, with no object per line, or
+where that declines, from the stripped body lines joined by newlines, unless
+that text is the slice.  ``parse_text`` alone reads and checks the headers,
+whichever reader takes the body.
 
 The argument parser is built once per process, on the first ``main`` call,
 not at import.
@@ -414,51 +415,25 @@ def _params(headers: dict[str, str]) -> InstanceParams | None:
         raise DocumentError(f"bad document header: {exc}") from exc
 
 
-def _text_list(text: str, headers: dict[str, str], start: int) -> Windows | None:
-    """The words of a list body, from `start` to the end, that `_list_words`
-    reads as one slice, given the `headers` of the header block before it;
-    None where the body is not a list or the slice is declined.
+def _whole_body(text: str, fmt: str) -> Windows | bytes | None:
+    """A body read whole, given as its lines each after a newline: a list
+    body's words from `_list_words`, or the symbols of a string body of more
+    than one line from `_separated_names`, its newlines read as spaces;
+    None for any other format, or where the reader declines.
 
-    A body the slice reads is only digits, commas and newlines, so it holds
-    no header, blank or comment line and no other line break: the headers
-    are the whole document's, and its lines are the body lines the line
-    reader would strip and join.  The body is sliced only once the headers
-    say list, or say no format and a newline follows the first body line
-    (a one-line body is a string), so a string body is never copied.
+    The string reader accepts only lines of names 1..10 between single
+    spaces, which the line reader splits at whitespace into the same
+    symbols, but for a line that is a bare 10: it has no whitespace, so the
+    line reader reads it packed, as 1 and 0, and the body is declined.
+    `text` is let go once its spaced copy is made, so that a slice that
+    only this call holds is freed before the copy is folded.
     """
-    fmt = headers.get("format")
-    end = len(text) - text.endswith("\n")
-    if fmt != "list" and (fmt is not None or text.find("\n", start, end) < 0):
+    if fmt == "list":
+        return _list_words(text)
+    if fmt != "string" or text.find("\n10\n") >= 0 or text.endswith("\n10"):
         return None
-    # the newline that ends the header block leads the slice, if there is one
-    before = start > 0 and text[start - 1] == "\n"
-    return _list_words(text[start - 1 : end] if before else "\n" + text[start:end])
-
-
-def _text_string(text: str, headers: dict[str, str], start: int) -> bytes | None:
-    """The symbols of a string body of more than one line, from `start` to
-    the end, read as one slice by `_separated_names` with its newlines read
-    as spaces, given the `headers` of the header block before it; None
-    where they do not say string, the body is one line, or the slice is
-    declined.
-
-    The slice accepts only lines of names 1..10 between single spaces,
-    which the line reader splits at whitespace into the same symbols, but
-    for a line that is a bare 10: it has no whitespace, so the line reader
-    reads it packed, as 1 and 0, and the slice is declined.  A body the
-    slice reads is only digits, spaces and newlines, so it holds no header,
-    blank or comment line: the headers are the whole document's.  The body
-    is sliced only once a newline is found in it, so a one-line body, which
-    the line reader reads in pieces, is never copied.
-    """
-    end = len(text) - text.endswith("\n")
-    if headers.get("format") != "string" or text.find("\n", start, end) < 0:
-        return None
-    if text.startswith("10\n", start) or text.endswith("\n10", start, end):
-        return None
-    if text.find("\n10\n", start, end) >= 0:
-        return None
-    return _separated_names(" " + text[start:end].replace("\n", " "), " ")
+    text = text.replace("\n", " ")
+    return _separated_names(text, " ")
 
 
 def parse_text(text: str) -> ParsedInput:
@@ -468,23 +443,26 @@ def parse_text(text: str) -> ParsedInput:
 
     The header block is found first, by one match in place, and only it is
     split into lines for its headers: the first body line may be a whole
-    string body.  A list body of decimal names, k to a line between commas,
-    or of digits 1..9 packed, is then read by `_text_list` as one slice
-    into one string of k symbols per word, and its words are a ``Windows``
-    view over it at stride k, which ``verify_object_list`` checks in
-    whole-string passes.  A string body of more than one line, every line
-    of names 1..10 between single spaces, is read by `_text_string` as one
-    slice too.  Any other document is split into lines, and its headers
-    are read from all of them; a string body is then read a line at a
-    time by `_string_line`.  A list body with blank, comment or
-    padded lines, or other line breaks, is read by `_list_words` from its
-    stripped lines joined by newlines, and where that declines too (a blank
-    field, a sign, a line of another length) a line at a time into word
-    tuples by `_string_line`.  The words are the same every way, and so are
-    the errors.
+    string body.  Where the headers say list, or the body after them has
+    more than one line, `_whole_body` reads the body as one slice, as a list
+    unless the headers say string: a list body of decimal names, k to a
+    line between commas, or of digits 1..9 packed, into a ``Windows`` view
+    at stride k over one string of k symbols per word, which
+    ``verify_object_list`` checks in whole-string passes.  A body the slice
+    reads is only digits, separators and newlines, so it holds no header,
+    blank or comment line: the headers are the whole document's.
+
+    Any other document is split into lines, and its headers are read from
+    all of them.  A list body, or a string body of more than one line, is
+    read whole once more from its stripped body lines joined by newlines,
+    unless that text is the slice, so that no text is read twice.  Where
+    that declines too (a blank field, a sign, a line of another length, a
+    bare 10 in a string), `_string_line` reads the body a line at a time, a
+    list body into word tuples; a one-line string body, never copied, is
+    read so in pieces.  The symbols, words and errors are the same every way.
 
     The headers are checked here, once, whichever reader took the body: the
-    instance before any line of the body is read, so that a bad instance
+    instance before the line reader reads any line, so that a bad instance
     header is reported before a bad symbol, then the declared counts.  A
     list's ``objects`` is always checked, and its ``length`` against the
     instance; a string's ``length`` is always checked, and its ``objects``
@@ -492,32 +470,47 @@ def parse_text(text: str) -> ParsedInput:
     """
     start = _HEAD_BLOCK.match(text).end()
     headers = _lines(text[:start])[0]
-    words = _text_list(text, headers, start)
-    symbols = _text_string(text, headers, start)
-    fmt = "list" if symbols is None else "string"
-    if words is None and symbols is None:
+    fmt = headers.get("format")
+    end = len(text) - text.endswith("\n")
+    # the newline that ends the header block leads the slice, if there is one
+    newline = start > 0 and text[start - 1] == "\n"
+    tried = fmt == "list" or text.find("\n", start, end) >= 0
+    body = None
+    if tried:
+        fmt = fmt or "list"  # a body of many lines with no format header is a list
+        body = _whole_body(text[start - 1 : end] if newline else "\n" + text[start:end], fmt)
+    if body is None:
         headers, body_lines, lines = _lines(text)
         fmt = headers.get("format") or ("string" if body_lines == 1 else "list")
+        if fmt == "list" or fmt == "string" and body_lines > 1:
+            joined = "\n".join(["", *(line for _, _, line in _body(lines))])
+            # the slice tried above is not read again: the lengths are
+            # compared first, then the text, in place where a newline led it
+            seen = tried and len(joined) == end - start + 1
+            if seen and newline:
+                seen = text.startswith(joined, start - 1)
+            elif seen:
+                seen = joined.startswith(text[start:end], 1)
+            if not seen:
+                body = _whole_body(joined, fmt)
+            del joined
     params = _params(headers)
     if fmt == "string":
-        if symbols is None:
+        if body is None:
             one = headers.get("length") == "1"  # then a lone 10 is ten, not 1, 0
-            body = _body(lines)
+            numbered = _body(lines)
             del lines  # only the body iterator keeps the lines, none once read
-            pieces = [piece for numbered in body for piece in _string_line(*numbered, one)]
-            symbols = _joined(pieces)
-        objects = len(symbols) // (params.k - params.s) if params is not None else None
-        _check_declared(headers, len(symbols), objects)
-        return ParsedInput("string", params, symbols, None)
+            body = _joined([piece for x in numbered for piece in _string_line(*x, one)])
+        objects = len(body) // (params.k - params.s) if params is not None else None
+        _check_declared(headers, len(body), objects)
+        return ParsedInput("string", params, body, None)
     if fmt != "list":
         raise DocumentError(f"unknown format {fmt!r}")
-    if words is None:
-        words = _list_words("\n".join(["", *(line for _, _, line in _body(lines))]))
-    if words is None:
-        words = tuple(tuple(chain.from_iterable(_string_line(*x, False))) for x in _body(lines))
-    length = len(words) * (params.k - params.s) if params is not None else None
-    _check_declared(headers, length, len(words))
-    return ParsedInput("list", params, None, words)
+    if body is None:
+        body = tuple(tuple(chain.from_iterable(_string_line(*x, False))) for x in _body(lines))
+    length = len(body) * (params.k - params.s) if params is not None else None
+    _check_declared(headers, length, len(body))
+    return ParsedInput("list", params, None, body)
 
 
 def _check_declared(headers: dict[str, str], length: int | None, objects: int | None) -> None:
@@ -616,9 +609,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stdin = args.input == "-"
     try:
         # stdin is read from its descriptor, as UTF-8 with universal
-        # newlines like a file, and left open
+        # newlines like a file, and left open; a leading byte order mark is
+        # dropped, or it would hide the header block
         source = sys.stdin.fileno() if stdin else args.input
-        with open(source, encoding="utf-8", closefd=not stdin) as fh:
+        with open(source, encoding="utf-8-sig", closefd=not stdin) as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{'stdin' if stdin else args.input} is not UTF-8 text: {exc}") from exc

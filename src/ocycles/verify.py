@@ -136,7 +136,7 @@ def _distinct_by_sorting(valid: Iterable[Word]) -> tuple[int, list[Word]]:
 
 def _validity(words: Iterable[Word], params: InstanceParams) -> list[bool]:
     """One validity flag per word, from bulk passes: for the windows of
-    strings ``_bytewise`` declines (a symbol above 255, or a multiset
+    strings ``_byte_flags`` declines (a symbol above 255, or a multiset
     wider than a byte) and for the words ``_coverage_report`` takes.
     `words` may be a generator, so a string's windows need not all be sliced
     at once."""
@@ -200,20 +200,12 @@ def _kperm_columns(
         yield ints, m, outside | (unequal ^ high)
 
 
-def _kperm_invalid(ext: bytes, windows: int, stride: int, k: int, n: int) -> bytes:
-    """One byte per window of a k-permutation byte string: 0x80 where the
-    window holds a symbol outside 1..n or a repeated symbol, else 0, from
-    the flags of ``_kperm_columns``."""
-    chunks = _kperm_columns(ext, range(windows), stride, k, n)
-    return b"".join(flag.to_bytes(m, "big") for _, m, flag in chunks)
-
-
 def _kperm_ranked(
     ext: bytes, stride: int, k: int, n: int, windows: range
 ) -> Iterator[tuple[Iterable[int], bytes]]:
     """The windows `windows` of a k-permutation byte string, ``_CHUNK`` at
     a time: each chunk's valid windows' ranks, in window order, from
-    ``_valid_ranks``, and its flag bytes as ``_kperm_invalid`` gives them."""
+    ``_valid_ranks``, and its flag bytes as ``_byte_flags`` gives them."""
     for cols, m, flag in _kperm_columns(ext, windows, stride, k, n):
         yield _valid_ranks(cols, m, n, flag), flag.to_bytes(m, "big")
 
@@ -345,7 +337,7 @@ def _multiset_invalid(
     multiset: those counts add up to k, so then no other symbol fits in the
     window.  The XOR of the counts with the multiset's has a zero byte
     exactly where they agree, and ``((x & 0x7f..) + 0x7f..) | x`` marks the
-    other bytes in their high bit, as in ``_kperm_invalid``.
+    other bytes in their high bit, as in ``_kperm_columns``.
     """
     counts = Counter(multiset)
     flags = []
@@ -522,14 +514,14 @@ def _rank_path(
     windows, from ``_kperm_ranked`` or ``_multiset_ranked``, and the word of
     a rank; or None where it is counted by groups of first symbols.
 
-    A byte string is ranked when it has exactly as many windows as there
-    are objects, below 2**32: a k-permutation one for n <= 127, and a
-    multiset one where ``_multiset_automaton`` builds its tables.  The
-    window-count gate bounds the bitmap of ranks by the string's own
-    length, and the automaton's gate keeps its tables smaller than that.
+    A byte string that ``_byte_flags`` flags is ranked when it has exactly
+    as many windows as there are objects, below 2**32: a k-permutation one
+    for n <= 127, and a multiset one where ``_multiset_automaton`` builds
+    its tables.  The window-count gate bounds the bitmap of ranks by the
+    string's own length, and the automaton's gate keeps its tables smaller.
     """
     total = object_count(params)
-    if windows != total or total >= 1 << 32 or not _bytewise(ext, params):
+    if windows != total or total >= 1 << 32:
         return None
     k, n = params.k, params.n
     if params.mode is Mode.KPERM:
@@ -545,13 +537,21 @@ def _rank_path(
     )
 
 
-def _bytewise(symbols: SymbolString, params: InstanceParams) -> bool:
-    """Whether ``_kperm_invalid`` or ``_multiset_invalid`` can flag this
-    string's windows: it is ``bytes``, and a multiset's symbols and counts
-    fit in a byte."""
-    if params.mode is Mode.MULTISET and max(params.k, params.n) > 255:
-        return False
-    return isinstance(symbols, bytes)
+def _byte_flags(ext: SymbolString, params: InstanceParams) -> Callable[[int, int], bytes] | None:
+    """How the windows of `ext` are flagged in whole-column passes: a
+    function of the window count and the stride that gives one byte per
+    window, 0x80 where it is invalid (by ``_kperm_columns`` or
+    ``_multiset_invalid``), else 0; None where `ext` is not ``bytes``, or a
+    multiset's symbols or counts do not fit in a byte, and ``_validity``
+    flags the windows one at a time."""
+    k, n = params.k, params.n
+    if not isinstance(ext, bytes) or params.mode is Mode.MULTISET and max(k, n) > 255:
+        return None
+    if params.mode is Mode.MULTISET:
+        return lambda windows, stride: _multiset_invalid(ext, windows, stride, k, params.multiset)
+    return lambda windows, stride: b"".join(
+        flag.to_bytes(m, "big") for _, m, flag in _kperm_columns(ext, range(windows), stride, k, n)
+    )
 
 
 def _kperm_ranks(cols: list[int], m: int, n: int) -> memoryview:
@@ -713,17 +713,16 @@ def _windows_report(
     """
     k, n = params.k, params.n
     starts = range(0, windows * stride, stride)
-    ranked = _rank_path(ext, windows, stride, params)
+    flags = _byte_flags(ext, params)
+    ranked = None if flags is None else _rank_path(ext, windows, stride, params)
     if ranked is not None:
         chunks, word = ranked
         seen = bytearray(windows)  # a byte per object, as there is a window per object
         bad = _marked(chunks(range(windows)), windows, seen)
-    elif not _bytewise(ext, params):
+    elif flags is None:
         bad = bytes(map(not_, _validity((ext[i : i + k] for i in starts), params)))
-    elif params.mode is Mode.MULTISET:
-        bad = _multiset_invalid(ext, windows, stride, k, params.multiset)
     else:
-        bad = _kperm_invalid(ext, windows, stride, k, n)
+        bad = flags(windows, stride)
     invalid = _Defects(_flagged(bad, starts), partial(_window, ext, k))
     if ranked is not None:
         found = windows - seen.count(0)
@@ -790,7 +789,7 @@ def verify_object_list(
     word's the first word's.  In a byte string, for each o < s, column
     k-s+o (every word's symbol k-s+o, one byte per word) XOR column o moved
     on by one word has a zero byte exactly where they agree, and the
-    zero-byte test of ``_kperm_invalid`` marks the others; a tuple string
+    zero-byte test of ``_kperm_columns`` marks the others; a tuple string
     compares the two slices word by word.  The violations are a
     ``_Defects`` view of the flagged words' positions, and each violation's
     two slices become tuples only when it is read.  The words are flagged

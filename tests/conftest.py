@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ocycles.cli
 from ocycles.core import (
     InstanceParams,
     Mode,
@@ -21,6 +22,38 @@ from ocycles.connect import Direction
 from ocycles.verify import VerificationReport
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def three_readings(monkeypatch, run):
+    """`run()`, which parses through ``cli.parse_text``, three times: as is,
+    with each parse's first whole-body read declined (the slice, where one
+    is tried), and with every whole-body read declined, so that the line
+    reader takes the body.  Returns the three results and, for the first
+    run, whether each whole-body read took the body, a list per parse.
+    Within a parse no text is read whole twice."""
+    parse, whole_body = ocycles.cli.parse_text, ocycles.cli._whole_body
+    decline = 0  # 0 none, 1 the first read of each parse, 2 every read
+    reads = []  # per parse, each whole-body read's text and whether it took the body
+
+    def parse_spy(text):
+        reads.append([])
+        return parse(text)
+
+    def whole_body_spy(text, fmt):
+        assert text not in [read for read, _ in reads[-1]]
+        body = None if decline == 2 or decline == 1 and not reads[-1] else whole_body(text, fmt)
+        reads[-1].append((text, body is not None))
+        return body
+
+    results = []
+    with monkeypatch.context() as patched:
+        patched.setattr(ocycles.cli, "parse_text", parse_spy)
+        patched.setattr(ocycles.cli, "_whole_body", whole_body_spy)
+        for decline in range(3):
+            results.append(run())
+            if decline == 0:
+                first = [[took for _, took in parse] for parse in reads]
+    return results, first
 
 # multisets exercised by the multiset sweeps; sizes 3..6
 MULTISET_BATTERY = [(1, 1, 2), (1, 1, 2, 3, 4), (1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2)]

@@ -32,7 +32,7 @@ from ocycles.cli import (
 from ocycles.core import symbol_string, validate_params
 from ocycles.euler import OverlapCycle, euler_tour
 from ocycles.graph import build_graph
-from conftest import DATA_DIR, guaranteed_instances
+from conftest import DATA_DIR, guaranteed_instances, three_readings
 
 FIXTURE = str(DATA_DIR / "perm5_s3_cycle.txt")
 
@@ -787,6 +787,9 @@ def test_path_on_a_huge_alphabet(n):
 
 
 
+BOM = "\ufeff".encode()
+
+
 class TestVerifyStdin:
     """``verify -`` reads the document from stdin, with the report and exit
     code it gives from a file.  pytest's captured stdin raises on read, so
@@ -826,6 +829,29 @@ class TestVerifyStdin:
         assert code == EXIT_INVALID and out.startswith(b"valid: no\n")
         assert b"invalid-words: 3\n" in out
         assert self.verify(str(doc)) == (code, out, b"")
+
+    @pytest.mark.parametrize("fmt", ["string", "list"])
+    def test_byte_order_mark(self, tmp_path, fmt):
+        # a leading UTF-8 byte order mark is dropped, from a file and from
+        # stdin: it would hide the header block
+        text = self.cli("gen", "--format", fmt).communicate()[0]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(BOM + text)
+        report = self.verify(str(plain))
+        assert report[0] == EXIT_OK and report[1].startswith(b"valid: yes\n")
+        assert self.verify(str(marked)) == report
+        assert self.verify("-", BOM + text) == report
+
+    @pytest.mark.parametrize(
+        "data, at", [(b"1 2 x 3\n", "5 of line 1"), (b"# format string\n1 2 x 3\n", "5 of line 2")]
+    )
+    def test_byte_order_mark_before_a_bad_symbol(self, tmp_path, data, at):
+        # the mark is not a character of the first line
+        doc = tmp_path / "bad.txt"
+        doc.write_bytes(BOM + data)
+        error = f"error: cannot parse symbols: 'x' at character {at}\n".encode()
+        assert self.verify(str(doc)) == self.verify("-", BOM + data) == (EXIT_IOFMT, b"", error)
 
     def test_non_utf8_input(self):
         code, out, err = self.verify("-", "1 2 1 3 2 3\n".encode("utf-16"))
@@ -1121,7 +1147,7 @@ class TestSplitRuleMatchesOldReader:
 
 def _parsed_or_error(text):
     try:
-        return parse_text(text)
+        return ocycles.cli.parse_text(text)
     except DocumentError as exc:
         return str(exc)
 
@@ -1156,28 +1182,21 @@ def _string_documents(p):
 
 
 class TestMultiLineStringBody:
-    """A string body of more than one line is read as one slice, its
-    newlines read as spaces; whatever it reads or declines, the parse and
+    """A string body of more than one line is read whole, its newlines read
+    as spaces: as one slice, or where that declines, from its stripped
+    lines joined by newlines; whatever it reads or declines, the parse and
     the error are those of the line reader."""
 
     @staticmethod
-    def both_readers(monkeypatch, text):
-        """The parse or error text with the slice and with the line reader
-        alone, which must agree, and whether the slice read the body."""
-        read = ocycles.cli._text_string
-        taken = []
-
-        def spy(*args):
-            symbols = read(*args)
-            taken.append(symbols is not None)
-            return symbols
-
-        with monkeypatch.context() as patched:
-            patched.setattr(ocycles.cli, "_text_string", spy)
-            sliced = _parsed_or_error(text)
-            patched.setattr(ocycles.cli, "_text_string", lambda *args: None)
-            assert _parsed_or_error(text) == sliced
-        return taken == [True]
+    def every_reader(monkeypatch, text):
+        """The parse or error text as is, with the slice declined and with
+        the line reader alone, which must agree, and which whole-body read
+        took the body: "slice", "lines" or None."""
+        results, reads = three_readings(monkeypatch, lambda: _parsed_or_error(text))
+        assert results[1] == results[2] == results[0]
+        took = reads[0]
+        # a string body of many lines under a format header is first read as the slice
+        return "slice" if took[:1] == [True] else "lines" if True in took else None
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n=10, k=3, s=1), dict(n=6, k=4, s=2)], ids=["10-3-1", "6-4-2"]
@@ -1186,14 +1205,23 @@ class TestMultiLineStringBody:
         p = validate_params(**kwargs)
         taken = {}
         for label, text in _string_documents(p):
-            taken[label] = self.both_readers(monkeypatch, text)
+            taken[label] = self.every_reader(monkeypatch, text)
         # a body of names 1..10 between single spaces and newlines is read
-        # as one slice, but where a line is a bare 10, which reads as 1, 0
-        assert taken == {
-            label: label.endswith(("as written", "length 1", "no final newline"))
-            and not (label.startswith("every 1,") and p.n >= 10)
-            for label in taken
-        }
+        # whole, but where a line is a bare 10, which reads as 1, 0: as one
+        # slice, or from its stripped lines where it has CRLF ends, a blank
+        # or comment line, or a line with blanks around it
+        sliced = ("as written", "length 1", "no final newline")
+        stripped = ("crlf", "a trailing space", "a leading space", "a blank line", "a comment line")
+        one = "every 1,"  # one name a line, so a tab before it is stripped too
+
+        def reader(label):
+            if label.startswith(one) and p.n >= 10:
+                return None
+            if label.endswith(sliced):
+                return "slice"
+            return "lines" if label.endswith(stripped) or label == f"{one} tabs" else None
+
+        assert taken == {label: reader(label) for label in taken}
 
     @pytest.mark.parametrize(
         "body",
@@ -1203,5 +1231,6 @@ class TestMultiLineStringBody:
     def test_bare_tens(self, monkeypatch, body, length):
         head = "# format string\n" + (f"# length {length}\n" if length else "")
         bare = "10" in body.split("\n")
-        for text in (head + body, head + body + "\n"):
-            assert self.both_readers(monkeypatch, text) == (not bare)
+        for text in (head + body, head + body + "\n", head + body.replace("\n", "\n\n")):
+            expected = "lines" if text.endswith(body.replace("\n", "\n\n")) else "slice"
+            assert self.every_reader(monkeypatch, text) == (None if bare else expected)

@@ -1,20 +1,19 @@
-"""The three readers of a list document against each other, and against
-the per-word reader that came before them.
+"""The readers of a list document against each other, and against the
+per-word reader that came before them.
 
 A list body of decimal names, k to a line between commas or packed, is
-read into one string of k symbols per word: as one slice of the document
-after its header block (the text pass, ``cli._text_list``, which returns
-the words and leaves every header to ``parse_text``), or, where that
-declines, from its stripped lines joined by newlines (the joined-lines
-pass).  Every other body is read a line at a time into word tuples by
-``cli._string_line`` (the line reader).  On every document here each
-reader must give the same parse, the same report, the same ``verify``
-output and exit code, and the same parse error.  The joined-lines pass is
-forced by making ``_text_list`` decline every document, and the line
-reader by making ``_list_words`` decline every body as well.
-``verify_object_list`` checks either form as one string at stride k, so its
-report on the words, also handed over as a list of tuples, is compared with
-the per-word reference ``reference_object_list`` too.
+read whole by ``cli._whole_body`` into one string of k symbols per word:
+as one slice of the document after its header block (the text pass), or,
+where that declines, from its stripped lines joined by newlines (the
+joined-lines pass), unless that text is the slice.  Every other body is
+read a line at a time into word tuples by ``cli._string_line`` (the line
+reader).  Each document here is parsed as is, with the slice declined, and
+with every whole-body read declined, and each way must give the same
+parse, the same report, the same ``verify`` output and exit code, and the
+same parse error.  ``verify_object_list`` checks either form as one string
+at stride k, so its report on the words, also handed over as a list of
+tuples, is compared with the per-word reference ``reference_object_list``
+too.
 """
 
 import contextlib
@@ -34,7 +33,7 @@ from ocycles.core import Windows, validate_params
 from ocycles.euler import euler_tour
 from ocycles.graph import build_graph
 from ocycles.verify import verify_object_list
-from conftest import reference_object_list
+from conftest import reference_object_list, three_readings
 
 
 def _argv(p):
@@ -239,7 +238,7 @@ CORPUS = _corpus()
 
 def _read(text):
     try:
-        parsed = parse_text(text)
+        parsed = ocycles.cli.parse_text(text)
     except DocumentError as exc:
         return str(exc), None
     return (parsed.fmt, parsed.params, parsed.symbols, tuple(parsed.words or ())), parsed
@@ -253,28 +252,12 @@ def _verify(path, p):
 
 
 def check_every_reader(monkeypatch, p, text, folder):
-    """The text pass, the joined-lines pass and the line reader, each
-    forced in turn, give the same parse, errors, report and verify output;
-    returns the reader of the list words as in `_tampered`."""
+    """The document parsed as is, with the slice declined and with every
+    whole-body read declined gives the same parse, errors, report and
+    verify output; returns the reader of the list words as in `_tampered`."""
     path = Path(folder) / "doc.txt"
     path.write_text(text, newline="")
-    took = []  # whether the text pass read the document, per parse
-    text_list = ocycles.cli._text_list
-
-    def spy(*args):
-        parsed = text_list(*args)
-        took.append(parsed is not None)
-        return parsed
-
-    with monkeypatch.context() as patched:
-        patched.setattr(ocycles.cli, "_text_list", spy)
-        results = [(_read(text), _verify(path, p))]
-        by_text = took[0] if took else False
-        patched.setattr(ocycles.cli, "_text_list", lambda *args: None)
-        results.append((_read(text), _verify(path, p)))
-        by_lines = isinstance(results[-1][0][1] and results[-1][0][1].words, Windows)
-        patched.setattr(ocycles.cli, "_list_words", lambda text: None)
-        results.append((_read(text), _verify(path, p)))
+    results, reads = three_readings(monkeypatch, lambda: (_read(text), _verify(path, p)))
     (read, parsed), run = results[0]
     for (other, _), other_run in results[1:]:
         assert other == read
@@ -288,7 +271,9 @@ def check_every_reader(monkeypatch, p, text, folder):
     tuples = [tuple(w) for w in parsed.words]
     assert verify_object_list(parsed.words, p) == verify_object_list(tuples, p)
     assert verify_object_list(tuples, p) == reference_object_list(tuples, p)
-    return "text" if by_text else "lines" if by_lines else None
+    # a list body's first whole-body read is the slice
+    took = reads[0]
+    return "text" if took[:1] == [True] else "lines" if True in took else None
 
 
 @pytest.mark.parametrize("label, p, text, reader", CORPUS, ids=[doc[0] for doc in CORPUS])
@@ -482,3 +467,28 @@ def test_list_bodies_match_the_per_word_reader(data, k, n, crlf):
         assert str(raised.value) == str(exc)
         return
     assert tuple(parse_text(text).words) == expected
+
+
+@pytest.mark.parametrize("layout", ["headers", "no headers", "headers ended by cr"])
+def test_a_declined_body_is_read_whole_once(monkeypatch, layout):
+    # one line given an extra name: the slice declines the body, and its
+    # stripped lines joined are the same text, so they are not read again
+    p, text = GENERATED_LISTS[3]
+    head, body = _split(text)
+    head = [x for x in head if not x.startswith(("# objects", "# length"))]
+    body[5] += ",1"
+    doc = {
+        "headers": _join(head, body),
+        "no headers": _join([], body),
+        "headers ended by cr": "".join(x + "\r" for x in head) + _join([], body),
+    }[layout]
+    texts = []
+    list_words = ocycles.cli._list_words
+    monkeypatch.setattr(ocycles.cli, "_list_words", lambda t: texts.append(t) or list_words(t))
+    assert tuple(parse_text(doc).words) == reference_words(doc)
+    assert len(texts) == 1
+    # with a blank line in it the joined lines are another text, read too
+    texts.clear()
+    blank = doc.replace(f"\n{body[10]}\n", f"\n{body[10]}\n\n", 1)
+    assert tuple(parse_text(blank).words) == reference_words(doc)
+    assert len(texts) == 2 and texts[0] != texts[1]

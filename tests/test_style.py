@@ -236,3 +236,39 @@ def test_tracemalloc_starts_are_found():
     )
     want = [(2, ""), (3, ""), (5, "traced_peak"), (9, "test")]
     assert _tracemalloc_starts(ast.parse(source)) == want
+
+
+def _unused_helpers(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """Each top-level private function and class, as (module, name), that
+    no other top-level statement of the modules names, by a bare name or
+    an attribute: one that only tests, or only itself, would call."""
+    helpers, named = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = getattr(node, "name", None)  # def and class statements have one
+            if own and own.startswith("_") and not own.startswith("__"):
+                helpers.append((module, own))
+            for n in ast.walk(node):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name and name != own:
+                    named.add(name)
+    return [(module, name) for module, name in helpers if name not in named]
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # a reader the package no longer calls must go, not stay as a seam
+    # that only tests reach
+    unused = _unused_helpers(TREES)
+    assert unused == [], "private functions and classes named only by tests (module, name)"
+
+
+def test_unused_helpers_are_found():
+    a = (
+        "def _used():\n    pass\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _unused():\n    pass\nclass _Shape:\n    pass\n"
+        "def public(s: _Shape):\n    return _used()\ndef __getattr__(name):\n    pass\n"
+    )
+    b = "from . import a\nfrom .a import _imported\ndef _elsewhere():\n    return a._by_attribute()\n"
+    b += "x = [_imported() for _ in range(3)]\ndef _imported():\n    pass\ndef _by_attribute():\n    pass\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert _unused_helpers(trees) == [("a", "_recursive"), ("a", "_unused"), ("b", "_elsewhere")]

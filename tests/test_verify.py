@@ -20,7 +20,9 @@ import ocycles.verify
 from ocycles.cli import emit_document, emit_list, parse_text
 from ocycles.core import (
     Feasibility,
+    InstanceParams,
     LimitError,
+    Mode,
     Windows,
     arrangement_rank,
     enumerate_objects,
@@ -394,7 +396,7 @@ def test_byte_tables_follow_their_rules(monkeypatch, groups, n):
 
     assert ocycles.verify._first_symbol_groups(every_byte, n) == bytes(map(group, range(256)))
     # one-symbol windows: each window's flag is its symbol's range flag
-    flags = ocycles.verify._kperm_invalid(every_byte, 256, 1, 1, n)
+    flags = ocycles.verify._byte_flags(every_byte, InstanceParams(Mode.KPERM, n, 1, 0))(256, 1)
     assert flags == bytes(0 if 1 <= x <= n else 0x80 for x in range(256))
 
 
@@ -1227,35 +1229,48 @@ class TestMemoryGuard:
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < bound
 
-    def test_parse_text_many_lines(self, fullperm_8_8_3):
-        # a string body of 40,320 lines of k - s symbols is read as one
-        # slice, its newlines as spaces: 20.0.  Read a line at a time it
-        # read 131.8
-        p, tour = fullperm_8_8_3
+    @staticmethod
+    def many_lines(fullperm, end="\n", note=False):
+        """The (8,8,3) string document with its body in lines of k - s
+        symbols, each ended by `end`, with a comment line in the middle if
+        `note`, and the cycle."""
+        p, tour = fullperm
         cycle = tour_to_cycle(tour)
         *head, body = emit_document(cycle).splitlines()
         names, step = body.split(" "), p.k - p.s
         lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
-        text = "\n".join([*head, *lines, ""])
+        if note:
+            lines.insert(len(lines) // 2, "# a note")
+        return end.join([*head, *lines, ""]), cycle
+
+    def test_parse_text_many_lines(self, fullperm_8_8_3):
+        # a string body of 40,320 lines of k - s symbols is read as one
+        # slice, its newlines as spaces: 20.0.  Read a line at a time it
+        # read 131.8
+        text, cycle = self.many_lines(fullperm_8_8_3)
         parsed, peak = traced_peak(parse_text, text)
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < 26
 
     def test_parse_text_many_crlf_lines(self, fullperm_8_8_3):
-        # the same lines ended by CRLF are left to the line reader: 131.8.
-        # Each line yields plain bytes pieces, and the body lines are
-        # dropped before the symbols are joined.  Kept in a list until
-        # parse_text returns, they read 198.5; a buffer per line, viewed by
-        # each of its pieces, read 467.9
-        p, tour = fullperm_8_8_3
-        cycle = tour_to_cycle(tour)
-        *head, body = emit_document(cycle).splitlines()
-        names, step = body.split(" "), p.k - p.s
-        lines = [" ".join(names[i : i + step]) for i in range(0, len(names), step)]
-        text = "\r\n".join([*head, *lines, ""])
+        # the same lines ended by CRLF are read whole from their stripped
+        # lines joined by newlines: 96.8.  Read a line at a time they read
+        # 131.8, each line yielding plain bytes pieces and the body lines
+        # dropped before the symbols were joined; kept in a list until
+        # parse_text returned they read 198.5, and a buffer per line,
+        # viewed by each of its pieces, 467.9
+        text, cycle = self.many_lines(fullperm_8_8_3, "\r\n")
         parsed, peak = traced_peak(parse_text, text)
         assert parsed.symbols == cycle.symbols
         assert peak / 40_320 < 160
+
+    def test_parse_text_many_lines_and_a_comment(self, fullperm_8_8_3):
+        # a comment line among them declines the slice, and the stripped
+        # lines are read whole, as CRLF lines are: 96.8
+        text, cycle = self.many_lines(fullperm_8_8_3, note=True)
+        parsed, peak = traced_peak(parse_text, text)
+        assert parsed.symbols == cycle.symbols
+        assert peak / 40_320 < 120
 
     def test_write_output(self, tmp_path):
         # an 8 MB document is written 512 Ki characters at a time: a slice
